@@ -32,7 +32,6 @@ from .models import (
     build_span_baseline,
     build_spanv2,
     near_pixel_init,
-    spabv2_forward,
     span_baseline_attention,
 )
 from .scoring import ScoreTable, TeamMetrics, rank_table, score_final, score_metric
@@ -97,7 +96,6 @@ __all__ = [
     "save_archive",
     "score_final",
     "score_metric",
-    "spabv2_forward",
     "space_to_depth",
     "span_baseline_attention",
     "tensor",

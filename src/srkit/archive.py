@@ -65,23 +65,6 @@ def _node_meta(n: Node) -> dict:
     return meta
 
 
-def _node_tensors(n: Node) -> list[tuple[str, np.ndarray]]:
-    out: list[tuple[str, np.ndarray]] = []
-    if n.spec is not None:
-        out.append((f"{n.name}.weight", n.spec.weight))
-        if n.spec.bias is not None:
-            out.append((f"{n.name}.bias", n.spec.bias))
-    if n.lora is not None:
-        out.append((f"{n.name}.lora_a", n.lora.a))
-        out.append((f"{n.name}.lora_b", n.lora.b))
-    if n.branches is not None:
-        for i, b in enumerate(n.branches.branches):
-            out.append((f"{n.name}.branch{i}.weight", b.weight))
-            if b.bias is not None:
-                out.append((f"{n.name}.branch{i}.bias", b.bias))
-    return out
-
-
 def _build_conv(meta: dict, weight: np.ndarray, bias: np.ndarray | None) -> ConvSpec:
     return ConvSpec(
         in_channels=meta["in"],
@@ -95,12 +78,9 @@ def _build_conv(meta: dict, weight: np.ndarray, bias: np.ndarray | None) -> Conv
 
 
 def save_archive(g: ModelGraph, path: str | Path, seed: int | None = None) -> None:
-    tensors: list[tuple[str, np.ndarray]] = []
-    for n in g.nodes:
-        tensors.extend(_node_tensors(n))
     directory = []
     payload = bytearray()
-    for name, arr in tensors:
+    for name, arr in (t for n in g.nodes for t in n.tensors()):
         raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         directory.append(
             {
@@ -188,14 +168,9 @@ def load_archive(path: str | Path) -> ModelGraph:
             np.float32
         )
 
-    used: set[str] = set()
-
-    def take(name: str, optional: bool = False) -> np.ndarray | None:
+    def take(name: str) -> np.ndarray:
         if name not in blobs:
-            if optional:
-                return None
             raise ArchiveError(f"unresolved tensor name {name!r}")
-        used.add(name)
         return blobs[name]
 
     gmeta = header.get("graph")
@@ -235,7 +210,7 @@ def load_archive(path: str | Path) -> ModelGraph:
                 include_identity=branches["include_identity"],
             )
         nodes.append(node)
-    unused = sorted(set(blobs) - used)
+    unused = sorted(set(blobs) - {name for n in nodes for name, _ in n.tensors()})
     if unused:
         raise ArchiveError(f"tensors not referenced by any layer: {unused}")
     g = ModelGraph(

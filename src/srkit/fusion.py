@@ -367,15 +367,3 @@ def max_errors(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> tuple[float, f
     diff = float(np.abs(da.astype(np.float64) - db.astype(np.float64)).max(initial=0.0))
     scale = float(np.abs(db).max(initial=0.0))
     return diff, diff / max(scale, 1e-12)
-
-
-def within_tolerance(
-    a: Tensor | np.ndarray,
-    b: Tensor | np.ndarray,
-    rtol: float = 1e-5,
-    atol: float = 1e-6,
-) -> bool:
-    """Elementwise |a-b| <= atol + rtol*|b|: the project-wide equivalence bar."""
-    da = a.data if isinstance(a, Tensor) else np.asarray(a)
-    db = b.data if isinstance(b, Tensor) else np.asarray(b)
-    return bool(np.allclose(da, db, rtol=rtol, atol=atol))

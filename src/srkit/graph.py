@@ -9,11 +9,17 @@ Attention triples (1x1 conv, add, mul) registered as fusion groups execute
 through the fused single-pass operator in "fused" mode and through the
 literal three-op reference in "unfused" mode; both modes accept a traffic
 counter.
+
+Each op's output shape, FLOPs and execution are one entry of OPS; adding an
+op means adding one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .fusion import (
     BranchGroup,
@@ -36,8 +42,6 @@ from .tensor import (
     relu,
 )
 
-_OPS = {"input", "conv", "relu", "add", "mul", "concat", "pixel_shuffle"}
-
 MODES = ("unfused", "fused")
 
 
@@ -51,6 +55,21 @@ class Node:
     upscale: int | None = None  # pixel_shuffle nodes only
     lora: LoraFactors | None = None
     branches: BranchGroup | None = None
+
+    def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
+        """The node's weight arrays with their archive names, in archive order."""
+        if self.spec is not None:
+            yield f"{self.name}.weight", self.spec.weight
+            if self.spec.bias is not None:
+                yield f"{self.name}.bias", self.spec.bias
+        if self.lora is not None:
+            yield f"{self.name}.lora_a", self.lora.a
+            yield f"{self.name}.lora_b", self.lora.b
+        if self.branches is not None:
+            for i, b in enumerate(self.branches.branches):
+                yield f"{self.name}.branch{i}.weight", b.weight
+                if b.bias is not None:
+                    yield f"{self.name}.branch{i}.bias", b.bias
 
 
 @dataclass
@@ -92,7 +111,7 @@ def validate_graph(g: ModelGraph) -> None:
     for n in g.nodes:
         if n.name in seen:
             raise ShapeError(f"duplicate node name {n.name!r}")
-        if n.op not in _OPS:
+        if n.op not in OPS:
             raise ShapeError(f"unknown op {n.op!r} in node {n.name!r}")
         for ref in n.inputs:
             if ref not in seen:
@@ -108,7 +127,7 @@ def validate_graph(g: ModelGraph) -> None:
     ]
     if dangling:
         raise ShapeError(f"dangling nodes (no consumer): {dangling}")
-    infer_channels(g)  # raises on width mismatches
+    infer_shapes(g, 1, 1)  # raises on width mismatches; extents are not checked
     group_names = set()
     for fg in g.fusion_groups:
         conv, addn, muln = g.node(fg.conv), g.node(fg.add), g.node(fg.mul)
@@ -142,51 +161,134 @@ def _consumer_counts(g: ModelGraph) -> dict[str, int]:
     return counts
 
 
-def infer_channels(g: ModelGraph) -> dict[str, int]:
-    """Channel width per node; raises ShapeError on inconsistent wiring."""
-    widths: dict[str, int] = {}
-    for n in g.nodes:
-        if n.op == "input":
-            if n.channels is None:
-                raise ShapeError(f"input node {n.name!r} must declare channels")
-            widths[n.name] = n.channels
-        elif n.op == "conv":
-            cin = widths[n.inputs[0]]
-            want_in, want_out = _conv_io(n)
-            if want_in != cin:
-                raise ShapeError(
-                    f"conv {n.name!r} expects {want_in} channels, "
-                    f"producer provides {cin}"
-                )
-            widths[n.name] = want_out
-        elif n.op == "relu":
-            widths[n.name] = widths[n.inputs[0]]
-        elif n.op in ("add", "mul"):
-            a, b = (widths[r] for r in n.inputs)
-            if a != b:
-                raise ShapeError(f"{n.op} {n.name!r} mixes widths {a} and {b}")
-            widths[n.name] = a
-        elif n.op == "concat":
-            widths[n.name] = sum(widths[r] for r in n.inputs)
-        elif n.op == "pixel_shuffle":
-            c = widths[n.inputs[0]]
-            s = n.upscale or 1
-            if c % (s * s):
-                raise ShapeError(
-                    f"pixel_shuffle {n.name!r}: {c} channels not divisible by {s * s}"
-                )
-            widths[n.name] = c // (s * s)
-    return widths
+# --------------------------------------------------------------------------
+# the op table
 
 
-def _conv_io(n: Node) -> tuple[int, int]:
-    """(in_channels, out_channels) of a conv node, branch-form included."""
+Shape = tuple[int, int, int]  # (c, h, w) of one batch item
+
+
+class Op(NamedTuple):
+    """Everything the engine knows about one graph op.
+
+    shape(node, input shapes) -> output shape, raising ShapeError on bad
+    wiring; the input node's one input shape is the graph input's.
+    flops(node, output shape) -> FLOPs for one batch item, one per MAC plus
+    one per bias add and elementwise op; data movement is free.
+    run(node, *input tensors) -> output tensor; the input node receives the
+    graph input. Rules call the kernels through this module's globals at call
+    time, so rebinding e.g. `graph.conv2d` reaches every execution.
+    """
+
+    shape: Callable[[Node, list[Shape]], Shape]
+    flops: Callable[[Node, Shape], int]
+    run: Callable[..., Tensor]
+
+
+def _free(n: Node, out: Shape) -> int:
+    return 0
+
+
+def _numel(n: Node, out: Shape) -> int:
+    return out[0] * out[1] * out[2]
+
+
+def _input_shape(n: Node, ins: list[Shape]) -> Shape:
+    if n.channels is None:
+        raise ShapeError(f"input node {n.name!r} must declare channels")
+    return ins[0]
+
+
+def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
     if n.spec is not None:
-        return n.spec.in_channels, n.spec.out_channels
+        spec = n.spec
+    elif n.branches is not None:
+        spec = n.branches.branches[0]
+    else:
+        raise ShapeError(f"conv node {n.name!r} has neither spec nor branches")
+    cin, h, w = ins[0]
+    if spec.in_channels != cin:
+        raise ShapeError(
+            f"conv {n.name!r} expects {spec.in_channels} channels, "
+            f"producer provides {cin}"
+        )
+    (kh, kw), (ph, pw) = spec.kernel, spec.padding
+    return spec.out_channels, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+
+
+def _spec_flops(spec: ConvSpec, h: int, w: int) -> int:
+    macs = spec.out_channels * (spec.in_channels // spec.groups) * spec.kernel[0] * spec.kernel[1]
+    bias = spec.out_channels if spec.bias is not None else 0
+    return (macs + bias) * h * w
+
+
+def _conv_flops(n: Node, out: Shape) -> int:
+    c, h, w = out
     if n.branches is not None:
-        b = n.branches.branches[0]
-        return b.in_channels, b.out_channels
-    raise ShapeError(f"conv node {n.name!r} has neither spec nor branches")
+        # every branch, plus summing the parallel branch outputs
+        extra = len(n.branches.branches) - 1 + (1 if n.branches.include_identity else 0)
+        return sum(_spec_flops(b, h, w) for b in n.branches.branches) + extra * c * h * w
+    total = _spec_flops(n.spec, h, w)
+    if n.lora is not None:
+        # the live low-rank branch conv (bias-free, ungrouped) and the add
+        kh, kw = n.spec.kernel
+        total += (c * n.spec.in_channels * kh * kw + c) * h * w
+    return total
+
+
+def _run_conv(n: Node, x: Tensor) -> Tensor:
+    if n.branches is not None:
+        return branch_forward(x, n.branches)
+    if n.lora is not None:
+        return lora_forward(x, n.spec, n.lora)
+    return conv2d(x, n.spec)
+
+
+def _same_width_shape(n: Node, ins: list[Shape]) -> Shape:
+    (a, h, w), (b, _, _) = ins
+    if a != b:
+        raise ShapeError(f"{n.op} {n.name!r} mixes widths {a} and {b}")
+    return a, h, w
+
+
+def _concat_shape(n: Node, ins: list[Shape]) -> Shape:
+    return sum(c for c, _, _ in ins), ins[0][1], ins[0][2]
+
+
+def _shuffle_shape(n: Node, ins: list[Shape]) -> Shape:
+    c, h, w = ins[0]
+    s = n.upscale
+    if not isinstance(s, (int, np.integer)) or s < 1:
+        raise ShapeError(f"pixel_shuffle {n.name!r}: upscale must be an integer >= 1, got {s!r}")
+    if c % (s * s):
+        raise ShapeError(
+            f"pixel_shuffle {n.name!r}: {c} channels not divisible by {s * s}"
+        )
+    return c // (s * s), h * s, w * s
+
+
+OPS: dict[str, Op] = {
+    "input": Op(_input_shape, _free, lambda n, x: x),
+    "conv": Op(_conv_shape, _conv_flops, _run_conv),
+    "relu": Op(lambda n, ins: ins[0], _numel, lambda n, x: relu(x)),
+    "add": Op(_same_width_shape, _numel, lambda n, a, b: add(a, b)),
+    "mul": Op(_same_width_shape, _numel, lambda n, a, b: mul(a, b)),
+    "concat": Op(_concat_shape, _free, lambda n, *parts: concat_channels(list(parts))),
+    "pixel_shuffle": Op(_shuffle_shape, _free, lambda n, x: pixel_shuffle(x, n.upscale)),
+}
+
+
+def infer_shapes(g: ModelGraph, h: int, w: int) -> dict[str, Shape]:
+    """(c, h, w) of every node for an h x w input; raises ShapeError on bad wiring."""
+    shapes: dict[str, Shape] = {}
+    for n in g.nodes:
+        ins = [(n.channels, h, w)] if n.op == "input" else [shapes[r] for r in n.inputs]
+        shapes[n.name] = OPS[n.op].shape(n, ins)
+    return shapes
+
+
+# --------------------------------------------------------------------------
+# execution
 
 
 def run_graph(
@@ -200,7 +302,8 @@ def run_graph(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     consumers = _consumer_counts(g)
     consumers[g.output] += 1  # keep the sink alive
-    by_mul = {fg.mul: fg for fg in g.fusion_groups}
+    by_name = {n.name: n for n in g.nodes}
+    gates = {fg.mul: (by_name[fg.conv], by_name[fg.add]) for fg in g.fusion_groups}
     skip = {name for fg in g.fusion_groups for name in (fg.conv, fg.add)}
     env: dict[str, Tensor] = {}
     remaining: dict[str, int] = {}
@@ -215,47 +318,25 @@ def run_graph(
     for n in g.nodes:
         if n.name in skip:
             continue
-        if n.op == "input":
+        if n.name in gates:
+            out = _run_attention(*gates[n.name], consume, mode, counter)
+        elif n.op == "input":
             if x.c != n.channels:
                 raise ShapeError(
                     f"graph {g.name!r} expects {n.channels}-channel input, got {x.c}"
                 )
-            out = x
-        elif n.op == "conv":
-            src = consume(n.inputs[0])
-            if n.branches is not None:
-                out = branch_forward(src, n.branches)
-            elif n.lora is not None:
-                out = lora_forward(src, n.spec, n.lora)
-            else:
-                out = conv2d(src, n.spec)
-        elif n.op == "relu":
-            out = relu(consume(n.inputs[0]))
-        elif n.op == "add":
-            out = add(consume(n.inputs[0]), consume(n.inputs[1]))
-        elif n.op == "mul":
-            if n.name in by_mul:
-                out = _run_attention(g, by_mul[n.name], consume, mode, counter)
-            else:
-                out = mul(consume(n.inputs[0]), consume(n.inputs[1]))
-        elif n.op == "concat":
-            out = concat_channels([consume(r) for r in n.inputs])
-        elif n.op == "pixel_shuffle":
-            out = pixel_shuffle(consume(n.inputs[0]), n.upscale or 1)
+            out = OPS[n.op].run(n, x)
+        else:
+            out = OPS[n.op].run(n, *[consume(r) for r in n.inputs])
         env[n.name] = out
         remaining[n.name] = consumers[n.name]
     return env[g.output]
 
 
-def _run_attention(g, fg, consume, mode: str, counter) -> Tensor:
-    conv_node = g.node(fg.conv)
-    add_node = g.node(fg.add)
+def _run_attention(conv_node: Node, add_node: Node, consume, mode: str, counter) -> Tensor:
     f3_name = conv_node.inputs[0]
     f3 = consume(f3_name)  # the 1x1 conv's reference
     operands = [consume(r) for r in add_node.inputs]  # the add's references
-    if add_node.inputs[0] == f3_name:
-        res = operands[1]
-    else:
-        res = operands[0]
+    res = operands[1] if add_node.inputs[0] == f3_name else operands[0]
     fn = fused_attention if mode == "fused" else reference_attention
     return fn(res, f3, conv_node.spec, counter)

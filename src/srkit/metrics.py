@@ -4,8 +4,8 @@ Conventions pinned here:
 * PSNR runs on 8-bit RGB after rounding/clamping, discards a fixed border on
   every side, and caps identical images at 100 dB.
 * FLOPs count one per multiply-accumulate, plus one per bias add and one per
-  elementwise op; this is the convention under which the reference models'
-  published G-counts reproduce.
+  elementwise op (the flops rules of graph.OPS); this is the convention
+  under which the reference models' published G-counts reproduce.
 * Runtime numbers are machine-relative and never part of hard acceptance.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import TrafficCounter
-from .graph import ModelGraph, Node, run_graph
+from .graph import OPS, ModelGraph, infer_shapes, run_graph
 from .tensor import Tensor
 
 PSNR_CAP_DB = 100.0
@@ -70,29 +70,9 @@ def tensor_to_image(t: Tensor) -> np.ndarray:
 # complexity counting
 
 
-def _node_params(n: Node) -> int:
-    if n.op != "conv":
-        return 0
-    total = 0
-    if n.spec is not None:
-        total += n.spec.param_count
-    if n.lora is not None:
-        total += n.lora.a.size + n.lora.b.size
-    if n.branches is not None:
-        total += sum(b.param_count for b in n.branches.branches)
-    return total
-
-
 def count_params(g: ModelGraph) -> int:
     """Total weight and bias element count over all layers (live form)."""
-    return sum(_node_params(n) for n in g.nodes)
-
-
-def _conv_flops(spec, hout: int, wout: int) -> int:
-    macs = spec.out_channels * (spec.in_channels // spec.groups)
-    macs *= spec.kernel[0] * spec.kernel[1] * hout * wout
-    bias = spec.out_channels * hout * wout if spec.bias is not None else 0
-    return macs + bias
+    return sum(arr.size for n in g.nodes for _, arr in n.tensors())
 
 
 def count_flops(g: ModelGraph, h: int = 256, w: int = 256) -> int:
@@ -102,44 +82,8 @@ def count_flops(g: ModelGraph, h: int = 256, w: int = 256) -> int:
     are free (pure data movement). Fusion changes memory traffic, never this
     count.
     """
-    shapes: dict[str, tuple[int, int, int]] = {}
-    total = 0
-    for n in g.nodes:
-        if n.op == "input":
-            shapes[n.name] = (n.channels or 3, h, w)
-        elif n.op == "conv":
-            _, hin, win = shapes[n.inputs[0]]
-            specs = (
-                [b for b in n.branches.branches] if n.branches is not None else [n.spec]
-            )
-            hout = wout = None
-            for spec in specs:
-                hout = hin + 2 * spec.padding[0] - spec.kernel[0] + 1
-                wout = win + 2 * spec.padding[1] - spec.kernel[1] + 1
-                total += _conv_flops(spec, hout, wout)
-            cout = specs[0].out_channels
-            numel = cout * hout * wout
-            if n.branches is not None:
-                extra = len(specs) - 1 + (1 if n.branches.include_identity else 0)
-                total += extra * numel  # summing the parallel branches
-            if n.lora is not None:
-                kh, kw = n.spec.kernel
-                total += (
-                    cout * n.spec.in_channels * kh * kw * hout * wout + numel
-                )  # the live low-rank branch conv and the add
-            shapes[n.name] = (cout, hout, wout)
-        elif n.op in ("relu", "add", "mul"):
-            c, hin, win = shapes[n.inputs[0]]
-            total += c * hin * win
-            shapes[n.name] = (c, hin, win)
-        elif n.op == "concat":
-            parts = [shapes[r] for r in n.inputs]
-            shapes[n.name] = (sum(p[0] for p in parts), parts[0][1], parts[0][2])
-        elif n.op == "pixel_shuffle":
-            c, hin, win = shapes[n.inputs[0]]
-            s = n.upscale or 1
-            shapes[n.name] = (c // (s * s), hin * s, win * s)
-    return total
+    shapes = infer_shapes(g, h, w)
+    return sum(OPS[n.op].flops(n, shapes[n.name]) for n in g.nodes)
 
 
 # --------------------------------------------------------------------------

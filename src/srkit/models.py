@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fusion import TrafficCounter, fused_attention, reference_attention
 from .graph import FusionGroup, ModelGraph, Node
-from .tensor import ConvSpec, ShapeError, Tensor, conv2d, mul, relu
+from .tensor import ConvSpec, ShapeError, Tensor, mul
 
 
 @dataclass(frozen=True)
@@ -88,24 +87,6 @@ def random_block(rng: np.random.Generator, cin: int, c: int) -> BlockSpec:
         conv_c=random_conv(rng, c, c, gain=1.0),
         attn=attn,
     )
-
-
-def spabv2_forward(
-    x: Tensor,
-    block: BlockSpec,
-    mode: str = "unfused",
-    counter: TrafficCounter | None = None,
-) -> Tensor:
-    """One attention block; fused mode runs the single-pass gate operator."""
-    f1 = relu(conv2d(x, block.conv_a))
-    f2 = relu(conv2d(f1, block.conv_b))
-    f3 = conv2d(f2, block.conv_c)
-    res = x if x.c == f3.c else f1
-    if mode == "fused":
-        return fused_attention(res, f3, block.attn, counter)
-    if mode == "unfused":
-        return reference_attention(res, f3, block.attn, counter)
-    raise ValueError(f"mode must be 'fused' or 'unfused', got {mode!r}")
 
 
 def span_baseline_attention(f1: Tensor, f3: Tensor) -> Tensor:

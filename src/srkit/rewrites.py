@@ -23,7 +23,7 @@ from .fusion import (
     lora_merge,
     max_errors,
 )
-from .graph import ModelGraph, Node, infer_channels, run_graph
+from .graph import ModelGraph, Node, infer_shapes, run_graph
 from .models import random_conv
 from .tensor import Tensor, conv2d
 
@@ -61,18 +61,18 @@ def _scaled(spec, factor: float):
 def apply_rewrites(g: ModelGraph, seed: int = 0) -> tuple[ModelGraph, list[RewriteReport]]:
     """Return a plain-conv copy of the graph plus per-rewrite equivalence stats."""
     rng = np.random.default_rng(seed)
-    widths = infer_channels(g)
+    shapes = infer_shapes(g, PROBE_SPATIAL, PROBE_SPATIAL)
     reports: list[RewriteReport] = []
     new_nodes: list[Node] = []
     for n in g.nodes:
         if n.op == "conv" and n.branches is not None:
-            x = _probe(rng, widths[n.inputs[0]])
+            x = _probe(rng, shapes[n.inputs[0]][0])
             merged = collapse_branches(list(n.branches.branches), n.branches.include_identity)
             abs_err, rel_err = max_errors(conv2d(x, merged), branch_forward(x, n.branches))
             reports.append(RewriteReport(n.name, "collapse_branches", abs_err, rel_err))
             new_nodes.append(replace(n, spec=merged, branches=None))
         elif n.op == "conv" and n.lora is not None:
-            x = _probe(rng, widths[n.inputs[0]])
+            x = _probe(rng, shapes[n.inputs[0]][0])
             merged = lora_merge(n.spec, n.lora)
             abs_err, rel_err = max_errors(conv2d(x, merged), lora_forward(x, n.spec, n.lora))
             reports.append(RewriteReport(n.name, "lora_merge", abs_err, rel_err))

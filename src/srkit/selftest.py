@@ -44,7 +44,7 @@ def _rand(rng, n, c, h, w) -> Tensor:
     return Tensor(rng.normal(0.0, 1.0, (n, c, h, w)).astype(np.float32))
 
 
-def _brute_conv(x: Tensor, spec: ConvSpec) -> np.ndarray:
+def brute_conv(x: Tensor, spec: ConvSpec) -> np.ndarray:
     """Direct quadruple-loop cross-correlation; the conv oracle."""
     n, _, h, w = x.shape
     kh, kw = spec.kernel
@@ -86,7 +86,7 @@ def check_conv_brute_force():
     spec = ConvSpec(1, 1, (3, 3), (1, 1), np.ones((1, 1, 3, 3), dtype=np.float32))
     out = conv2d(ones, spec)
     assert _close(out.data[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
-    assert _close(out.data, _brute_conv(ones, spec))
+    assert _close(out.data, brute_conv(ones, spec))
 
 
 def check_conv_depthwise_groups():
@@ -94,14 +94,14 @@ def check_conv_depthwise_groups():
     spec = ConvSpec(2, 2, (1, 1), (0, 0), [[[[2.0]]], [[[3.0]]]], groups=2)
     out = conv2d(x, spec)
     assert out.data.reshape(-1).tolist() == [2.0, 30.0]
-    assert _close(out.data, _brute_conv(x, spec))
+    assert _close(out.data, brute_conv(x, spec))
 
 
 def check_conv_random_vs_brute():
     rng = np.random.default_rng(11)
     x = _rand(rng, 2, 3, 5, 6)
     spec = models.random_conv(rng, 3, 4, k=3)
-    assert _close(conv2d(x, spec).data, _brute_conv(x, spec))
+    assert _close(conv2d(x, spec).data, brute_conv(x, spec))
 
 
 def check_relu_idempotent():
@@ -154,11 +154,10 @@ def check_conv_linearity():
 def check_block_fused_matches_unfused():
     rng = np.random.default_rng(5)
     block = models.random_block(rng, 32, 32)
+    nodes, fg, out = models._block_nodes("b1", block, "input")
+    g = Graph("block", [Node("input", "input", (), channels=32), *nodes], out, fusion_groups=[fg])
     x = _rand(rng, 1, 32, 8, 8)
-    assert _close(
-        models.spabv2_forward(x, block, "fused"),
-        models.spabv2_forward(x, block, "unfused"),
-    )
+    assert _close(run_graph(g, x, "fused"), run_graph(g, x, "unfused"))
 
 
 def check_graph_fused_matches_unfused():

@@ -1,11 +1,14 @@
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from srkit.archive import MAGIC, VERSION, ArchiveError, load_archive, save_archive
 from srkit.graph import run_graph
+from srkit.metrics import count_params
 from srkit.models import build_span_baseline, build_spanv2
 from srkit.rewrites import decorate_for_reparam
 from conftest import rand_tensor
@@ -59,6 +62,20 @@ class TestRoundtrip:
         assert np.array_equal(a.data, b.data)
         node = loaded.node("b2.conv_c")
         assert node.branches is not None and node.branches.include_identity
+
+    @pytest.mark.parametrize("form", ["spanv2", "span", "train"])
+    def test_payload_holds_every_parameter(self, tmp_path, form):
+        builders = {
+            "spanv2": build_spanv2,
+            "span": build_span_baseline,
+            "train": lambda seed: decorate_for_reparam(build_spanv2(seed=seed), seed=seed),
+        }
+        g = builders[form](seed=0)
+        path = tmp_path / "model.srwt"
+        save_archive(g, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        assert 4 * count_params(g) == len(raw) - 10 - hlen
 
     def test_seed_recorded(self, tmp_path):
         g = build_spanv2(seed=123)
@@ -161,3 +178,33 @@ class TestMalformed:
         _write(bad, header, payload + b"\0" * 8)
         with pytest.raises(ArchiveError, match="gapped"):
             load_archive(bad)
+
+    def test_unreferenced_tensor_rejected(self, tmp_path, good):
+        raw = good.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        header = json.loads(raw[10 : 10 + hlen])
+        payload = raw[10 + hlen :]
+        stray = {"name": "stray.weight", "shape": [2], "dtype": "f32", "nbytes": 8}
+        header["tensors"].append(dict(stray, offset=len(payload)))
+        bad = tmp_path / "bad.srwt"
+        _write(bad, header, payload + b"\0" * 8)
+        with pytest.raises(ArchiveError, match=r"not referenced by any layer: \['stray.weight'\]"):
+            load_archive(bad)
+
+    def test_zero_upscale_is_a_one_line_cli_error(self, tmp_path, good):
+        raw = good.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        header = json.loads(raw[10 : 10 + hlen])
+        payload = raw[10 + hlen :]
+        (shuffle,) = [n for n in header["graph"]["nodes"] if n["op"] == "pixel_shuffle"]
+        shuffle["upscale"] = 0  # was once read as x1
+        bad = tmp_path / "bad.srwt"
+        _write(bad, header, payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "srkit.cli", "flops", "--archive", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "upscale" in proc.stderr
+        assert "Traceback" not in proc.stderr

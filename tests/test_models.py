@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, rand_tensor
-from srkit.graph import run_graph
+from srkit.graph import ModelGraph, Node, run_graph
 from srkit.models import (
     BlockSpec,
+    _block_nodes,
     build_span_baseline,
     build_spanv2,
     near_pixel_init,
     nearest_upsample,
     random_block,
     random_conv,
-    spabv2_forward,
     span_baseline_attention,
 )
 from srkit.tensor import ConvSpec, ShapeError, Tensor, conv2d, mul, pixel_shuffle
@@ -31,10 +31,19 @@ def zero_block(cin, c):
     return BlockSpec(zconv(cin, c, 3), zconv(c, c, 3), zconv(c, c, 3), zconv(c, c, 1))
 
 
+def block_forward(x, block, mode="unfused"):
+    """Run one attention block as a one-block graph."""
+    nodes, fg, out = _block_nodes("b1", block, "input")
+    source = Node("input", "input", (), channels=block.conv_a.in_channels)
+    g = ModelGraph("block", [source, *nodes], out, fusion_groups=[fg])
+    g.validate()
+    return run_graph(g, x, mode)
+
+
 class TestSpabv2Forward:
     def test_all_zero_weights_gate_annihilates(self):
         x = Tensor.full(1, 8, 5, 5, 3.0)
-        out = spabv2_forward(x, zero_block(8, 8))
+        out = block_forward(x, zero_block(8, 8))
         assert np.all(out.data == 0.0)
 
     def test_unit_gate_gives_pure_residual(self, rng):
@@ -53,7 +62,7 @@ class TestSpabv2Forward:
             ),
         )
         x = rand_tensor(rng, 1, 4, 5, 5)
-        out = spabv2_forward(x, block)
+        out = block_forward(x, block)
         # conv weights zero -> f3 = bias = 0, m = 1 -> y = x + f3 = x
         assert_close(out, x)
 
@@ -61,24 +70,24 @@ class TestSpabv2Forward:
         block = random_block(rng, 32, 32)
         x = rand_tensor(rng, 1, 32, 8, 8)
         assert_close(
-            spabv2_forward(x, block, "fused"), spabv2_forward(x, block, "unfused")
+            block_forward(x, block, "fused"), block_forward(x, block, "unfused")
         )
 
     def test_width_changing_block_uses_f1_residual(self, rng):
         block = random_block(rng, 3, 16)
         x = rand_tensor(rng, 1, 3, 6, 6)
-        out = spabv2_forward(x, block)
+        out = block_forward(x, block)
         assert out.c == 16  # well-typed despite 3 -> 16 width change
 
     def test_width_mismatch_error(self, rng):
         block = random_block(rng, 8, 8)
         with pytest.raises(ShapeError):
-            spabv2_forward(rand_tensor(rng, 1, 4, 6, 6), block)
+            block_forward(rand_tensor(rng, 1, 4, 6, 6), block)
 
     def test_bad_mode(self, rng):
         block = random_block(rng, 4, 4)
         with pytest.raises(ValueError, match="mode"):
-            spabv2_forward(rand_tensor(rng, 1, 4, 4, 4), block, mode="turbo")
+            block_forward(rand_tensor(rng, 1, 4, 4, 4), block, mode="turbo")
 
 
 class TestNearPixel:

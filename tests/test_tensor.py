@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, rand_tensor
+from srkit.selftest import brute_conv
 from srkit.tensor import (
     ConvSpec,
     ShapeError,
@@ -134,6 +135,26 @@ class TestConv2d:
             slice_channels(x, 2, 4), ConvSpec(2, 3, (3, 3), (1, 1), w[3:], bias=b[3:])
         )
         assert_close(full, concat_channels([lo, hi]))
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize(
+        "n, cin, cout, kernel, padding, groups",
+        [
+            (1, 3, 4, (3, 3), (1, 1), 1),
+            (1, 4, 6, (3, 3), (1, 1), 2),
+            (1, 3, 48, (3, 3), (1, 1), 3),
+            (1, 5, 3, (1, 1), (0, 0), 1),
+            (1, 2, 3, (3, 5), (2, 1), 1),
+            (2, 3, 4, (3, 3), (1, 1), 1),
+        ],
+        ids=["dense3x3", "groups2", "depthwise3to48", "pointwise", "kernel3x5", "batch2"],
+    )
+    def test_matches_brute_force_oracle(self, rng, n, cin, cout, kernel, padding, groups, bias):
+        w = rng.normal(0, 0.5, (cout, cin // groups, *kernel)).astype(np.float32)
+        b = rng.normal(0, 0.5, cout).astype(np.float32) if bias else None
+        spec = ConvSpec(cin, cout, kernel, padding, w, bias=b, groups=groups)
+        x = rand_tensor(rng, n, cin, 5, 6)
+        assert_close(conv2d(x, spec), brute_conv(x, spec))
 
 
 class TestElementwise:
