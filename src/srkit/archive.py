@@ -15,6 +15,7 @@ round-trip is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -65,18 +66,6 @@ def _node_meta(n: Node) -> dict:
     return meta
 
 
-def _build_conv(meta: dict, weight: np.ndarray, bias: np.ndarray | None) -> ConvSpec:
-    return ConvSpec(
-        in_channels=meta["in"],
-        out_channels=meta["out"],
-        kernel=tuple(meta["kernel"]),
-        padding=tuple(meta["padding"]),
-        weight=weight,
-        bias=bias,
-        groups=meta["groups"],
-    )
-
-
 def save_archive(g: ModelGraph, path: str | Path, seed: int | None = None) -> None:
     directory = []
     payload = bytearray()
@@ -112,35 +101,63 @@ def save_archive(g: ModelGraph, path: str | Path, seed: int | None = None) -> No
         fh.write(bytes(payload))
 
 
+# The header fields load_archive reads. A dict is a JSON object whose keys
+# ending in "?" may be absent, a list holds any number of its one item
+# schema, a tuple is a list of exactly that length; int is a non-negative
+# integer and float any number.
+_CONV = {"in": int, "out": int, "kernel": (int, int), "padding": (int, int),
+         "groups": int, "bias": bool}
+_HEADER = {
+    "model?": str,
+    "tensors?": [{"name": str, "shape": [int], "dtype": str, "offset": int, "nbytes": int}],
+    "graph": {
+        "name?": str, "output": str, "meta?": dict,
+        "nodes": [{
+            "name": str, "op": str, "inputs?": [str], "channels?": int, "upscale?": int,
+            "conv?": _CONV,
+            "lora?": {"rank": int, "alpha": float},
+            "branches?": {"convs": [_CONV], "include_identity": bool},
+        }],
+        "fusion_groups?": [(str, str, str)],
+    },
+}
+_KIND = {int: "a non-negative integer", float: "a number", str: "a string",
+         bool: "a boolean", dict: "an object"}
+
+
+def _check_header(value, schema, where: str) -> None:
+    """Raise ArchiveError naming the first missing or ill-typed field."""
+    if isinstance(schema, dict):
+        kind, ok = "an object", isinstance(value, dict)
+    elif isinstance(schema, list):
+        kind, ok = "a list", isinstance(value, list)
+    elif isinstance(schema, tuple):
+        kind = f"a list of {len(schema)}"
+        ok = isinstance(value, list) and len(value) == len(schema)
+    else:
+        kind = _KIND[schema]
+        ok = type(value) is schema or (schema is float and type(value) is int)
+        ok = ok and (schema is not int or value >= 0)
+    if not ok:
+        raise ArchiveError(f"{where} must be {kind}, got {json.dumps(value)[:40]}")
+    if isinstance(schema, dict):
+        for key, sub in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                _check_header(value[name], sub, f"{where}.{name}")
+            elif not key.endswith("?"):
+                raise ArchiveError(f"{where} lacks field {name!r}")
+    elif isinstance(schema, (list, tuple)):
+        subs = schema * len(value) if isinstance(schema, list) else schema
+        for i, (item, sub) in enumerate(zip(value, subs)):
+            _check_header(item, sub, f"{where}[{i}]")
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
         raise ArchiveError(f"truncated archive: {what}")
     return data
-
-
-def _check_directory(directory: list[dict], payload_size: int) -> None:
-    expect = 0
-    for entry in directory:
-        off, nbytes = entry["offset"], entry["nbytes"]
-        if entry.get("dtype") != "f32":
-            raise ArchiveError(f"tensor {entry.get('name')!r}: unsupported dtype")
-        if off != expect:
-            kind = "overlapping" if off < expect else "gapped"
-            raise ArchiveError(
-                f"{kind} tensor offsets at {entry.get('name')!r} "
-                f"(offset {off}, expected {expect})"
-            )
-        want = int(np.prod(entry["shape"], dtype=np.int64)) * 4
-        if nbytes != want:
-            raise ArchiveError(
-                f"tensor {entry.get('name')!r}: nbytes {nbytes} != shape size {want}"
-            )
-        expect = off + nbytes
-    if expect != payload_size:
-        raise ArchiveError(
-            f"payload size {payload_size} not exactly covered (tensors end at {expect})"
-        )
 
 
 def load_archive(path: str | Path) -> ModelGraph:
@@ -155,17 +172,30 @@ def load_archive(path: str | Path) -> ModelGraph:
         except json.JSONDecodeError as exc:
             raise ArchiveError(f"{path}: corrupt header JSON: {exc}") from exc
         payload = fh.read()
-    directory = header.get("tensors", [])
-    _check_directory(directory, len(payload))
+    _check_header(header, _HEADER, f"{path}: header")
 
     blobs: dict[str, np.ndarray] = {}
-    for entry in directory:
-        name = entry["name"]
+    end = 0  # offsets must tile the payload exactly, in directory order
+    for entry in header.get("tensors", []):
+        name, off, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+        if entry["dtype"] != "f32":
+            raise ArchiveError(f"tensor {name!r}: unsupported dtype")
+        if off != end:
+            kind = "overlapping" if off < end else "gapped"
+            raise ArchiveError(f"{kind} tensor offsets at {name!r} (offset {off}, expected {end})")
+        want = math.prod(entry["shape"]) * 4
+        if nbytes != want:
+            raise ArchiveError(f"tensor {name!r}: nbytes {nbytes} != shape size {want}")
         if name in blobs:
             raise ArchiveError(f"duplicate tensor entry {name!r}")
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        blobs[name] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(
-            np.float32
+        end = off + nbytes
+        if end > len(payload):
+            break
+        raw = payload[off:end]
+        blobs[name] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(np.float32)
+    if end != len(payload):
+        raise ArchiveError(
+            f"payload size {len(payload)} not exactly covered (tensors end at {end})"
         )
 
     def take(name: str) -> np.ndarray:
@@ -173,54 +203,33 @@ def load_archive(path: str | Path) -> ModelGraph:
             raise ArchiveError(f"unresolved tensor name {name!r}")
         return blobs[name]
 
-    gmeta = header.get("graph")
-    if gmeta is None:
-        raise ArchiveError(f"{path}: header lacks a graph description")
+    def conv(meta: dict, prefix: str) -> ConvSpec:
+        bias = take(f"{prefix}.bias") if meta["bias"] else None
+        return ConvSpec(meta["in"], meta["out"], tuple(meta["kernel"]), tuple(meta["padding"]),
+                        take(f"{prefix}.weight"), bias, meta["groups"])
+
+    gmeta = header["graph"]
     nodes: list[Node] = []
     for nm in gmeta["nodes"]:
-        node = Node(
-            name=nm["name"],
-            op=nm["op"],
-            inputs=tuple(nm.get("inputs", ())),
-            channels=nm.get("channels"),
-            upscale=nm.get("upscale"),
-        )
-        conv = nm.get("conv")
-        if conv is not None:
-            bias = take(f"{node.name}.bias") if conv["bias"] else None
-            node.spec = _build_conv(conv, take(f"{node.name}.weight"), bias)
-        lora = nm.get("lora")
-        if lora is not None:
-            node.lora = LoraFactors(
-                a=take(f"{node.name}.lora_a"),
-                b=take(f"{node.name}.lora_b"),
-                rank=lora["rank"],
-                alpha=lora["alpha"],
-            )
-        branches = nm.get("branches")
-        if branches is not None:
-            convs = []
-            for i, bm in enumerate(branches["convs"]):
-                bias = take(f"{node.name}.branch{i}.bias") if bm["bias"] else None
-                convs.append(
-                    _build_conv(bm, take(f"{node.name}.branch{i}.weight"), bias)
-                )
+        node = Node(nm["name"], nm["op"], tuple(nm.get("inputs", ())),
+                    channels=nm.get("channels"), upscale=nm.get("upscale"))
+        if "conv" in nm:
+            node.spec = conv(nm["conv"], node.name)
+        if "lora" in nm:
+            a, b = take(f"{node.name}.lora_a"), take(f"{node.name}.lora_b")
+            node.lora = LoraFactors(a, b, nm["lora"]["rank"], nm["lora"]["alpha"])
+        if "branches" in nm:
+            convs = nm["branches"]["convs"]
             node.branches = BranchGroup(
-                branches=tuple(convs),
-                include_identity=branches["include_identity"],
+                tuple(conv(bm, f"{node.name}.branch{i}") for i, bm in enumerate(convs)),
+                nm["branches"]["include_identity"],
             )
         nodes.append(node)
     unused = sorted(set(blobs) - {name for n in nodes for name, _ in n.tensors()})
     if unused:
         raise ArchiveError(f"tensors not referenced by any layer: {unused}")
-    g = ModelGraph(
-        name=gmeta.get("name", header.get("model", "model")),
-        nodes=nodes,
-        output=gmeta["output"],
-        meta=gmeta.get("meta", {}),
-        fusion_groups=[
-            FusionGroup(conv=c, add=a, mul=m) for c, a, m in gmeta.get("fusion_groups", [])
-        ],
-    )
+    groups = [FusionGroup(*names) for names in gmeta.get("fusion_groups", [])]
+    graph_name = gmeta.get("name", header.get("model", "model"))
+    g = ModelGraph(graph_name, nodes, gmeta["output"], gmeta.get("meta", {}), groups)
     g.validate()
     return g

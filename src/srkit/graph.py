@@ -113,6 +113,10 @@ def validate_graph(g: ModelGraph) -> None:
             raise ShapeError(f"duplicate node name {n.name!r}")
         if n.op not in OPS:
             raise ShapeError(f"unknown op {n.op!r} in node {n.name!r}")
+        arity = OPS[n.op].arity
+        if (len(n.inputs) != arity) if arity is not None else not n.inputs:
+            takes = "one or more" if arity is None else arity
+            raise ShapeError(f"{n.op} {n.name!r} has {len(n.inputs)} inputs, takes {takes}")
         for ref in n.inputs:
             if ref not in seen:
                 raise ShapeError(
@@ -130,6 +134,8 @@ def validate_graph(g: ModelGraph) -> None:
     infer_shapes(g, 1, 1)  # raises on width mismatches; extents are not checked
     group_names = set()
     for fg in g.fusion_groups:
+        if not {fg.conv, fg.add, fg.mul} <= seen:
+            raise ShapeError(f"fusion group {fg} names a node the graph lacks")
         conv, addn, muln = g.node(fg.conv), g.node(fg.add), g.node(fg.mul)
         if conv.op != "conv" or addn.op != "add" or muln.op != "mul":
             raise ShapeError(f"fusion group {fg} does not name conv/add/mul nodes")
@@ -178,11 +184,13 @@ class Op(NamedTuple):
     run(node, *input tensors) -> output tensor; the input node receives the
     graph input. Rules call the kernels through this module's globals at call
     time, so rebinding e.g. `graph.conv2d` reaches every execution.
+    arity: the number of inputs a node takes; None means one or more.
     """
 
     shape: Callable[[Node, list[Shape]], Shape]
     flops: Callable[[Node, Shape], int]
     run: Callable[..., Tensor]
+    arity: int | None = 1
 
 
 def _free(n: Node, out: Shape) -> int:
@@ -268,12 +276,12 @@ def _shuffle_shape(n: Node, ins: list[Shape]) -> Shape:
 
 
 OPS: dict[str, Op] = {
-    "input": Op(_input_shape, _free, lambda n, x: x),
+    "input": Op(_input_shape, _free, lambda n, x: x, 0),
     "conv": Op(_conv_shape, _conv_flops, _run_conv),
     "relu": Op(lambda n, ins: ins[0], _numel, lambda n, x: relu(x)),
-    "add": Op(_same_width_shape, _numel, lambda n, a, b: add(a, b)),
-    "mul": Op(_same_width_shape, _numel, lambda n, a, b: mul(a, b)),
-    "concat": Op(_concat_shape, _free, lambda n, *parts: concat_channels(list(parts))),
+    "add": Op(_same_width_shape, _numel, lambda n, a, b: add(a, b), 2),
+    "mul": Op(_same_width_shape, _numel, lambda n, a, b: mul(a, b), 2),
+    "concat": Op(_concat_shape, _free, lambda n, *parts: concat_channels(list(parts)), None),
     "pixel_shuffle": Op(_shuffle_shape, _free, lambda n, x: pixel_shuffle(x, n.upscale)),
 }
 

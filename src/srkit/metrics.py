@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +96,7 @@ class RuntimeStats:
     mean_ms: float
     median_ms: float
     mode: str
-    threads: int | None
+    threads: int | None  # BLAS threads actually pinned; None when nothing was
 
     def to_dict(self) -> dict:
         return {
@@ -108,14 +108,15 @@ class RuntimeStats:
         }
 
 
+@contextmanager
 def _thread_limit(threads: int | None):
-    if threads is None:
-        return nullcontext()
+    """Pin BLAS threads for the block; yields the pinned count, or None."""
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return nullcontext()
-    return threadpool_limits(limits=threads)
+        threads = None
+    with nullcontext() if threads is None else threadpool_limits(limits=threads):
+        yield threads
 
 
 def bench_runtime(
@@ -130,14 +131,15 @@ def bench_runtime(
 
     Each image's figure is the mean of `reps` timed runs. BLAS threading is
     pinned to `threads` when threadpoolctl is importable (single-threaded by
-    default); timings are reported, never asserted.
+    default), and the stats report the pin that took effect; timings are
+    reported, never asserted.
     """
     if reps < 1:
         raise ValueError(f"bench_runtime: reps must be >= 1, got {reps}")
     if not images:
         raise ValueError("bench_runtime: empty image list")
     per_image: list[float] = []
-    with _thread_limit(threads):
+    with _thread_limit(threads) as pinned:
         for img in images:
             for _ in range(warmup):
                 run_graph(g, img, mode=mode)
@@ -152,7 +154,7 @@ def bench_runtime(
         mean_ms=statistics.mean(per_image),
         median_ms=statistics.median(per_image),
         mode=mode,
-        threads=threads,
+        threads=pinned,
     )
 
 

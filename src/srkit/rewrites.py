@@ -28,6 +28,7 @@ from .models import random_conv
 from .tensor import Tensor, conv2d
 
 PROBE_SPATIAL = 12
+LORA_RANK, LORA_ALPHA = 2, 1.0  # of the LoRA branches decorate_for_reparam adds
 
 
 @dataclass
@@ -90,20 +91,16 @@ def apply_rewrites(g: ModelGraph, seed: int = 0) -> tuple[ModelGraph, list[Rewri
     return merged_graph, reports
 
 
-def decorate_for_reparam(
-    g: ModelGraph,
-    seed: int = 0,
-    lora_rank: int = 2,
-    lora_alpha: float = 1.0,
-) -> ModelGraph:
+def decorate_for_reparam(g: ModelGraph, seed: int = 0) -> ModelGraph:
     """Produce a training-form variant of a model graph for rewrite demos.
 
-    Every block's middle 3x3 conv gains a random LoRA branch, and every
-    square same-width 3x3 conv named *.conv_c becomes a {3x3, 1x1, identity}
-    branch group. The 3x3 branch carries the original weights with the
-    identity pre-subtracted from its center taps, and the extra 1x1 branch is
-    a small perturbation, so the training form stays numerically close to the
-    plain model instead of compounding through the multiplicative attention.
+    Every block's middle 3x3 conv gains a random LoRA branch (LORA_RANK,
+    LORA_ALPHA), and every square same-width 3x3 conv named *.conv_c becomes
+    a {3x3, 1x1, identity} branch group. The 3x3 branch carries the original
+    weights with the identity pre-subtracted from its center taps, and the
+    extra 1x1 branch is a small perturbation, so the training form stays
+    numerically close to the plain model instead of compounding through the
+    multiplicative attention.
     """
     rng = np.random.default_rng(seed)
     new_nodes: list[Node] = []
@@ -129,14 +126,14 @@ def decorate_for_reparam(
         elif n.name.endswith(".conv_b") and square3:
             k = spec.kernel[0]
             factors = LoraFactors(
-                a=rng.normal(0.0, 0.1, (lora_rank * k, spec.in_channels * k)).astype(
+                a=rng.normal(0.0, 0.1, (LORA_RANK * k, spec.in_channels * k)).astype(
                     np.float32
                 ),
-                b=rng.normal(0.0, 0.1, (spec.out_channels * k, lora_rank * k)).astype(
+                b=rng.normal(0.0, 0.1, (spec.out_channels * k, LORA_RANK * k)).astype(
                     np.float32
                 ),
-                rank=lora_rank,
-                alpha=lora_alpha,
+                rank=LORA_RANK,
+                alpha=LORA_ALPHA,
             )
             new_nodes.append(replace(n, lora=factors))
         else:
@@ -156,7 +153,6 @@ def fuse_equivalence(
     g_before: ModelGraph,
     g_after: ModelGraph,
     probes: list[Tensor],
-    mode_check: bool = True,
 ) -> dict:
     """End-to-end before/after comparison on probe inputs, as a report dict.
 
@@ -170,7 +166,7 @@ def fuse_equivalence(
         after = run_graph(g_after, x, mode="unfused")
         abs_err, rel_err = max_errors(after, before)
         worst_abs, worst_rel = max(worst_abs, abs_err), max(worst_rel, rel_err)
-        if mode_check and g_after.fusion_groups:
+        if g_after.fusion_groups:
             fused = run_graph(g_after, x, mode="fused")
             abs_err, rel_err = max_errors(fused, after)
             fused_abs, fused_rel = max(fused_abs, abs_err), max(fused_rel, rel_err)
@@ -178,6 +174,6 @@ def fuse_equivalence(
         "probes": len(probes),
         "end_to_end": {"max_abs_err": worst_abs, "max_rel_err": worst_rel},
     }
-    if mode_check and g_after.fusion_groups:
+    if g_after.fusion_groups:
         report["fused_executor"] = {"max_abs_err": fused_abs, "max_rel_err": fused_rel}
     return report

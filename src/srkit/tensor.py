@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -156,50 +155,33 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
             f"conv2d: kernel {spec.kernel} does not fit padded input {h}x{w} "
             f"(pad {spec.padding})"
         )
+    # Every tap reads one contiguous window of the flattened padded plane:
+    # an output row is computed Wp wide, so its last kw - 1 columns wrap into
+    # the next row and are junk, dropped once at the end. For kw > 1 the last
+    # tap's window runs kw - 1 elements past the plane, hence one extra zero
+    # row at the bottom.
+    extra = 1 if kw > 1 else 0
     padded = x.data
-    if ph or pw:
-        padded = np.pad(padded, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    if spec.in_channels == spec.groups:
-        out = _conv_depthwise(padded, spec, n, hout, wout)
-    else:
-        out = _conv_grouped(padded, spec, n, hout, wout)
-
+    if ph or pw or extra:
+        padded = np.pad(padded, ((0, 0), (0, 0), (ph, ph + extra), (pw, pw)))
+    hp, wp = padded.shape[2:]
+    g, cg = spec.groups, spec.in_channels // spec.groups
+    flat = padded.reshape(n, g, cg, hp * wp)
+    weight = spec.weight.reshape(g, spec.out_channels // g, cg, kh, kw)
+    acc = None
+    for dy, dx in np.ndindex(kh, kw):
+        win = flat[..., dy * wp + dx : dy * wp + dx + hout * wp]
+        # (g, og, cg) taps against (n, g, cg, L) windows: a float32 GEMM per
+        # group, or a broadcast product when each group has one input channel
+        term = weight[..., dy, dx] * win if cg == 1 else weight[..., dy, dx] @ win
+        if acc is None:
+            acc = term  # assign, not add into zeros: no extra buffer for 1x1
+        else:
+            acc += term
+    out = np.ascontiguousarray(acc.reshape(n, spec.out_channels, hout, wp)[..., :wout])
     if spec.bias is not None:
-        out += spec.bias[None, :, None, None]
+        out += spec.bias[:, None, None]
     return Tensor(out)
-
-
-def _conv_depthwise(padded: np.ndarray, spec: ConvSpec, n: int, hout: int, wout: int) -> np.ndarray:
-    # One input channel per group; each output channel reads exactly one
-    # input channel, so a tap-by-tap accumulation beats im2col here.
-    kh, kw = spec.kernel
-    mult = spec.out_channels // spec.groups
-    src = padded[:, np.repeat(np.arange(spec.in_channels), mult)]
-    out = np.zeros((n, spec.out_channels, hout, wout), dtype=np.float32)
-    w = spec.weight[:, 0]
-    for dy in range(kh):
-        for dx in range(kw):
-            out += w[None, :, dy, dx, None, None] * src[:, :, dy : dy + hout, dx : dx + wout]
-    return out
-
-
-def _conv_grouped(padded: np.ndarray, spec: ConvSpec, n: int, hout: int, wout: int) -> np.ndarray:
-    kh, kw = spec.kernel
-    cg = spec.in_channels // spec.groups
-    og = spec.out_channels // spec.groups
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    out = np.empty((n, spec.out_channels, hout, wout), dtype=np.float32)
-    for g in range(spec.groups):
-        cols = (
-            windows[:, g * cg : (g + 1) * cg]
-            .transpose(0, 2, 3, 1, 4, 5)
-            .reshape(n, hout * wout, cg * kh * kw)
-        )
-        wmat = spec.weight[g * og : (g + 1) * og].reshape(og, cg * kh * kw)
-        prod = cols @ wmat.T  # float32 GEMM
-        out[:, g * og : (g + 1) * og] = prod.transpose(0, 2, 1).reshape(n, og, hout, wout)
-    return out
 
 
 def relu(x: Tensor) -> Tensor:

@@ -1,12 +1,20 @@
+import functools
+import io
 import json
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srkit.archive import MAGIC, VERSION, ArchiveError, load_archive, save_archive
+from srkit.cli import main
 from srkit.graph import run_graph
 from srkit.metrics import count_params
 from srkit.models import build_span_baseline, build_spanv2
@@ -106,6 +114,29 @@ def _write(path, header: dict, payload: bytes, magic=MAGIC, version=VERSION):
         fh.write(struct.pack("<HI", version, len(blob)))
         fh.write(blob)
         fh.write(payload)
+
+
+def _split(raw: bytes) -> tuple[dict, bytes]:
+    """An archive's decoded header and its payload bytes."""
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    return json.loads(raw[10 : 10 + hlen]), raw[10 + hlen :]
+
+
+DROP = object()
+
+
+def _replaced(header, path, value):
+    """header with the value at a key/index path replaced, or deleted for DROP."""
+    if not path:
+        return value
+    target = header
+    for step in path[:-1]:
+        target = target[step]
+    if value is DROP:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return header
 
 
 class TestMalformed:
@@ -208,3 +239,73 @@ class TestMalformed:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and "upscale" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("tensors", 0, "name"), DROP),
+            (("graph", "nodes", 1, "conv", "groups"), DROP),  # node 1 is the `near` conv
+            (("tensors",), "x"),
+            ((), ["SRWT"]),
+            (("graph", "fusion_groups", 0, 0), "nope"),
+        ],
+        ids=[
+            "tensor_without_name",
+            "conv_without_groups",
+            "tensors_not_a_list",
+            "header_is_a_list",
+            "fusion_group_names_unknown_node",
+        ],
+    )
+    def test_header_break_is_a_one_line_cli_error(self, tmp_path, good, path, value):
+        header, payload = _split(good.read_bytes())
+        bad = tmp_path / "bad.srwt"
+        _write(bad, _replaced(header, path, value), payload)
+        code, err = _params_cli(bad)  # a traceback would escape as an exception
+        assert code == 1 and err.count("\n") == 1
+
+
+def _params_cli(path):
+    """`srkit params --archive path` in-process: (exit code, stderr text)."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["params", "--archive", str(path)])
+    return code, err.getvalue()
+
+
+def _positions(value, path=()):
+    """Key/index paths of every value inside a JSON tree (the root excluded)."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield path + (key,)
+            yield from _positions(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 100) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+
+@functools.cache
+def _reparam_archive() -> bytes:
+    """A small training-form archive: every header feature (conv, LoRA, branches)."""
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "good.srwt"
+        save_archive(decorate_for_reparam(build_spanv2(c=8, s=2, blocks=1, seed=0)), path)
+        return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(pick=st.integers(min_value=0), value=JSON_VALUES)
+def test_any_replaced_header_value_exits_cleanly(pick, value):
+    """Exit 0, or exit 1 with one stderr line, whatever one header value becomes."""
+    header, payload = _split(_reparam_archive())
+    positions = list(_positions(header))
+    header = _replaced(header, positions[pick % len(positions)], value)
+    with TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.srwt"
+        _write(bad, header, payload)
+        code, err = _params_cli(bad)
+    assert code == 0 or (code == 1 and err.count("\n") == 1)

@@ -69,6 +69,18 @@ MALFORMED = {
         _graph([_inp(), Node("a", "relu", ("input",)), Node("b", "relu", ("input",))]),
         "dangling nodes (no consumer): ['a']",
     ),
+    "relu without input": (
+        _graph([_inp(), Node("a", "relu", ())]),
+        "relu 'a' has 0 inputs, takes 1",
+    ),
+    "add with one input": (
+        _graph([_inp(), Node("s", "add", ("input",))]),
+        "add 's' has 1 inputs, takes 2",
+    ),
+    "concat without inputs": (
+        _graph([_inp(), Node("c", "concat", ())]),
+        "concat 'c' has 0 inputs, takes one or more",
+    ),
     "conv width mismatch": (
         _graph([_inp(), Node("a", "conv", ("input",), spec=_conv(4, 4))]),
         "conv 'a' expects 4 channels, producer provides 3",
@@ -104,6 +116,10 @@ MALFORMED = {
     "conv without weights": (
         _graph([_inp(), Node("a", "conv", ("input",))]),
         "neither spec nor branches",
+    ),
+    "group names unknown node": (
+        _gated(groups=[FusionGroup(conv="nope", add="sm", mul="out")]),
+        "names a node the graph lacks",
     ),
     "group names wrong ops": (
         _gated(groups=[FusionGroup(conv="sm", add="at", mul="out")]),

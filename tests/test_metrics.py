@@ -1,4 +1,7 @@
 import math
+import sys
+import types
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -145,6 +148,25 @@ class TestBench:
         g = build_spanv2(c=8, s=2, blocks=1, seed=0)
         with pytest.raises(ValueError, match="reps"):
             bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=0)
+
+    def test_threads_null_when_nothing_was_pinned(self, rng, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
+        stats = bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=1, threads=1)
+        assert stats.threads is None
+        assert stats.to_dict()["threads"] is None
+
+    def test_threads_report_the_pin(self, rng, monkeypatch):
+        pins = []
+        fake = types.SimpleNamespace(
+            threadpool_limits=lambda limits: pins.append(limits) or nullcontext()
+        )
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
+        images = [rand_tensor(rng, 1, 3, 4, 4)]
+        assert bench_runtime(g, images, reps=1, threads=2).threads == 2
+        assert bench_runtime(g, images, reps=1, threads=None).threads is None
+        assert pins == [2]
 
     def test_ave_column_semantics(self):
         ave = average_set_runtimes([5.700, 4.810])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,31 @@ class TestConv2d:
             (1, 5, 3, (1, 1), (0, 0), 1),
             (1, 2, 3, (3, 5), (2, 1), 1),
             (2, 3, 4, (3, 3), (1, 1), 1),
+            (1, 3, 4, (3, 3), (0, 0), 1),
+            (1, 3, 4, (1, 3), (0, 1), 1),
+            (1, 3, 4, (3, 1), (1, 0), 1),
+            (1, 3, 4, (3, 3), (2, 2), 1),
+            (1, 1, 4, (3, 3), (1, 1), 1),
+            (2, 8, 16, (3, 3), (1, 1), 8),
+            (1, 3, 2, (5, 6), (0, 0), 1),
+            (1, 6, 6, (1, 1), (0, 0), 6),
         ],
-        ids=["dense3x3", "groups2", "depthwise3to48", "pointwise", "kernel3x5", "batch2"],
+        ids=[
+            "dense3x3",
+            "groups2",
+            "depthwise3to48",
+            "pointwise",
+            "kernel3x5",
+            "batch2",
+            "unpadded3x3",
+            "kernel1x3",
+            "kernel3x1",
+            "pad2",
+            "dense1to4",
+            "depthwise8to16_batch2",
+            "kernel5x6_to_1x1",
+            "depthwise1x1",
+        ],
     )
     def test_matches_brute_force_oracle(self, rng, n, cin, cout, kernel, padding, groups, bias):
         w = rng.normal(0, 0.5, (cout, cin // groups, *kernel)).astype(np.float32)
@@ -155,6 +180,22 @@ class TestConv2d:
         spec = ConvSpec(cin, cout, kernel, padding, w, bias=b, groups=groups)
         x = rand_tensor(rng, n, cin, 5, 6)
         assert_close(conv2d(x, spec), brute_conv(x, spec))
+
+    def test_peak_memory_is_a_small_multiple_of_input_and_output(self, rng):
+        # No im2col-style copy: one 3x3 conv may hold the padded input, the
+        # accumulator and one tap's product, not kh*kw copies of the input.
+        w = rng.normal(0, 0.1, (32, 32, 3, 3)).astype(np.float32)
+        spec = ConvSpec(32, 32, (3, 3), (1, 1), w, bias=np.zeros(32, np.float32))
+        x = rand_tensor(rng, 1, 32, 64, 64)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (x.data.nbytes + out.data.nbytes)
 
 
 class TestElementwise:
