@@ -20,13 +20,7 @@ from .kernels import (
     haar_idwt,
     newton_schulz,
 )
-from .metrics import (
-    MetricsReport,
-    bench_runtime,
-    count_flops,
-    count_params,
-    psnr,
-)
+from .metrics import bench_runtime, count_flops, count_params, psnr
 from .models import (
     BlockSpec,
     build_span_baseline,
@@ -58,7 +52,6 @@ __all__ = [
     "ConvSpec",
     "FusionGroup",
     "LoraFactors",
-    "MetricsReport",
     "ModelGraph",
     "Node",
     "ScoreTable",

@@ -208,13 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="srkit", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_model_opts(p, archive_required=False):
+    def add_model_opts(p):
         p.add_argument("--archive", help="weight archive path")
-        if not archive_required:
-            p.add_argument("--model", choices=("spanv2", "span"), help="build instead of load")
-            p.add_argument("--width", type=int, default=None)
-            p.add_argument("--upscale", type=int, default=None)
-            p.add_argument("--blocks", type=int, default=None)
+        p.add_argument("--model", choices=("spanv2", "span"), help="build instead of load")
+        p.add_argument("--width", type=int, default=None)
+        p.add_argument("--upscale", type=int, default=None)
+        p.add_argument("--blocks", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("init", help="write a seeded weight archive")

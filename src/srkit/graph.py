@@ -288,6 +288,8 @@ OPS: dict[str, Op] = {
 
 def infer_shapes(g: ModelGraph, h: int, w: int) -> dict[str, Shape]:
     """(c, h, w) of every node for an h x w input; raises ShapeError on bad wiring."""
+    if h < 1 or w < 1:
+        raise ShapeError(f"input size must be at least 1x1, got {h}x{w}")
     shapes: dict[str, Shape] = {}
     for n in g.nodes:
         ins = [(n.channels, h, w)] if n.op == "input" else [shapes[r] for r in n.inputs]

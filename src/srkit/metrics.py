@@ -14,11 +14,10 @@ from __future__ import annotations
 import statistics
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import TrafficCounter
 from .graph import OPS, ModelGraph, infer_shapes, run_graph
 from .tensor import Tensor
 
@@ -163,38 +162,3 @@ def average_set_runtimes(set_means_ms: list[float]) -> float:
     if not set_means_ms:
         raise ValueError("average_set_runtimes: no set means given")
     return statistics.mean(set_means_ms)
-
-
-@dataclass
-class MetricsReport:
-    """One model/run measurement bundle, JSON-serializable for the CLI."""
-
-    psnr_db: list[float] = field(default_factory=list)
-    params: int | None = None
-    flops: int | None = None
-    runtime: RuntimeStats | None = None
-    traffic: TrafficCounter | None = None
-
-    @property
-    def psnr_mean(self) -> float | None:
-        return statistics.mean(self.psnr_db) if self.psnr_db else None
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.psnr_db:
-            out["psnr_db"] = self.psnr_db
-            out["psnr_mean_db"] = self.psnr_mean
-        if self.params is not None:
-            out["params"] = self.params
-            out["params_m"] = self.params / 1e6
-        if self.flops is not None:
-            out["flops"] = self.flops
-            out["flops_g"] = self.flops / 1e9
-        if self.runtime is not None:
-            out["runtime"] = self.runtime.to_dict()
-        if self.traffic is not None:
-            out["traffic"] = {
-                "element_reads": self.traffic.element_reads,
-                "element_writes": self.traffic.element_writes,
-            }
-        return out

@@ -155,10 +155,17 @@ def _block_nodes(
     return nodes, FusionGroup(conv=at, add=sm, mul=out), out
 
 
+def _check_sizes(c: int, s: int, blocks: int) -> None:
+    for name, value in (("c (width)", c), ("s (upscale)", s), ("blocks", blocks)):
+        if value < 1:
+            raise ShapeError(f"{name} must be >= 1, got {value}")
+
+
 def build_spanv2(
     c: int = 32, s: int = 4, blocks: int = 5, seed: int | None = 0
 ) -> ModelGraph:
     """Seeded SPANV2 graph; output is always (n, 3, s*h, s*w)."""
+    _check_sizes(c, s, blocks)
     rng = np.random.default_rng(seed)
     near = near_pixel_init(random_conv(rng, 3, 3 * s * s, k=3, groups=3), s)
     nodes = [
@@ -234,6 +241,7 @@ def build_span_baseline(
     last block, concat of head/tail/first/fifth block outputs, 1x1 fuse conv,
     and the upsampling conv feeding depth-to-space.
     """
+    _check_sizes(c, s, blocks)
     if blocks < 2:
         raise ShapeError("baseline needs at least two blocks for its skip wiring")
     rng = np.random.default_rng(seed)

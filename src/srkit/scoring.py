@@ -56,17 +56,12 @@ def score_metric(team_value: float, baseline_value: float) -> float:
     return math.exp(2.0 * team_value / baseline_value)
 
 
-def score_final(
-    runtime_score: float,
-    flops_score: float,
-    params_score: float,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-) -> float:
+def score_final(runtime_score: float, flops_score: float, params_score: float) -> float:
     """Weighted sum of the three sub-track scores."""
     for s in (runtime_score, flops_score, params_score):
         if not math.isfinite(s):
             raise ValueError(f"score_final: non-finite sub-score {s}")
-    w1, w2, w3 = weights
+    w1, w2, w3 = DEFAULT_WEIGHTS
     return w1 * runtime_score + w2 * flops_score + w3 * params_score
 
 
@@ -110,7 +105,6 @@ class TeamScore:
 class ScoreTable:
     rows: list[TeamScore]
     baseline: TeamMetrics
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     psnr_gate: tuple[float, float] | None = DEFAULT_PSNR_GATE
 
     def row(self, name: str) -> TeamScore:
@@ -127,7 +121,7 @@ class ScoreTable:
     def to_dict(self) -> dict:
         return {
             "baseline": self.baseline.name,
-            "weights": list(self.weights),
+            "weights": list(DEFAULT_WEIGHTS),
             "psnr_gate": list(self.psnr_gate) if self.psnr_gate else None,
             "teams": [r.to_dict() for r in self.rows],
         }
@@ -160,7 +154,6 @@ def rank_table(
     teams: list[TeamMetrics],
     baseline: TeamMetrics,
     psnr_gate: tuple[float, float] | None = DEFAULT_PSNR_GATE,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
     gate_slack: float = DEFAULT_GATE_SLACK,
 ) -> ScoreTable:
     """Score every team against the baseline and rank the gate-passing ones.
@@ -181,7 +174,7 @@ def rank_table(
                 runtime_score=r,
                 params_score=p,
                 flops_score=f,
-                overall_score=score_final(r, f, p, weights),
+                overall_score=score_final(r, f, p),
                 ranked=t is not baseline and _passes_gate(t, psnr_gate, gate_slack),
                 is_baseline=t is baseline,
             )
@@ -205,7 +198,7 @@ def rank_table(
             r.overall_rank if r.overall_rank is not None else 0,
         )
     )
-    return ScoreTable(rows=rows, baseline=baseline, weights=weights, psnr_gate=psnr_gate)
+    return ScoreTable(rows=rows, baseline=baseline, psnr_gate=psnr_gate)
 
 
 # --------------------------------------------------------------------------
@@ -256,14 +249,31 @@ def format_table(table: ScoreTable) -> str:
     return "\n".join(lines)
 
 
-def _row_to_metrics(row: dict) -> TeamMetrics:
+def _row_to_metrics(row) -> TeamMetrics:
+    """One table row as TeamMetrics; ValueError names a missing or ill-typed field."""
+    if not isinstance(row, dict):
+        raise ValueError(f"is not an object: {row!r}")
+
+    def number(key: str, optional: bool = False) -> float | None:
+        value = row.get(key)
+        if optional and value in (None, ""):
+            return None
+        if key not in row:
+            raise ValueError(f"lacks field {key!r}")
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"field {key!r} is not a number: {value!r}") from None
+
+    if "name" not in row:
+        raise ValueError("lacks field 'name'")
     return TeamMetrics(
         name=str(row["name"]),
-        runtime_ms=float(row["runtime_ms"]),
-        params_m=float(row["params_m"]),
-        flops_g=float(row["flops_g"]),
-        psnr_valid=None if row.get("psnr_valid") in (None, "") else float(row["psnr_valid"]),
-        psnr_test=None if row.get("psnr_test") in (None, "") else float(row["psnr_test"]),
+        runtime_ms=number("runtime_ms"),
+        params_m=number("params_m"),
+        flops_g=number("flops_g"),
+        psnr_valid=number("psnr_valid", optional=True),
+        psnr_test=number("psnr_test", optional=True),
     )
 
 
@@ -281,13 +291,17 @@ def load_team_table(path: str | Path) -> tuple[list[TeamMetrics], TeamMetrics]:
     else:
         with open(path) as fh:
             doc = json.load(fh)
-        raw = doc["teams"] if isinstance(doc, dict) else doc
+        raw = doc.get("teams") if isinstance(doc, dict) else doc
+        if not isinstance(raw, list):
+            raise ValueError(f'{path}: expected a list of rows or {{"teams": [...]}}')
     teams: list[TeamMetrics] = []
     baseline: TeamMetrics | None = None
-    for row in raw:
-        flag = str(row.get("baseline", "")).strip().lower() in ("true", "1", "yes")
-        tm = _row_to_metrics(row)
-        if flag:
+    for i, row in enumerate(raw):
+        try:
+            tm = _row_to_metrics(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i} {exc}") from None
+        if str(row.get("baseline", "")).strip().lower() in ("true", "1", "yes"):
             if baseline is not None:
                 raise ValueError(f"{path}: more than one baseline row")
             baseline = tm

@@ -1,19 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from srkit.tensor import Tensor
-
-RTOL, ATOL = 1e-5, 1e-6
-
-
-def assert_close(a, b, rtol=RTOL, atol=ATOL, msg=""):
-    da = a.data if isinstance(a, Tensor) else np.asarray(a)
-    db = b.data if isinstance(b, Tensor) else np.asarray(b)
-    np.testing.assert_allclose(da, db, rtol=rtol, atol=atol, err_msg=msg)
-
-
-def rand_tensor(rng, n, c, h, w, scale=1.0):
-    return Tensor((scale * rng.normal(0.0, 1.0, (n, c, h, w))).astype(np.float32))
+# Tests that run `python -m srkit.cli` in a subprocess import srkit from this
+# checkout too, as pytest's `pythonpath` setting does for the test process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

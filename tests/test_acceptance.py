@@ -1,7 +1,9 @@
 """Acceptance suite: one test per gate criterion, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass/fail lines alongside the pytest verdicts.
+pass/fail lines alongside the pytest verdicts. Criterion 2 (complexity
+calibration) is the `param_counts` and `flop_counts` checks of
+`srkit.selftest`, run by tests/test_selftest.py.
 """
 
 import json
@@ -11,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import rand_tensor
 from srkit import ppm
 from srkit.cli import main as cli_main
 from srkit.fusion import (
@@ -39,21 +40,18 @@ from srkit.kernels import (
     newton_schulz,
     ns_scalar,
 )
-from srkit.metrics import count_flops, count_params, image_to_tensor, psnr
+from srkit.metrics import image_to_tensor, psnr
 from srkit.models import (
-    build_span_baseline,
     build_spanv2,
     near_pixel_init,
     nearest_upsample,
     random_conv,
 )
 from srkit.scoring import rank_table, round_half_even
+from srkit.selftest import assert_close, rand_tensor
 from srkit.tensor import Tensor, conv2d, pixel_shuffle
 from table_expectations import BASELINE_NAME, EXPECTED, RANKING, check_cell
 from test_scoring import published_table
-
-RTOL, ATOL = 1e-5, 1e-6
-
 
 def report(criterion: str, fn):
     """Run one criterion body, print its pass/fail line, re-raise on failure."""
@@ -65,12 +63,6 @@ def report(criterion: str, fn):
         raise
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {criterion}: PASS ({elapsed:.2f}s)")
-
-
-def close(a, b, rtol=RTOL, atol=ATOL):
-    da = a.data if isinstance(a, Tensor) else np.asarray(a)
-    db = b.data if isinstance(b, Tensor) else np.asarray(b)
-    return np.allclose(da, db, rtol=rtol, atol=atol)
 
 
 def test_criterion_1_scoring_reproduction():
@@ -102,18 +94,6 @@ def test_criterion_1_scoring_reproduction():
     report("criterion-1 scoring-reproduction", body)
 
 
-def test_criterion_2_complexity_calibration():
-    def body():
-        v2 = build_spanv2()
-        assert abs(count_params(v2) - 0.139e6) / 0.139e6 <= 0.02
-        assert abs(count_flops(v2, 256, 256) - 9.11e9) / 9.11e9 <= 0.03
-        span = build_span_baseline()
-        assert abs(count_params(span) - 0.151e6) / 0.151e6 <= 0.02
-        assert abs(count_flops(span, 256, 256) - 9.83e9) / 9.83e9 <= 0.03
-
-    report("criterion-2 complexity-calibration", body)
-
-
 def test_criterion_3_fusion_equivalence():
     def body():
         widths = (1, 16, 28, 32, 48, 52)
@@ -127,7 +107,7 @@ def test_criterion_3_fusion_equivalence():
             fused_counter, ref_counter = TrafficCounter(), TrafficCounter()
             fused = fused_attention(x, f3, attn, fused_counter)
             ref = reference_attention(x, f3, attn, ref_counter)
-            assert close(fused, ref), f"case {cases} width {c}"
+            assert_close(fused, ref, msg=f"case {cases} width {c}")
             numel = x.numel
             assert (fused_counter.element_reads, fused_counter.element_writes) == (
                 2 * numel,
@@ -169,7 +149,7 @@ def test_criterion_5_reparameterization_identities():
             got = conv2d(x, comp)
             m = second.kernel[0] // 2
             interior = (slice(None), slice(None), slice(m, 10 - m), slice(m, 10 - m))
-            assert close(got.data[interior], seq.data[interior]), f"compose {case}"
+            assert_close(got.data[interior], seq.data[interior], msg=f"compose {case}")
         for case in range(50):
             c_in, c_out = (int(v) for v in rng.integers(1, 8, 2))
             k, r = int(rng.choice([1, 3])), int(rng.integers(1, 4))
@@ -181,9 +161,9 @@ def test_criterion_5_reparameterization_identities():
                 alpha=float(rng.uniform(0.5, 3.0)),
             )
             x = rand_tensor(rng, 1, c_in, 7, 7)
-            assert close(
-                conv2d(x, lora_merge(base, lora)), lora_forward(x, base, lora)
-            ), f"lora {case}"
+            assert_close(
+                conv2d(x, lora_merge(base, lora)), lora_forward(x, base, lora), msg=f"lora {case}"
+            )
         for case in range(50):
             c = int(rng.integers(1, 8))
             branches = [random_conv(rng, c, c, k=3), random_conv(rng, c, c, k=1)]
@@ -191,7 +171,7 @@ def test_criterion_5_reparameterization_identities():
             group = BranchGroup(tuple(branches), include_identity)
             merged = collapse_branches(branches, include_identity)
             x = rand_tensor(rng, 1, c, 6, 6)
-            assert close(conv2d(x, merged), branch_forward(x, group)), f"branch {case}"
+            assert_close(conv2d(x, merged), branch_forward(x, group), msg=f"branch {case}")
         head = random_conv(rng, 3, 26, k=3)
         body_conv = random_conv(rng, 26, 26, k=3)
         saved = (
@@ -292,6 +272,6 @@ def test_criterion_7_protocol_correctness(tmp_path):
             assert entry["max_rel_err"] <= 1e-5
         before = run_graph(load_archive(train_path), image_to_tensor(probe_img))
         after = run_graph(load_archive(fused_path), image_to_tensor(probe_img))
-        assert close(after, before)
+        assert_close(after, before)
 
     report("criterion-7 protocol-correctness", body)

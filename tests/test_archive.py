@@ -19,7 +19,7 @@ from srkit.graph import run_graph
 from srkit.metrics import count_params
 from srkit.models import build_span_baseline, build_spanv2
 from srkit.rewrites import decorate_for_reparam
-from conftest import rand_tensor
+from srkit.selftest import rand_tensor
 
 
 def _tensors_of(g):

@@ -209,6 +209,47 @@ class TestVerbs:
             main(["frobnicate"])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize(
+        "name, text, needle",
+        [
+            ("t.json", '[{"name": "a", "runtime_ms": 1, "params_m": 1}]', "row 0 lacks field"),
+            ("t.csv", "name,runtime_ms,flops_g,baseline\na,1,1,true\n", "row 0 lacks field"),
+            ("t.json", '{"rows": []}', '{"teams": [...]}'),
+            ("t.json", '{"teams": 5}', '{"teams": [...]}'),
+            ("t.json", "[1, 2]", "row 0 is not an object"),
+            (
+                "t.json",
+                '[{"name": "a", "runtime_ms": [1], "params_m": 1, "flops_g": 1}]',
+                "row 0 field 'runtime_ms' is not a number",
+            ),
+        ],
+        ids=["no_flops_g", "csv_no_params_m", "no_teams", "teams_int", "row_int", "list_runtime"],
+    )
+    def test_malformed_score_table_diagnostic(self, tmp_path, capsys, name, text, needle):
+        table = tmp_path / name
+        table.write_text(text)
+        assert main(["score", str(table)]) == 1  # a traceback would escape as an exception
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(table) in err and needle in err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            ("flops --model spanv2 --size 0", "at least 1x1, got 0x0"),
+            ("flops --model spanv2 --size -3", "at least 1x1, got -3x-3"),
+            ("params --model spanv2 --width 0", "c (width) must be >= 1"),
+            ("params --model span --width 0", "c (width) must be >= 1"),
+            ("params --model spanv2 --blocks 0", "blocks must be >= 1"),
+            ("init --model span --blocks 0 --out w.srwt", "blocks must be >= 1"),
+        ],
+        ids=["size_0", "size_neg3", "spanv2_width_0", "span_width_0", "blocks_0", "init_blocks_0"],
+    )
+    def test_non_positive_size_diagnostic(self, tmp_path, monkeypatch, capsys, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
 
 class TestConsoleEntry:
     def test_subprocess_selftest(self):

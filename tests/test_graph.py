@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import rand_tensor
 from srkit import graph
 from srkit.graph import FusionGroup, ModelGraph, Node, run_graph, validate_graph
 from srkit.models import build_spanv2, random_conv
+from srkit.selftest import rand_tensor
 from srkit.tensor import ShapeError
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_tensor
 from srkit.kernels import (
     ENTROPY_EPS,
     NS_A,
@@ -18,6 +17,7 @@ from srkit.kernels import (
     ns_scalar,
     spatial_affinity,
 )
+from srkit.selftest import rand_tensor
 from srkit.tensor import ShapeError, Tensor, tensor
 
 

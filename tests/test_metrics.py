@@ -6,11 +6,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from conftest import rand_tensor
-from srkit.fusion import TrafficCounter
-from srkit.graph import run_graph
 from srkit.metrics import (
-    MetricsReport,
     average_set_runtimes,
     bench_runtime,
     count_flops,
@@ -22,6 +18,7 @@ from srkit.metrics import (
 from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.graph import ModelGraph, Node
 from srkit.rewrites import apply_rewrites, decorate_for_reparam
+from srkit.selftest import rand_tensor
 
 
 def single_conv_graph(spec):
@@ -183,20 +180,3 @@ class TestBench:
             f"paired bench (16ch 16x16): fused {fused.mean_ms:.3f} ms "
             f"vs unfused {unfused.mean_ms:.3f} ms"
         )
-
-
-class TestReport:
-    def test_json_shape(self, rng):
-        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
-        counter = TrafficCounter()
-        run_graph(g, rand_tensor(rng, 1, 3, 4, 4), mode="fused", counter=counter)
-        report = MetricsReport(
-            psnr_db=[30.0, 32.0],
-            params=count_params(g),
-            flops=count_flops(g, 64, 64),
-            traffic=counter,
-        )
-        doc = report.to_dict()
-        assert doc["psnr_mean_db"] == 31.0
-        assert doc["params"] == count_params(g)
-        assert doc["traffic"]["element_reads"] > 0

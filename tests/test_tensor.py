@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_close, rand_tensor
-from srkit.selftest import brute_conv
+from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
     ConvSpec,
     ShapeError,
