@@ -335,6 +335,8 @@ def run_graph(
                 raise ShapeError(
                     f"graph {g.name!r} expects {n.channels}-channel input, got {x.c}"
                 )
+            if not np.isfinite(x.data).all():
+                raise ValueError(f"graph {g.name!r}: input contains non-finite values")
             out = OPS[n.op].run(n, x)
         else:
             out = OPS[n.op].run(n, *[consume(r) for r in n.inputs])

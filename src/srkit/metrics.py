@@ -96,6 +96,7 @@ class RuntimeStats:
     median_ms: float
     mode: str
     threads: int | None  # BLAS threads actually pinned; None when nothing was
+    blas: str | None  # "name version" of the BLAS numpy was built with
 
     def to_dict(self) -> dict:
         return {
@@ -104,7 +105,18 @@ class RuntimeStats:
             "median_ms": self.median_ms,
             "mode": self.mode,
             "threads": self.threads,
+            "blas": self.blas,
         }
+
+
+def _blas_in_use() -> str | None:
+    """Name and version of numpy's BLAS from its build config, or None when
+    this numpy cannot report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # show_config has no dict mode before numpy 1.26
+        return None
 
 
 @contextmanager
@@ -130,8 +142,8 @@ def bench_runtime(
 
     Each image's figure is the mean of `reps` timed runs. BLAS threading is
     pinned to `threads` when threadpoolctl is importable (single-threaded by
-    default), and the stats report the pin that took effect; timings are
-    reported, never asserted.
+    default), and the stats report the pin that took effect and the BLAS in
+    use; timings are reported, never asserted.
     """
     if reps < 1:
         raise ValueError(f"bench_runtime: reps must be >= 1, got {reps}")
@@ -154,6 +166,7 @@ def bench_runtime(
         median_ms=statistics.median(per_image),
         mode=mode,
         threads=pinned,
+        blas=_blas_in_use(),
     )
 
 

@@ -12,6 +12,8 @@ share.
 from __future__ import annotations
 
 import math
+import traceback
+from pathlib import Path
 
 import numpy as np
 
@@ -570,6 +572,15 @@ def name_of(check) -> str:
     return check.__name__.removeprefix("check_")
 
 
+def _describe(exc: Exception) -> str:
+    """The exception's message; for a bare `assert`, which has none, its type
+    and the failing source line from the traceback, on one line."""
+    if str(exc):
+        return str(exc)
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{type(exc).__name__} at {Path(where.filename).name}:{where.lineno}: {where.line}"
+
+
 def run(verbose: bool = True) -> int:
     failures = 0
     for check in CHECKS:
@@ -579,7 +590,7 @@ def run(verbose: bool = True) -> int:
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
             if verbose:
-                print(f"FAIL {name}: {exc}")
+                print(f"FAIL {name}: {_describe(exc)}")
         else:
             if verbose:
                 print(f"ok   {name}")

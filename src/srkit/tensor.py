@@ -136,6 +136,12 @@ class ConvSpec:
         return ConvSpec(channels, channels, (1, 1), (0, 0), w)
 
 
+# Floats of strip buffers (band, column block, accumulator) one conv2d call
+# aims to hold: 2 MiB of float32, the per-core L2. Sets the strip height, so
+# conv memory is bounded by this, not by the image.
+_STRIP_FLOATS = 1 << 19
+
+
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
@@ -155,32 +161,49 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
             f"conv2d: kernel {spec.kernel} does not fit padded input {h}x{w} "
             f"(pad {spec.padding})"
         )
-    # Every tap reads one contiguous window of the flattened padded plane:
-    # an output row is computed Wp wide, so its last kw - 1 columns wrap into
-    # the next row and are junk, dropped once at the end. For kw > 1 the last
-    # tap's window runs kw - 1 elements past the plane, hence one extra zero
-    # row at the bottom.
-    extra = 1 if kw > 1 else 0
-    padded = x.data
-    if ph or pw or extra:
-        padded = np.pad(padded, ((0, 0), (0, 0), (ph, ph + extra), (pw, pw)))
-    hp, wp = padded.shape[2:]
-    g, cg = spec.groups, spec.in_channels // spec.groups
-    flat = padded.reshape(n, g, cg, hp * wp)
-    weight = spec.weight.reshape(g, spec.out_channels // g, cg, kh, kw)
-    acc = None
-    for dy, dx in np.ndindex(kh, kw):
-        win = flat[..., dy * wp + dx : dy * wp + dx + hout * wp]
-        # (g, og, cg) taps against (n, g, cg, L) windows: a float32 GEMM per
-        # group, or a broadcast product when each group has one input channel
-        term = weight[..., dy, dx] * win if cg == 1 else weight[..., dy, dx] @ win
-        if acc is None:
-            acc = term  # assign, not add into zeros: no extra buffer for 1x1
-        else:
-            acc += term
-    out = np.ascontiguousarray(acc.reshape(n, spec.out_channels, hout, wp)[..., :wout])
-    if spec.bias is not None:
-        out += spec.bias[:, None, None]
+    # The output is computed in strips of `rows` output rows. Each strip copies
+    # its rows + kh - 1 input rows into a zero-bordered band; no padded plane
+    # is built. Every tap reads one contiguous window of the flat band: an
+    # output row is computed Wp wide, so its last kw - 1 columns wrap into the
+    # next row and are junk, dropped at write-out. For kw > 1 the last tap's
+    # window runs kw - 1 elements past the band, hence one extra row. One
+    # strided copy stacks the windows into a column block, and one GEMM per
+    # strip contracts it with the weights, whatever `groups` is. All strips
+    # have one height, so buffers and views are built once; the last strip
+    # ends at the last row, recomputing a few rows of the one before it.
+    cin, cout, g = spec.in_channels, spec.out_channels, spec.groups
+    cg, taps = cin // g, kh * kw
+    wp = w + 2 * pw
+    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (taps + 1) + cout)))
+    strips = -(-hout // most)
+    rows = -(-hout // strips)
+    nb, span = rows + kh - 1 + (kw > 1), rows * wp
+    band = np.zeros((n, cin, nb, wp), np.float32)
+    interior = band[..., pw : pw + w]
+    sn, sc, sr, se = band.strides
+    windows = np.lib.stride_tricks.as_strided(
+        band, (n, g, cg, kh, kw, span), (sn, cg * sc, sc, sr, se, se), writeable=False
+    )
+    cols = np.empty((n, g, cg, kh, kw, span), np.float32)
+    gemm_cols = cols.reshape(n, g, cg * taps, span)
+    # (g, og, cg * kh * kw) against (n, g, cg * kh * kw, span): K is ordered
+    # (channel, dy, dx) on both sides
+    weight = spec.weight.reshape(g, cout // g, cg * taps)
+    acc = np.empty((n, g, cout // g, span), np.float32)
+    acc_valid = acc.reshape(n, cout, rows, wp)[..., :wout]  # junk columns dropped
+    bias = 0.0 if spec.bias is None else spec.bias[:, None, None]
+    out = np.empty((n, cout, hout, wout), np.float32)
+    for i in range(strips):
+        r0 = min(i * rows, hout - rows)
+        # band row j holds input row r0 - ph + j, zero outside the input; the
+        # `a` rows above it still hold zeros, as strips only move down
+        a = min(max(ph - r0, 0), nb)
+        b = max(min(h + ph - r0, nb), a)
+        interior[:, :, a:b] = x.data[:, :, r0 - ph + a : r0 - ph + b]
+        interior[:, :, b:] = 0.0
+        np.copyto(cols, windows)
+        np.matmul(weight, gemm_cols, acc)
+        np.add(acc_valid, bias, out[:, :, r0 : r0 + rows])
     return Tensor(out)
 
 

@@ -1,14 +1,21 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srkit import ppm
+from srkit import metrics, ppm
 from srkit.cli import main
 from srkit.metrics import image_to_tensor, tensor_to_image
 from srkit.models import nearest_upsample
+from srkit.tensor import Tensor
 
 
 @pytest.fixture
@@ -148,6 +155,7 @@ class TestVerbs:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["per_image_ms"]) == 1
         assert doc["mean_ms"] > 0
+        assert doc["blas"] and "threads" in doc
 
     def test_score_verb(self, tmp_path, capsys):
         from importlib import resources
@@ -192,6 +200,19 @@ class TestVerbs:
 
     def test_selftest_verb(self):
         assert main(["selftest", "--quiet"]) == 0
+
+    def test_non_finite_input_diagnostic(self, tmp_path, lr_image, monkeypatch, capsys):
+        # PPM pixels are always finite; stand in a decoder that yields NaN
+        lr_path, _ = lr_image
+        monkeypatch.setattr(
+            metrics,
+            "image_to_tensor",
+            lambda img: Tensor(np.full((1, 3, *img.shape[:2]), np.nan, np.float32)),
+        )
+        argv = ["infer", "--model", "spanv2", "--width", "4", "--blocks", "1"]
+        assert main([*argv, str(lr_path), str(tmp_path / "sr.ppm")]) == 1
+        err = capsys.readouterr().err
+        assert err == "srkit infer: graph 'spanv2': input contains non-finite values\n"
 
     def test_missing_file_diagnostic(self, capsys):
         assert main(["psnr", "missing_a.ppm", "missing_b.ppm"]) == 1
@@ -284,3 +305,46 @@ class TestUpscaleDemo:
         from srkit.metrics import psnr
 
         assert psnr(got, want) > 15.0
+
+
+_PPM = b"P6\n5 4\n255\n" + bytes(range(60))
+# (position, kind, byte); positions are taken modulo the current length, and
+# the bytes lean towards what PPM headers are made of
+_EDITS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 12), st.integers(0, 1 << 16)),
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.one_of(st.sampled_from(b"0123456789 \n#P6-"), st.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for pos, kind, byte in edits:
+        at = pos % (len(buf) + 1)
+        if kind == "insert":
+            buf.insert(at, byte)
+        elif buf:
+            at %= len(buf)
+            if kind == "replace":
+                buf[at] = byte
+            else:
+                del buf[at]
+    return bytes(buf)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(edits=_EDITS)
+def test_any_mutated_ppm_infers_or_exits_cleanly(edits):
+    """Exit 0, or exit 1 with one stderr line, whatever a few byte edits do."""
+    err = io.StringIO()
+    with TemporaryDirectory() as tmp:
+        src = Path(tmp) / "lr.ppm"
+        src.write_bytes(_mutated(_PPM, edits))
+        argv = ["infer", "--model", "spanv2", "--width", "4", "--blocks", "1"]
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main([*argv, str(src), str(Path(tmp) / "sr.ppm")])
+    assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (code, err.getvalue())

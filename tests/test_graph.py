@@ -5,7 +5,7 @@ from srkit import graph
 from srkit.graph import FusionGroup, ModelGraph, Node, run_graph, validate_graph
 from srkit.models import build_spanv2, random_conv
 from srkit.selftest import rand_tensor
-from srkit.tensor import ShapeError
+from srkit.tensor import ShapeError, Tensor
 
 
 def _conv(cin, cout, k=3, groups=1):
@@ -191,3 +191,12 @@ def test_run_graph_calls_kernels_through_graph_globals(monkeypatch, rng):
     run_graph(g, rand_tensor(rng, 1, 3, 6, 7), mode="fused")
     assert calls["relu"] == sum(n.op == "relu" for n in g.nodes) == 10
     assert calls["fused_attention"] == len(g.fusion_groups) == 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_run_graph_rejects_non_finite_input(rng, bad):
+    g = build_spanv2(c=4, blocks=1, seed=0)
+    data = rand_tensor(rng, 1, 3, 5, 6).data.copy()
+    data[0, 1, 2, 3] = bad
+    with pytest.raises(ValueError, match="graph 'spanv2': input contains non-finite values"):
+        run_graph(g, Tensor(data))

@@ -165,6 +165,14 @@ class TestBench:
         assert bench_runtime(g, images, reps=1, threads=None).threads is None
         assert pins == [2]
 
+    def test_reports_the_blas_numpy_was_built_with(self, rng):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
+        stats = bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=1)
+        assert stats.blas == f"{blas['name']} {blas['version']}"
+        doc = stats.to_dict()
+        assert list(doc)[-2:] == ["threads", "blas"] and doc["blas"] == stats.blas
+
     def test_ave_column_semantics(self):
         ave = average_set_runtimes([5.700, 4.810])
         assert ave == pytest.approx(5.255, abs=1e-12)

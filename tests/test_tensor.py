@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,55 @@ from srkit.tensor import (
     space_to_depth,
     tensor,
 )
+
+# The package re-exports a `tensor()` function that shadows the module name.
+tensor_module = importlib.import_module("srkit.tensor")
+
+CONV_CASES = pytest.mark.parametrize(
+    "n, cin, cout, kernel, padding, groups",
+    [
+        (1, 3, 4, (3, 3), (1, 1), 1),
+        (1, 4, 6, (3, 3), (1, 1), 2),
+        (1, 3, 48, (3, 3), (1, 1), 3),
+        (1, 5, 3, (1, 1), (0, 0), 1),
+        (1, 2, 3, (3, 5), (2, 1), 1),
+        (2, 3, 4, (3, 3), (1, 1), 1),
+        (1, 3, 4, (3, 3), (0, 0), 1),
+        (1, 3, 4, (1, 3), (0, 1), 1),
+        (1, 3, 4, (3, 1), (1, 0), 1),
+        (1, 3, 4, (3, 3), (2, 2), 1),
+        (1, 1, 4, (3, 3), (1, 1), 1),
+        (2, 8, 16, (3, 3), (1, 1), 8),
+        (1, 3, 2, (5, 6), (0, 0), 1),
+        (1, 6, 6, (1, 1), (0, 0), 6),
+        (1, 3, 4, (1, 1), (2, 2), 1),
+    ],
+    ids=[
+        "dense3x3",
+        "groups2",
+        "depthwise3to48",
+        "pointwise",
+        "kernel3x5",
+        "batch2",
+        "unpadded3x3",
+        "kernel1x3",
+        "kernel3x1",
+        "pad2",
+        "dense1to4",
+        "depthwise8to16_batch2",
+        "kernel5x6_to_1x1",
+        "depthwise1x1",
+        "pointwise_pad2",
+    ],
+)
+
+
+def _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias):
+    w = rng.normal(0, 0.5, (cout, cin // groups, *kernel)).astype(np.float32)
+    b = rng.normal(0, 0.5, cout).astype(np.float32) if bias else None
+    spec = ConvSpec(cin, cout, kernel, padding, w, bias=b, groups=groups)
+    x = rand_tensor(rng, n, cin, 5, 6)
+    assert_close(conv2d(x, spec), brute_conv(x, spec))
 
 
 class TestTensorType:
@@ -138,51 +188,29 @@ class TestConv2d:
         assert_close(full, concat_channels([lo, hi]))
 
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
-    @pytest.mark.parametrize(
-        "n, cin, cout, kernel, padding, groups",
-        [
-            (1, 3, 4, (3, 3), (1, 1), 1),
-            (1, 4, 6, (3, 3), (1, 1), 2),
-            (1, 3, 48, (3, 3), (1, 1), 3),
-            (1, 5, 3, (1, 1), (0, 0), 1),
-            (1, 2, 3, (3, 5), (2, 1), 1),
-            (2, 3, 4, (3, 3), (1, 1), 1),
-            (1, 3, 4, (3, 3), (0, 0), 1),
-            (1, 3, 4, (1, 3), (0, 1), 1),
-            (1, 3, 4, (3, 1), (1, 0), 1),
-            (1, 3, 4, (3, 3), (2, 2), 1),
-            (1, 1, 4, (3, 3), (1, 1), 1),
-            (2, 8, 16, (3, 3), (1, 1), 8),
-            (1, 3, 2, (5, 6), (0, 0), 1),
-            (1, 6, 6, (1, 1), (0, 0), 6),
-        ],
-        ids=[
-            "dense3x3",
-            "groups2",
-            "depthwise3to48",
-            "pointwise",
-            "kernel3x5",
-            "batch2",
-            "unpadded3x3",
-            "kernel1x3",
-            "kernel3x1",
-            "pad2",
-            "dense1to4",
-            "depthwise8to16_batch2",
-            "kernel5x6_to_1x1",
-            "depthwise1x1",
-        ],
-    )
+    @CONV_CASES
     def test_matches_brute_force_oracle(self, rng, n, cin, cout, kernel, padding, groups, bias):
-        w = rng.normal(0, 0.5, (cout, cin // groups, *kernel)).astype(np.float32)
-        b = rng.normal(0, 0.5, cout).astype(np.float32) if bias else None
-        spec = ConvSpec(cin, cout, kernel, padding, w, bias=b, groups=groups)
-        x = rand_tensor(rng, n, cin, 5, 6)
-        assert_close(conv2d(x, spec), brute_conv(x, spec))
+        # at these sizes the default strip budget gives one whole-image strip
+        _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias)
+
+    # 1-row strips (with pad 2, the first and last two lie wholly in padding),
+    # 2-row strips, which do not divide the 5-row outputs, so the last strip
+    # overlaps the one before it, and one strip for the whole image
+    @pytest.mark.parametrize("strip_rows", [1, 2, None], ids=["strip1", "strip2", "whole"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @CONV_CASES
+    def test_strips_match_brute_force_oracle(
+        self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, bias, strip_rows
+    ):
+        # conv2d's strip height is its float budget over this per-row cost
+        row_floats = n * (6 + 2 * padding[1]) * (cin * (kernel[0] * kernel[1] + 1) + cout)
+        budget = 1 << 40 if strip_rows is None else strip_rows * row_floats
+        monkeypatch.setattr(tensor_module, "_STRIP_FLOATS", budget)
+        _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias)
 
     def test_peak_memory_is_a_small_multiple_of_input_and_output(self, rng):
-        # No im2col-style copy: one 3x3 conv may hold the padded input, the
-        # accumulator and one tap's product, not kh*kw copies of the input.
+        # No im2col-style copy of the input: beyond its output, one 3x3 conv
+        # holds only its strip buffers, not kh*kw copies of the input.
         w = rng.normal(0, 0.1, (32, 32, 3, 3)).astype(np.float32)
         spec = ConvSpec(32, 32, (3, 3), (1, 1), w, bias=np.zeros(32, np.float32))
         x = rand_tensor(rng, 1, 32, 64, 64)
@@ -195,6 +223,24 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * (x.data.nbytes + out.data.nbytes)
+
+    @pytest.mark.parametrize("side", [64, 256])
+    def test_memory_above_the_output_does_not_grow_with_the_image(self, rng, side):
+        # Strip buffers (band, column block, accumulator) stay near the 2 MiB
+        # budget, so a padded plane (8.5 MB at 256^2) would break the bound.
+        w = rng.normal(0, 0.1, (32, 32, 3, 3)).astype(np.float32)
+        spec = ConvSpec(32, 32, (3, 3), (1, 1), w, bias=np.zeros(32, np.float32))
+        x = rand_tensor(rng, 1, 32, side, side)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        strip_bytes = 4 * tensor_module._STRIP_FLOATS
+        assert peak - out.data.nbytes <= 1.25 * strip_bytes, peak - out.data.nbytes
 
 
 class TestElementwise:
