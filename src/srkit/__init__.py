@@ -12,14 +12,6 @@ from .fusion import (
     reference_attention,
 )
 from .graph import FusionGroup, ModelGraph, Node, run_graph
-from .kernels import (
-    WaveletSubbands,
-    affinity_loss,
-    entropy_attention,
-    haar_dwt,
-    haar_idwt,
-    newton_schulz,
-)
 from .metrics import bench_runtime, count_flops, count_params, psnr
 from .models import (
     BlockSpec,
@@ -59,9 +51,7 @@ __all__ = [
     "TeamMetrics",
     "Tensor",
     "TrafficCounter",
-    "WaveletSubbands",
     "add",
-    "affinity_loss",
     "bench_runtime",
     "build_span_baseline",
     "build_spanv2",
@@ -71,15 +61,11 @@ __all__ = [
     "conv2d",
     "count_flops",
     "count_params",
-    "entropy_attention",
     "fused_attention",
-    "haar_dwt",
-    "haar_idwt",
     "load_archive",
     "lora_merge",
     "mul",
     "near_pixel_init",
-    "newton_schulz",
     "pixel_shuffle",
     "psnr",
     "rank_table",

@@ -1,8 +1,8 @@
 """Command-line front end: srkit <verb> [options].
 
-Verbs: init, infer, fuse, psnr, params, flops, bench, score, kernels,
-selftest. Every verb exits 0 on success and nonzero with a one-line
-diagnostic otherwise.
+Verbs: init, infer, fuse, psnr, params, flops, bench, score, selftest.
+Every verb exits 0 on success and nonzero with a one-line diagnostic
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from . import metrics, ppm, scoring, selftest
 from .archive import ArchiveError, load_archive, save_archive
 from .fusion import TrafficCounter
 from .graph import ModelGraph, run_graph
-from .kernels import (
-    affinity_loss,
-    entropy_attention,
-    frobenius_normalize,
-    haar_dwt,
-    haar_idwt,
-    newton_schulz,
-)
 from .models import build_model
 from .rewrites import apply_rewrites, decorate_for_reparam, fuse_equivalence
 from .tensor import Tensor
@@ -142,63 +134,6 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _kernel_input(args, image_attr: str = "image", tensor_attr: str = "tensor") -> Tensor:
-    image = getattr(args, image_attr, None)
-    name = getattr(args, tensor_attr, None)
-    if image:
-        return metrics.image_to_tensor(ppm.read_image(image))
-    if args.archive and name:
-        g = load_archive(args.archive)
-        for node in g.conv_nodes():
-            if node.spec is not None and f"{node.name}.weight" == name:
-                return Tensor(node.spec.weight)
-        raise CliError(f"tensor {name!r} not found (only *.weight names accepted)")
-    raise CliError("need --image or (--archive and --tensor)")
-
-
-def _cmd_kernels(args) -> int:
-    out: dict
-    if args.kernel == "haar":
-        x = _kernel_input(args)
-        sb = haar_dwt(x)
-        back = haar_idwt(sb)
-        out = {
-            "input_shape": list(x.shape),
-            "subband_shape": list(sb.ll.shape),
-            "energy": {
-                name: float((t.data.astype(np.float64) ** 2).sum())
-                for name, t in (("ll", sb.ll), ("hl", sb.hl), ("lh", sb.lh), ("hh", sb.hh))
-            },
-            "roundtrip_max_abs_err": float(np.abs(back.data - x.data).max()),
-        }
-    elif args.kernel == "entropy":
-        x = _kernel_input(args)
-        h = entropy_attention(x)
-        out = {"input_shape": list(x.shape), "entropy": h.tolist()}
-    elif args.kernel == "ns":
-        x = _kernel_input(args)
-        mat = x.data.reshape(x.shape[0], -1)  # (out, in*kh*kw), the 2D view
-        result = newton_schulz(frobenius_normalize(mat))
-        sv = np.linalg.svd(result, compute_uv=False)
-        out = {
-            "matrix_shape": list(mat.shape),
-            "singular_values_min": float(sv.min()),
-            "singular_values_max": float(sv.max()),
-        }
-    elif args.kernel == "affinity":
-        a = _kernel_input(args)
-        b = _kernel_input(args, image_attr="image2", tensor_attr="tensor2")
-        out = {
-            "shapes": [list(a.shape), list(b.shape)],
-            "loss": affinity_loss([a], [b]),
-            "self_loss": affinity_loss([a], [a]),
-        }
-    else:
-        raise CliError(f"unknown kernel {args.kernel!r}")
-    print(json.dumps(out, indent=2))
-    return 0
-
-
 def _cmd_selftest(args) -> int:
     failures = selftest.run(verbose=not args.quiet)
     return 1 if failures else 0
@@ -274,15 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate-slack", type=float, default=scoring.DEFAULT_GATE_SLACK)
     p.add_argument("--no-gate", action="store_true")
     p.set_defaults(fn=_cmd_score)
-
-    p = sub.add_parser("kernels", help="spot-check the aux numeric kernels")
-    p.add_argument("kernel", choices=("haar", "entropy", "ns", "affinity"))
-    p.add_argument("--image")
-    p.add_argument("--image2", help="second input for affinity")
-    p.add_argument("--archive")
-    p.add_argument("--tensor", help="tensor name inside --archive (*.weight)")
-    p.add_argument("--tensor2", help="second tensor name for affinity")
-    p.set_defaults(fn=_cmd_kernels)
 
     p = sub.add_parser("selftest", help="run the built-in oracle suite")
     p.add_argument("--quiet", action="store_true")

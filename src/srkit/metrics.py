@@ -147,6 +147,10 @@ def bench_runtime(
     """
     if reps < 1:
         raise ValueError(f"bench_runtime: reps must be >= 1, got {reps}")
+    if warmup < 0:
+        raise ValueError(f"bench_runtime: warmup must be >= 0, got {warmup}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"bench_runtime: threads must be >= 1, got {threads}")
     if not images:
         raise ValueError("bench_runtime: empty image list")
     per_image: list[float] = []

@@ -1,7 +1,7 @@
 """Built-in oracle suite: every derived expected value, recomputed on demand.
 
 Each check re-derives its expectation through an independent route (direct
-summation, closed forms, SVD, sequential execution, ...) and compares the
+summation, closed forms, sequential execution, ...) and compares the
 production path against it. `run()` prints one line per check and returns
 the number of failures, which the CLI turns into the exit status. pytest
 runs every check in CHECKS as its own case, so this module is the one copy
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fusion, kernels, metrics, models, scoring
+from . import fusion, metrics, models, scoring
 from .graph import ModelGraph as Graph
 from .graph import Node, run_graph
 from .tensor import (
@@ -329,86 +329,12 @@ def check_compose_param_bookkeeping():
 
 
 # --------------------------------------------------------------------------
-# aux kernels
-
-
-def check_haar_constant_and_roundtrip():
-    block = tensor([[[[1.0, 1.0], [1.0, 1.0]]]])
-    sb = kernels.haar_dwt(block)
-    assert sb.ll.data[0, 0, 0, 0] == 2.0
-    assert sb.hl.data[0, 0, 0, 0] == sb.lh.data[0, 0, 0, 0] == sb.hh.data[0, 0, 0, 0] == 0.0
-    rng = np.random.default_rng(16)
-    x = rand_tensor(rng, 1, 4, 16, 16)
-    back = kernels.haar_idwt(kernels.haar_dwt(x))
-    assert np.abs(back.data - x.data).max() <= 1e-6
-
-
-def check_haar_parseval():
-    rng = np.random.default_rng(17)
-    x = rand_tensor(rng, 2, 3, 16, 16)
-    sb = kernels.haar_dwt(x)
-    total = sum(float((t.data.astype(np.float64) ** 2).sum()) for t in (sb.ll, sb.hl, sb.lh, sb.hh))
-    ref = float((x.data.astype(np.float64) ** 2).sum())
-    assert abs(total - ref) / ref <= 1e-4
-
-
-def check_entropy_closed_form():
-    rng = np.random.default_rng(18)
-    base = rng.normal(0.0, 1.0, (1, 3, 64, 64)).astype(np.float32)
-    mean, std = base.mean(axis=(2, 3), keepdims=True), base.std(axis=(2, 3), keepdims=True)
-    base = (base - mean) / std  # every channel has variance exactly 1
-    h = kernels.entropy_attention(Tensor(base))
-    assert np.abs(h - 0.5 * math.log(2 * math.pi)).max() <= 1e-5
-    doubled = kernels.entropy_attention(Tensor(2.0 * base))
-    assert np.abs(doubled - h - math.log(2.0)).max() <= 1e-5
-    flat = kernels.entropy_attention(Tensor(np.full((1, 2, 4, 4), 3.3, np.float32)))
-    assert np.abs(flat - 0.5 * math.log(2 * math.pi * kernels.ENTROPY_EPS)).max() <= 1e-6
-
-
-def check_newton_schulz_scalar():
-    assert abs(kernels.NS_A + kernels.NS_B + kernels.NS_C - 0.7010) <= 1e-12
-    assert (
-        abs(kernels.ns_scalar(1.0, steps=1) - (kernels.NS_A + kernels.NS_B + kernels.NS_C))
-        < 1e-12
-    )
-    got = kernels.newton_schulz(np.array([[1.0]], dtype=np.float32))
-    assert abs(float(got[0, 0]) - kernels.ns_scalar(1.0)) <= 1e-3
-    assert np.array_equal(
-        kernels.newton_schulz(np.zeros((4, 4), np.float32)), np.zeros((4, 4))
-    )
-
-
-def check_newton_schulz_svd_oracle():
-    rng = np.random.default_rng(19)
-    for shape in [(8, 8)] * 5 + [(6, 10)]:
-        x = kernels.frobenius_normalize(rng.normal(0, 1, shape))
-        u, s, vt = np.linalg.svd(x.astype(np.float64), full_matrices=False)
-        want = u @ np.diag([kernels.ns_scalar(v) for v in s]) @ vt
-        assert np.abs(kernels.newton_schulz(x) - want).max() <= 1e-3, f"shape {shape}"
-
-
-def check_affinity_loss():
-    rng = np.random.default_rng(20)
-    feats = [rand_tensor(rng, 2, 4, 3, 3), rand_tensor(rng, 2, 6, 3, 3)]
-    assert kernels.affinity_loss(feats, feats) == 0.0
-    scaled = [Tensor(3.0 * f.data) for f in feats]
-    assert kernels.affinity_loss(scaled, feats) <= 1e-6
-    # brute-force a 1x2x1x2 pair: columns normalize to unit vectors
-    s = tensor([[[[1.0, 0.0]], [[0.0, 2.0]]]])
-    t = tensor([[[[1.0, 1.0]], [[0.0, 0.0]]]])
-    a_s = np.array([[1.0, 0.0], [0.0, 1.0]])
-    a_t = np.array([[1.0, 1.0], [1.0, 1.0]])
-    want = np.abs(a_s - a_t).mean()
-    assert abs(kernels.affinity_loss([s], [t]) - want) <= 1e-6
-
-
-# --------------------------------------------------------------------------
 # metrics and scoring
 
 
 def check_psnr_border_discard():
     rng = np.random.default_rng(21)
-    img = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)
+    img = rng.integers(0, 256, (24, 30, 3), dtype=np.uint8)
     assert metrics.psnr(img, img) == 100.0
     corrupted = img.copy()
     corrupted[:4, :, :] = 0
@@ -435,9 +361,9 @@ def check_param_counts():
 
 def check_flop_counts():
     g = models.build_spanv2()
-    v2 = metrics.count_flops(g, 256, 256)
+    v2 = metrics.count_flops(g)  # the default size, 256x256
     assert v2 == 9_270_460_416 and abs(v2 - 9.11e9) / 9.11e9 <= 0.03
-    span = metrics.count_flops(models.build_span_baseline(), 256, 256)
+    span = metrics.count_flops(models.build_span_baseline())
     assert abs(span - 9.83e9) / 9.83e9 <= 0.03
     assert metrics.count_flops(g, 128, 128) * 4 == v2
     assert metrics.count_flops(g, 64, 128) * 2 == metrics.count_flops(g, 128, 128)
@@ -552,12 +478,6 @@ CHECKS = [
     check_lora_zero_and_forward,
     check_collapse_branches,
     check_compose_param_bookkeeping,
-    check_haar_constant_and_roundtrip,
-    check_haar_parseval,
-    check_entropy_closed_form,
-    check_newton_schulz_scalar,
-    check_newton_schulz_svd_oracle,
-    check_affinity_loss,
     check_psnr_border_discard,
     check_param_counts,
     check_flop_counts,

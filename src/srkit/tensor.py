@@ -168,9 +168,10 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     # next row and are junk, dropped at write-out. For kw > 1 the last tap's
     # window runs kw - 1 elements past the band, hence one extra row. One
     # strided copy stacks the windows into a column block, and one GEMM per
-    # strip contracts it with the weights, whatever `groups` is. All strips
-    # have one height, so buffers and views are built once; the last strip
-    # ends at the last row, recomputing a few rows of the one before it.
+    # strip contracts it with the weights, whatever `groups` is. A 1x1 conv's
+    # one window is the whole band, so its GEMM reads the band in place. All
+    # strips have one height, so buffers and views are built once; the last
+    # strip ends at the last row, recomputing a few rows of the one before it.
     cin, cout, g = spec.in_channels, spec.out_channels, spec.groups
     cg, taps = cin // g, kh * kw
     wp = w + 2 * pw
@@ -184,7 +185,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     windows = np.lib.stride_tricks.as_strided(
         band, (n, g, cg, kh, kw, span), (sn, cg * sc, sc, sr, se, se), writeable=False
     )
-    cols = np.empty((n, g, cg, kh, kw, span), np.float32)
+    cols = band if taps == 1 else np.empty((n, g, cg, kh, kw, span), np.float32)
     gemm_cols = cols.reshape(n, g, cg * taps, span)
     # (g, og, cg * kh * kw) against (n, g, cg * kh * kw, span): K is ordered
     # (channel, dy, dx) on both sides
@@ -201,7 +202,8 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
         b = max(min(h + ph - r0, nb), a)
         interior[:, :, a:b] = x.data[:, :, r0 - ph + a : r0 - ph + b]
         interior[:, :, b:] = 0.0
-        np.copyto(cols, windows)
+        if cols is not band:
+            np.copyto(cols, windows)
         np.matmul(weight, gemm_cols, acc)
         np.add(acc_valid, bias, out[:, :, r0 : r0 + rows])
     return Tensor(out)

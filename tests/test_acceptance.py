@@ -28,18 +28,6 @@ from srkit.fusion import (
     BranchGroup,
 )
 from srkit.graph import run_graph
-from srkit.kernels import (
-    NS_A,
-    NS_B,
-    NS_C,
-    affinity_loss,
-    entropy_attention,
-    frobenius_normalize,
-    haar_dwt,
-    haar_idwt,
-    newton_schulz,
-    ns_scalar,
-)
 from srkit.metrics import image_to_tensor, psnr
 from srkit.models import (
     build_spanv2,
@@ -182,46 +170,6 @@ def test_criterion_5_reparameterization_identities():
         assert abs(saved - 5000) <= 500, f"saved {saved} params, expected ~5K"
 
     report("criterion-5 reparameterization-identities", body)
-
-
-def test_criterion_6_aux_kernel_properties():
-    def body():
-        rng = np.random.default_rng(88)
-        x = rand_tensor(rng, 1, 4, 16, 16)
-        back = haar_idwt(haar_dwt(x))
-        assert np.abs(back.data - x.data).max() <= 1e-6
-        sb = haar_dwt(x)
-        energy = sum(
-            float((b.data.astype(np.float64) ** 2).sum())
-            for b in (sb.ll, sb.hl, sb.lh, sb.hh)
-        )
-        ref = float((x.data.astype(np.float64) ** 2).sum())
-        assert abs(energy - ref) / ref <= 1e-4
-
-        # the quintic at 1 from the published constants: a + b + c = 0.7010
-        # (the sum is what the constants give; see the decisions ledger)
-        phi1 = NS_A + NS_B + NS_C
-        assert phi1 == pytest.approx(0.7010, abs=1e-12)
-        assert ns_scalar(1.0, steps=1) == pytest.approx(phi1, abs=1e-12)
-        for trial in range(20):
-            rows, cols = (int(v) for v in rng.integers(4, 12, 2))
-            mat = frobenius_normalize(rng.normal(0, 1, (rows, cols)))
-            u, s, vt = np.linalg.svd(mat.astype(np.float64), full_matrices=False)
-            want = u @ np.diag([ns_scalar(v) for v in s]) @ vt
-            got = newton_schulz(mat)
-            assert np.abs(got - want).max() <= 1e-3, f"trial {trial}"
-
-        data = rng.normal(0, 1, (1, 1, 64, 64)).astype(np.float32)
-        data = (data - data.mean()) / data.std()
-        h = entropy_attention(Tensor(data))
-        assert abs(h[0, 0] - 0.5 * np.log(2 * np.pi)) <= 1e-5
-
-        feats = [rand_tensor(rng, 2, 5, 4, 4), rand_tensor(rng, 2, 3, 4, 4)]
-        assert affinity_loss(feats, feats) == 0.0
-        scaled = [Tensor(7.0 * f.data) for f in feats]
-        assert affinity_loss(scaled, feats) <= 1e-6
-
-    report("criterion-6 aux-kernel-properties", body)
 
 
 def test_criterion_7_protocol_correctness(tmp_path):

@@ -171,33 +171,6 @@ class TestVerbs:
         xiaomi = next(r for r in doc["teams"] if r["name"] == "XiaomiMM")
         assert xiaomi["overall_rank"] == 1
 
-    def test_kernels_verbs(self, tmp_path, lr_image, capsys):
-        lr_path, _ = lr_image
-        assert main(["kernels", "haar", "--image", str(lr_path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["roundtrip_max_abs_err"] <= 1e-6
-        assert main(["kernels", "entropy", "--image", str(lr_path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["entropy"][0]) == 3
-        archive = tmp_path / "w.srwt"
-        main(["init", "--width", "8", "--blocks", "1", "--out", str(archive)])
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "kernels",
-                    "ns",
-                    "--archive",
-                    str(archive),
-                    "--tensor",
-                    "b1.conv_b.weight",
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert 0.2 < doc["singular_values_min"] <= doc["singular_values_max"] < 1.8
-
     def test_selftest_verb(self):
         assert main(["selftest", "--quiet"]) == 0
 
@@ -267,6 +240,39 @@ class TestVerbs:
     )
     def test_non_positive_size_diagnostic(self, tmp_path, monkeypatch, capsys, argv, needle):
         monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            ("psnr a.ppm wide.ppm", "image shapes differ"),
+            ("psnr --border 8 a.ppm a.ppm", "smaller than 2*border+1"),
+            ("bench --archive w.srwt --reps 0 a.ppm", "reps must be >= 1, got 0"),
+            ("bench --archive w.srwt --warmup -1 a.ppm", "warmup must be >= 0, got -1"),
+            ("bench --archive w.srwt --threads 0 a.ppm", "threads must be >= 1, got 0"),
+            ("fuse --archive w.srwt --out f.srwt --report r.json --probe text.ppm", "not a P6"),
+            ("fuse --archive w.srwt --out f.srwt --report r.json --probe cut.ppm", "truncated"),
+        ],
+        ids=[
+            "psnr_sizes",
+            "psnr_border",
+            "bench_reps_0",
+            "bench_warmup_neg1",
+            "bench_threads_0",
+            "fuse_probe_not_ppm",
+            "fuse_probe_truncated",
+        ],
+    )
+    def test_bad_argument_or_image_diagnostic(self, tmp_path, monkeypatch, capsys, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        ppm.write_ppm("a.ppm", np.zeros((16, 16, 3), np.uint8))
+        ppm.write_ppm("wide.ppm", np.zeros((16, 20, 3), np.uint8))
+        Path("text.ppm").write_text("not an image\n")
+        Path("cut.ppm").write_bytes(b"P6\n2 2\n255\n\0\0\0")
+        main(["init", "--width", "4", "--blocks", "1", "--out", "w.srwt"])
+        capsys.readouterr()
         assert main(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and needle in err

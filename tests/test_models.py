@@ -14,7 +14,7 @@ from srkit.models import (
     span_baseline_attention,
 )
 from srkit.selftest import assert_close, rand_tensor
-from srkit.tensor import ConvSpec, ShapeError, Tensor, conv2d, mul, pixel_shuffle
+from srkit.tensor import ConvSpec, ShapeError, Tensor, conv2d, pixel_shuffle
 
 
 def zero_block(cin, c):
@@ -88,13 +88,6 @@ class TestNearPixel:
         with pytest.raises(ShapeError, match="near-pixel"):
             near_pixel_init(random_conv(rng, 3, 48, k=3), 4)
 
-    def test_exactly_48_unit_weights(self, rng):
-        spec = near_pixel_init(random_conv(rng, 3, 48, k=3, groups=3), 4)
-        nonzero = spec.weight[spec.weight != 0.0]
-        assert nonzero.size == 48
-        assert np.all(nonzero == 1.0)
-        assert np.all(spec.bias == 0.0)
-
     def test_equivalent_to_nearest_neighbor_bit_exact(self, rng):
         spec = near_pixel_init(random_conv(rng, 3, 48, k=3, groups=3), 4)
         for _ in range(5):
@@ -118,12 +111,6 @@ class TestBaselineAttention:
     def test_zero_annihilates(self, rng):
         f1 = rand_tensor(rng, 1, 4, 3, 3)
         assert np.all(span_baseline_attention(f1, Tensor.zeros(1, 4, 3, 3)).data == 0)
-
-    def test_matches_mul_primitive(self, rng):
-        f1, f3 = rand_tensor(rng, 2, 5, 4, 4), rand_tensor(rng, 2, 5, 4, 4)
-        assert np.array_equal(
-            span_baseline_attention(f1, f3).data, mul(f1, f3).data
-        )
 
 
 class TestBuildSpanv2:
@@ -151,11 +138,6 @@ class TestBuildSpanv2:
         x = rand_tensor(rng, 1, 3, 6, 6)
         got = pixel_shuffle(conv2d(x, near), 4)
         assert np.array_equal(got.data, nearest_upsample(x, 4).data)
-
-    def test_fused_unfused_equivalence_full_graph(self, rng):
-        g = build_spanv2(seed=9)
-        x = rand_tensor(rng, 1, 3, 12, 12)
-        assert_close(run_graph(g, x, "fused"), run_graph(g, x, "unfused"))
 
     def test_concat_width_is_80(self):
         g = build_spanv2()
