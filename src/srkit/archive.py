@@ -66,7 +66,7 @@ def _node_meta(n: Node) -> dict:
     return meta
 
 
-def save_archive(g: ModelGraph, path: str | Path, seed: int | None = None) -> None:
+def save_archive(g: ModelGraph, path: str | Path) -> None:
     directory = []
     payload = bytearray()
     for name, arr in (t for n in g.nodes for t in n.tensors()):
@@ -83,7 +83,7 @@ def save_archive(g: ModelGraph, path: str | Path, seed: int | None = None) -> No
         payload.extend(raw)
     header = {
         "model": g.meta.get("model", g.name),
-        "seed": g.meta.get("seed") if seed is None else seed,
+        "seed": g.meta.get("seed"),
         "graph": {
             "name": g.name,
             "output": g.output,

@@ -47,7 +47,7 @@ def _cmd_init(args) -> int:
     )
     if args.reparam:
         g = decorate_for_reparam(g, seed=args.seed or 0)
-    save_archive(g, args.out, seed=args.seed)
+    save_archive(g, args.out)
     print(f"wrote {args.out} ({metrics.count_params(g)} parameters, seed={args.seed})")
     return 0
 

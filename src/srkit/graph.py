@@ -1,14 +1,15 @@
 """Declarative model graphs and their reference executor.
 
 A ModelGraph is an ordered list of named nodes wired by name: one input, one
-output, skip/concat fan-in allowed. Conv nodes may additionally carry a
-training-form decoration (a LoRA branch or a parallel-branch group) that the
-executor runs live and the fuse rewrites fold away.
+output, skip/concat fan-in allowed. A conv node runs either a spec, which may
+carry a LoRA branch, or a non-empty parallel-branch group; the executor runs
+these training-form decorations live and the fuse rewrites fold them away.
+No other op carries conv weights.
 
-Attention triples (1x1 conv, add, mul) registered as fusion groups execute
-through the fused single-pass operator in "fused" mode and through the
-literal three-op reference in "unfused" mode; both modes accept a traffic
-counter.
+Attention triples (plain 1x1 conv, add, mul) registered as fusion groups run
+as one step on the residual and f3: the fused single-pass operator in "fused"
+mode, the literal three-op reference in "unfused" mode; both accept a
+traffic counter.
 
 Each op's output shape, FLOPs and execution are one entry of OPS; adding an
 op means adding one entry.
@@ -113,6 +114,8 @@ def validate_graph(g: ModelGraph) -> None:
             raise ShapeError(f"duplicate node name {n.name!r}")
         if n.op not in OPS:
             raise ShapeError(f"unknown op {n.op!r} in node {n.name!r}")
+        if n.op != "conv" and any(d is not None for d in (n.spec, n.lora, n.branches)):
+            raise ShapeError(f"{n.op} {n.name!r} carries conv weights")
         arity = OPS[n.op].arity
         if (len(n.inputs) != arity) if arity is not None else not n.inputs:
             takes = "one or more" if arity is None else arity
@@ -132,18 +135,30 @@ def validate_graph(g: ModelGraph) -> None:
     if dangling:
         raise ShapeError(f"dangling nodes (no consumer): {dangling}")
     infer_shapes(g, 1, 1)  # raises on width mismatches; extents are not checked
-    group_names = set()
+    _fusion_gates(g)
+
+
+def _fusion_gates(g: ModelGraph) -> dict[str, tuple[ConvSpec, str, str]]:
+    """Map each fusion group's mul to (gate spec, res, f3); raise on a bad group.
+
+    A group computes mul = add(res, f3) * conv1x1(f3), so its mul can run as
+    one attention step on res and f3 without the conv and add.
+    """
+    by_name = {n.name: n for n in g.nodes}
+    consumers = _consumer_counts(g)
+    gates: dict[str, tuple[ConvSpec, str, str]] = {}
     for fg in g.fusion_groups:
-        if not {fg.conv, fg.add, fg.mul} <= seen:
+        if not {fg.conv, fg.add, fg.mul} <= by_name.keys():
             raise ShapeError(f"fusion group {fg} names a node the graph lacks")
-        conv, addn, muln = g.node(fg.conv), g.node(fg.add), g.node(fg.mul)
+        conv, addn, muln = by_name[fg.conv], by_name[fg.add], by_name[fg.mul]
         if conv.op != "conv" or addn.op != "add" or muln.op != "mul":
             raise ShapeError(f"fusion group {fg} does not name conv/add/mul nodes")
-        if conv.spec is None or conv.spec.kernel != (1, 1) or conv.spec.groups != 1:
+        spec, f3 = conv.spec, conv.inputs[0]
+        if spec is None or conv.lora is not None or spec.kernel != (1, 1) or spec.groups != 1:
             raise ShapeError(f"fusion group conv {fg.conv!r} must be a plain 1x1 conv")
         if set(muln.inputs) != {fg.conv, fg.add}:
             raise ShapeError(f"fusion group mul {fg.mul!r} must consume the conv and add")
-        if conv.inputs[0] not in addn.inputs:
+        if f3 not in addn.inputs:
             raise ShapeError(
                 f"fusion group {fg.mul!r}: the 1x1 conv and the add must share f3"
             )
@@ -151,12 +166,11 @@ def validate_graph(g: ModelGraph) -> None:
             raise ShapeError(
                 f"fusion group {fg.mul!r}: conv/add outputs must feed only the mul"
             )
-        if g.output in (fg.conv, fg.add):
-            raise ShapeError("graph output cannot be inside a fusion group")
-        for name in (fg.conv, fg.add, fg.mul):
-            if name in group_names:
-                raise ShapeError(f"node {name!r} appears in two fusion groups")
-            group_names.add(name)
+        if fg.mul in gates:  # groups sharing a node fail the checks above unless equal
+            raise ShapeError(f"node {fg.mul!r} appears in two fusion groups")
+        a, b = addn.inputs
+        gates[fg.mul] = spec, (b if a == f3 else a), f3
+    return gates
 
 
 def _consumer_counts(g: ModelGraph) -> dict[str, int]:
@@ -208,10 +222,13 @@ def _input_shape(n: Node, ins: list[Shape]) -> Shape:
 
 
 def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
-    if n.spec is not None:
-        spec = n.spec
-    elif n.branches is not None:
+    # A conv runs either its spec, plus an optional LoRA, or a branch group.
+    if n.branches is not None:
+        if n.spec is not None or n.lora is not None or not n.branches.branches:
+            raise ShapeError(f"conv node {n.name!r}: branches need a conv and no spec or LoRA")
         spec = n.branches.branches[0]
+    elif n.spec is not None:
+        spec = n.spec
     else:
         raise ShapeError(f"conv node {n.name!r} has neither spec nor branches")
     cin, h, w = ins[0]
@@ -310,26 +327,21 @@ def run_graph(
     """Execute the graph on x. mode selects the attention execution plan."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    consumers = _consumer_counts(g)
-    consumers[g.output] += 1  # keep the sink alive
-    by_name = {n.name: n for n in g.nodes}
-    gates = {fg.mul: (by_name[fg.conv], by_name[fg.add]) for fg in g.fusion_groups}
-    skip = {name for fg in g.fusion_groups for name in (fg.conv, fg.add)}
+    gates = _fusion_gates(g)
+    reads = [gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes]
+    last_use = {r: i for i, refs in enumerate(reads) for r in refs}
+    last_use[g.output] = len(g.nodes)  # the sink outlives the loop
     env: dict[str, Tensor] = {}
-    remaining: dict[str, int] = {}
-
-    def consume(name: str) -> Tensor:
-        val = env[name]
-        remaining[name] -= 1
-        if remaining[name] == 0:
-            del env[name]
-        return val
-
-    for n in g.nodes:
-        if n.name in skip:
-            continue
+    for i, n in enumerate(g.nodes):
+        if n.name not in last_use:
+            continue  # a group's conv or add: its mul reads res and f3 itself
+        args = [env[r] for r in reads[i]]
+        for r in reads[i]:
+            if last_use[r] == i:
+                env.pop(r, None)
         if n.name in gates:
-            out = _run_attention(*gates[n.name], consume, mode, counter)
+            attention = fused_attention if mode == "fused" else reference_attention
+            out = attention(*args, gates[n.name][0], counter)
         elif n.op == "input":
             if x.c != n.channels:
                 raise ShapeError(
@@ -339,16 +351,6 @@ def run_graph(
                 raise ValueError(f"graph {g.name!r}: input contains non-finite values")
             out = OPS[n.op].run(n, x)
         else:
-            out = OPS[n.op].run(n, *[consume(r) for r in n.inputs])
+            out = OPS[n.op].run(n, *args)
         env[n.name] = out
-        remaining[n.name] = consumers[n.name]
     return env[g.output]
-
-
-def _run_attention(conv_node: Node, add_node: Node, consume, mode: str, counter) -> Tensor:
-    f3_name = conv_node.inputs[0]
-    f3 = consume(f3_name)  # the 1x1 conv's reference
-    operands = [consume(r) for r in add_node.inputs]  # the add's references
-    res = operands[1] if add_node.inputs[0] == f3_name else operands[0]
-    fn = fused_attention if mode == "fused" else reference_attention
-    return fn(res, f3, conv_node.spec, counter)

@@ -36,16 +36,6 @@ class BlockSpec:
     conv_c: ConvSpec
     attn: ConvSpec
 
-    def __post_init__(self) -> None:
-        c = self.conv_c.out_channels
-        if self.attn.in_channels != c or self.attn.out_channels != c:
-            raise ShapeError(
-                f"attention conv must be {c}->{c} to gate the block output, "
-                f"got {self.attn.in_channels}->{self.attn.out_channels}"
-            )
-        if self.attn.kernel != (1, 1):
-            raise ShapeError(f"attention conv must be 1x1, got {self.attn.kernel}")
-
 
 def random_conv(
     rng: np.random.Generator,

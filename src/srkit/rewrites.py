@@ -80,15 +80,9 @@ def apply_rewrites(g: ModelGraph, seed: int = 0) -> tuple[ModelGraph, list[Rewri
             new_nodes.append(replace(n, spec=merged, lora=None))
         else:
             new_nodes.append(n)
-    merged_graph = ModelGraph(
-        name=g.name,
-        nodes=new_nodes,
-        output=g.output,
-        meta=dict(g.meta),
-        fusion_groups=list(g.fusion_groups),
-    )
-    merged_graph.validate()
-    return merged_graph, reports
+    out = replace(g, nodes=new_nodes, meta=dict(g.meta), fusion_groups=list(g.fusion_groups))
+    out.validate()
+    return out, reports
 
 
 def decorate_for_reparam(g: ModelGraph, seed: int = 0) -> ModelGraph:
@@ -138,13 +132,7 @@ def decorate_for_reparam(g: ModelGraph, seed: int = 0) -> ModelGraph:
             new_nodes.append(replace(n, lora=factors))
         else:
             new_nodes.append(n)
-    out = ModelGraph(
-        name=g.name,
-        nodes=new_nodes,
-        output=g.output,
-        meta=dict(g.meta),
-        fusion_groups=list(g.fusion_groups),
-    )
+    out = replace(g, nodes=new_nodes, meta=dict(g.meta), fusion_groups=list(g.fusion_groups))
     out.validate()
     return out
 

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 from srkit.archive import MAGIC, VERSION, ArchiveError, load_archive, save_archive
 from srkit.cli import main
+from srkit.fusion import BranchGroup, LoraFactors
 from srkit.graph import run_graph
 from srkit.metrics import count_params
-from srkit.models import build_span_baseline, build_spanv2
+from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.rewrites import decorate_for_reparam
 from srkit.selftest import rand_tensor
 
@@ -137,6 +139,12 @@ def _replaced(header, path, value):
     else:
         target[path[-1]] = value
     return header
+
+
+def _rank1_lora(c, k):
+    """A rank-1 LoRA for a c->c k x k conv."""
+    rng = np.random.default_rng(0)
+    return LoraFactors(rng.normal(size=(k, c * k)), rng.normal(size=(c * k, k)), 1)
 
 
 class TestMalformed:
@@ -263,6 +271,26 @@ class TestMalformed:
         _write(bad, _replaced(header, path, value), payload)
         code, err = _params_cli(bad)  # a traceback would escape as an exception
         assert code == 1 and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "node, field, value, message",
+        [
+            ("b1.attn", "lora", _rank1_lora(8, 1), "must be a plain 1x1 conv"),
+            ("b1.conv_c", "lora", _rank1_lora(8, 3), "branches need a conv and no spec or LoRA"),
+            ("b1.conv_c", "branches", BranchGroup((), True), "branches need a conv"),
+            ("b1.relu_a", "spec", random_conv(np.random.default_rng(0), 8, 8), "carries conv"),
+        ],
+        ids=["lora_on_fusion_group_conv", "branches_and_lora", "no_branch_convs", "relu_with_conv"],
+    )
+    def test_misdecorated_conv_is_a_one_line_cli_error(self, tmp_path, node, field, value, message):
+        """A decoration that execution would ignore or crash on is rejected at load."""
+        g = decorate_for_reparam(build_spanv2(c=8, s=2, blocks=1, seed=0))
+        i = [n.name for n in g.nodes].index(node)
+        g.nodes[i] = replace(g.nodes[i], **{field: value})
+        bad = tmp_path / "bad.srwt"
+        save_archive(g, bad)
+        code, err = _params_cli(bad)
+        assert code == 1 and err.count("\n") == 1 and message in err
 
 
 def _params_cli(path):

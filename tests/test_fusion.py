@@ -2,31 +2,22 @@ import numpy as np
 import pytest
 
 from srkit.fusion import (
-    BranchGroup,
     LoraFactors,
     TrafficCounter,
-    branch_forward,
     collapse_branches,
     compose_convs,
     fused_attention,
     lora_merge,
     reference_attention,
-    sequential_extended,
 )
 from srkit.models import random_conv
 from srkit.selftest import assert_close, rand_tensor
-from srkit.tensor import ConvSpec, ShapeError, Tensor, conv2d, tensor
+from srkit.tensor import ConvSpec, ShapeError, Tensor
 
 SPECIALIZED_WIDTHS = (1, 16, 28, 32, 48, 52)
 
 
 class TestFusedAttention:
-    def test_direct_scalar_evaluation(self):
-        x, f3 = tensor([[[[2.0]]]]), tensor([[[[3.0]]]])
-        attn = ConvSpec(1, 1, (1, 1), (0, 0), [[[[0.5]]]], bias=[0.1])
-        out = fused_attention(x, f3, attn)
-        assert out.data[0, 0, 0, 0] == pytest.approx((2 + 3) * (0.1 + 0.5 * 3))
-
     def test_zero_weight_unit_bias_is_residual(self, rng):
         x, f3 = rand_tensor(rng, 1, 8, 4, 4), rand_tensor(rng, 1, 8, 4, 4)
         attn = ConvSpec(
@@ -92,52 +83,6 @@ class TestTraffic:
 
 
 class TestComposeConvs:
-    def test_identity_units(self):
-        eye = ConvSpec.identity(3)
-        out = compose_convs(eye, eye)
-        assert np.array_equal(out.weight, eye.weight)
-        delta = np.zeros((1, 1, 3, 3), np.float32)
-        delta[0, 0, 1, 1] = 1.0
-        d3 = ConvSpec(1, 1, (3, 3), (1, 1), delta)
-        comp = compose_convs(d3, d3)
-        assert comp.kernel == (5, 5) and comp.padding == (2, 2)
-        want = np.zeros((1, 1, 5, 5), np.float32)
-        want[0, 0, 2, 2] = 1.0
-        assert np.array_equal(comp.weight, want)
-
-    def test_interior_equivalence_random(self, rng):
-        first = random_conv(rng, 3, 4, k=3)
-        second = random_conv(rng, 4, 2, k=3)
-        comp = compose_convs(first, second)
-        x = rand_tensor(rng, 1, 3, 12, 12)
-        seq = conv2d(conv2d(x, first), second)
-        got = conv2d(x, comp)
-        assert got.shape == seq.shape
-        assert_close(
-            got.data[:, :, 1:-1, 1:-1], seq.data[:, :, 1:-1, 1:-1]
-        )
-
-    def test_extended_intermediate_full_plane(self, rng):
-        first = random_conv(rng, 2, 3, k=3)
-        second = random_conv(rng, 3, 2, k=3)
-        x = rand_tensor(rng, 1, 2, 9, 9)
-        assert_close(
-            conv2d(x, compose_convs(first, second)),
-            sequential_extended(first, second, x),
-        )
-
-    def test_1x1_into_3x3_bias_folding(self, rng):
-        first = random_conv(rng, 3, 5, k=1)
-        second = random_conv(rng, 5, 2, k=3)
-        comp = compose_convs(first, second)
-        assert comp.kernel == (3, 3)
-        want = second.bias + second.weight.sum(axis=(2, 3)) @ first.bias
-        assert_close(comp.bias, want)
-        x = Tensor.full(1, 3, 6, 6, 0.35)
-        seq = conv2d(conv2d(x, first), second)
-        got = conv2d(x, comp)
-        assert_close(got.data[:, :, 1:-1, 1:-1], seq.data[:, :, 1:-1, 1:-1])
-
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError, match="channels"):
             compose_convs(random_conv(rng, 3, 4, k=3), random_conv(rng, 5, 2, k=3))
@@ -147,41 +92,7 @@ class TestComposeConvs:
         with pytest.raises(ShapeError, match="grouped"):
             compose_convs(dw, random_conv(rng, 4, 4, k=3))
 
-    def test_head_contraction_saves_about_5k_params(self, rng):
-        head = random_conv(rng, 3, 26, k=3)
-        body = random_conv(rng, 26, 26, k=3)
-        comp = compose_convs(head, body)
-        assert comp.kernel == (5, 5)
-        saved = head.param_count + body.param_count - comp.param_count
-        assert saved == 4862
-        assert abs(saved - 5000) <= 500
-
-
 class TestLora:
-    def test_zero_update_is_exact_identity(self, rng):
-        base = random_conv(rng, 3, 4, k=3)
-        zero = LoraFactors(
-            a=np.zeros((2 * 3, 3 * 3), np.float32),
-            b=np.zeros((4 * 3, 2 * 3), np.float32),
-            rank=2,
-        )
-        merged = lora_merge(base, zero)
-        assert np.array_equal(merged.weight, base.weight)
-        assert np.array_equal(merged.bias, base.bias)
-
-    def test_rank1_scalar_arithmetic(self):
-        base = ConvSpec(1, 1, (1, 1), (0, 0), [[[[2.0]]]])
-        lora = LoraFactors(a=[[4.0]], b=[[3.0]], rank=1, alpha=1.0)
-        assert lora_merge(base, lora).weight[0, 0, 0, 0] == 14.0
-
-    def test_alpha_linearity(self, rng):
-        base = random_conv(rng, 2, 3, k=3)
-        a = rng.normal(0, 0.3, (1 * 3, 2 * 3)).astype(np.float32)
-        b = rng.normal(0, 0.3, (3 * 3, 1 * 3)).astype(np.float32)
-        d1 = lora_merge(base, LoraFactors(a, b, 1, alpha=1.0)).weight - base.weight
-        d2 = lora_merge(base, LoraFactors(a, b, 1, alpha=2.0)).weight - base.weight
-        assert np.allclose(d2, 2.0 * d1, atol=1e-7)
-
     def test_scale_is_alpha_over_rank(self, rng):
         base = random_conv(rng, 1, 1, k=1)
         lora = LoraFactors(
@@ -201,12 +112,6 @@ class TestLora:
 
 
 class TestCollapseBranches:
-    def test_single_branch_is_itself(self, rng):
-        b = random_conv(rng, 3, 3, k=3)
-        out = collapse_branches([b])
-        assert np.array_equal(out.weight, b.weight)
-        assert np.array_equal(out.bias, b.bias)
-
     def test_identity_plus_zero_conv_is_center_delta(self):
         zero = ConvSpec(3, 3, (3, 3), (1, 1), np.zeros((3, 3, 3, 3), np.float32))
         out = collapse_branches([zero], include_identity=True)
@@ -214,15 +119,6 @@ class TestCollapseBranches:
         for i in range(3):
             want[i, i, 1, 1] = 1.0
         assert np.array_equal(out.weight, want)
-
-    def test_three_branch_sum_matches_execution(self, rng):
-        c = 6
-        branches = [random_conv(rng, c, c, k=3), random_conv(rng, c, c, k=1)]
-        group = BranchGroup(tuple(branches), include_identity=True)
-        merged = collapse_branches(branches, include_identity=True)
-        for _ in range(3):
-            x = rand_tensor(rng, 1, c, 7, 7)
-            assert_close(conv2d(x, merged), branch_forward(x, group))
 
     def test_identity_requires_square_widths(self, rng):
         branches = [random_conv(rng, 3, 5, k=3)]

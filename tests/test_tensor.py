@@ -16,7 +16,6 @@ from srkit.tensor import (
     pixel_shuffle,
     relu,
     slice_channels,
-    space_to_depth,
     tensor,
 )
 
@@ -118,21 +117,6 @@ class TestConvSpec:
 
 
 class TestConv2d:
-    def test_scalar_product(self):
-        out = conv2d(tensor([[[[2.0]]]]), ConvSpec(1, 1, (1, 1), (0, 0), [[[[3.0]]]]))
-        assert out.data[0, 0, 0, 0] == 6.0
-
-    def test_all_ones_3x3_padded(self):
-        x = Tensor(np.ones((1, 1, 3, 3), np.float32))
-        spec = ConvSpec(1, 1, (3, 3), (1, 1), np.ones((1, 1, 3, 3), np.float32))
-        out = conv2d(x, spec)
-        assert out.data[0, 0].tolist() == [[4, 6, 4], [6, 9, 6], [4, 6, 4]]
-
-    def test_depthwise_per_group(self):
-        x = tensor([[[[1.0]], [[10.0]]]])
-        spec = ConvSpec(2, 2, (1, 1), (0, 0), [[[[2.0]]], [[[3.0]]]], groups=2)
-        assert conv2d(x, spec).data.reshape(-1).tolist() == [2.0, 30.0]
-
     def test_channel_mismatch_names_dimension(self):
         spec = ConvSpec(3, 1, (1, 1), (0, 0), np.ones((1, 3, 1, 1), np.float32))
         with pytest.raises(ShapeError, match="channels"):
@@ -142,24 +126,6 @@ class TestConv2d:
         spec = ConvSpec(1, 1, (5, 5), (0, 0), np.ones((1, 1, 5, 5), np.float32))
         with pytest.raises(ShapeError, match="does not fit"):
             conv2d(Tensor.zeros(1, 1, 3, 3), spec)
-
-    def test_identity_kernel_bit_exact(self, rng):
-        x = rand_tensor(rng, 2, 4, 5, 7)
-        out = conv2d(x, ConvSpec.identity(4))
-        assert np.array_equal(out.data, x.data)
-
-    def test_linearity(self, rng):
-        spec = ConvSpec(
-            3,
-            5,
-            (3, 3),
-            (1, 1),
-            rng.normal(0, 0.3, (5, 3, 3, 3)).astype(np.float32),
-        )
-        x, y = rand_tensor(rng, 1, 3, 6, 6), rand_tensor(rng, 1, 3, 6, 6)
-        lhs = conv2d(Tensor(1.7 * x.data + 0.4 * y.data), spec)
-        rhs = 1.7 * conv2d(x, spec).data + 0.4 * conv2d(y, spec).data
-        assert_close(lhs, rhs)
 
     def test_output_shape_general(self, rng):
         spec = ConvSpec(
@@ -244,21 +210,9 @@ class TestConv2d:
 
 
 class TestElementwise:
-    def test_relu_values(self):
-        assert relu(tensor([[[[-1.0, 0.0, 2.0]]]])).data.reshape(-1).tolist() == [
-            0.0,
-            0.0,
-            2.0,
-        ]
-
     def test_relu_all_negative(self):
         out = relu(Tensor.full(1, 2, 3, 3, -5.0))
         assert np.all(out.data == 0.0)
-
-    def test_relu_idempotent(self, rng):
-        x = rand_tensor(rng, 1, 3, 4, 4)
-        once = relu(x)
-        assert np.array_equal(relu(once).data, once.data)
 
     def test_add_and_mul(self):
         a, b = tensor([[[[1.0, 2.0]]]]), tensor([[[[3.0, 4.0]]]])
@@ -283,11 +237,6 @@ class TestElementwise:
 
 
 class TestPixelShuffle:
-    def test_definition_case(self):
-        out = pixel_shuffle(tensor([[[[1.0]], [[2.0]], [[3.0]], [[4.0]]]]), 2)
-        assert out.shape == (1, 1, 2, 2)
-        assert out.data[0, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
     def test_s1_identity(self, rng):
         x = rand_tensor(rng, 1, 4, 3, 3)
         assert pixel_shuffle(x, 1) is x
@@ -296,12 +245,6 @@ class TestPixelShuffle:
         with pytest.raises(ShapeError, match="divisible"):
             pixel_shuffle(Tensor.zeros(1, 3, 2, 2), 2)
 
-    def test_roundtrip_with_space_to_depth(self, rng):
-        x = rand_tensor(rng, 2, 32, 4, 6)
-        assert np.array_equal(space_to_depth(pixel_shuffle(x, 4), 4).data, x.data)
-        y = rand_tensor(rng, 1, 2, 6, 8)
-        assert np.array_equal(pixel_shuffle(space_to_depth(y, 2), 2).data, y.data)
-
     def test_preserves_value_multiset(self, rng):
         x = rand_tensor(rng, 1, 16, 3, 5)
         out = pixel_shuffle(x, 4)
@@ -309,10 +252,6 @@ class TestPixelShuffle:
 
 
 class TestConcat:
-    def test_channel_sum(self, rng):
-        a, b = rand_tensor(rng, 1, 48, 4, 4), rand_tensor(rng, 1, 32, 4, 4)
-        assert concat_channels([a, b]).c == 80
-
     def test_single_tensor(self, rng):
         a = rand_tensor(rng, 1, 3, 2, 2)
         assert np.array_equal(concat_channels([a]).data, a.data)
