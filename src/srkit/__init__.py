@@ -18,7 +18,6 @@ from .models import (
     build_span_baseline,
     build_spanv2,
     near_pixel_init,
-    span_baseline_attention,
 )
 from .scoring import ScoreTable, TeamMetrics, rank_table, score_final, score_metric
 from .tensor import (
@@ -76,6 +75,5 @@ __all__ = [
     "score_final",
     "score_metric",
     "space_to_depth",
-    "span_baseline_attention",
     "tensor",
 ]

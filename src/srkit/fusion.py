@@ -16,7 +16,7 @@ independent proxy for the DRAM round-trips the fused operator removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,29 +203,13 @@ def sequential_extended(first: ConvSpec, second: ConvSpec, x: Tensor) -> Tensor:
     conv then runs unpadded. This matches the composed conv on the full
     output plane and serves as the exact reference for compose_convs.
     """
-    widened = ConvSpec(
-        in_channels=first.in_channels,
-        out_channels=first.out_channels,
-        kernel=first.kernel,
-        padding=(first.padding[0] + second.padding[0], first.padding[1] + second.padding[1]),
-        weight=first.weight,
-        bias=first.bias,
-        groups=first.groups,
-    )
-    inner = ConvSpec(
-        in_channels=second.in_channels,
-        out_channels=second.out_channels,
-        kernel=second.kernel,
-        padding=(0, 0),
-        weight=second.weight,
-        bias=second.bias,
-        groups=second.groups,
-    )
+    pad = (first.padding[0] + second.padding[0], first.padding[1] + second.padding[1])
+    widened, inner = replace(first, padding=pad), replace(second, padding=(0, 0))
     return conv2d(conv2d(x, widened), inner)
 
 
 def lora_delta_spec(base: ConvSpec, lora: LoraFactors) -> ConvSpec:
-    """The low-rank branch as a bias-free conv with kernel (alpha/r) * B @ A."""
+    """The low-rank branch as a bias-free, ungrouped conv with kernel (alpha/r) * B @ A."""
     kh, kw = base.kernel
     if kh != kw:
         raise ShapeError(f"lora requires a square kernel, got {base.kernel}")
@@ -247,29 +231,14 @@ def lora_delta_spec(base: ConvSpec, lora: LoraFactors) -> ConvSpec:
         .transpose(0, 2, 1, 3)
         .astype(np.float32)
     )
-    return ConvSpec(
-        in_channels=base.in_channels,
-        out_channels=base.out_channels,
-        kernel=base.kernel,
-        padding=base.padding,
-        weight=kernel,
-    )
+    return replace(base, weight=kernel, bias=None, groups=1)
 
 
 def lora_merge(base: ConvSpec, lora: LoraFactors) -> ConvSpec:
     """Fold the low-rank branch into the base weights (bias unchanged)."""
     if base.groups != 1:
         raise ShapeError("lora_merge: grouped base convolutions unsupported")
-    delta = lora_delta_spec(base, lora)
-    return ConvSpec(
-        in_channels=base.in_channels,
-        out_channels=base.out_channels,
-        kernel=base.kernel,
-        padding=base.padding,
-        weight=base.weight + delta.weight,
-        bias=base.bias,
-        groups=base.groups,
-    )
+    return replace(base, weight=base.weight + lora_delta_spec(base, lora).weight)
 
 
 _COLLAPSE_K = 3

@@ -1,10 +1,11 @@
 """Declarative model graphs and their reference executor.
 
 A ModelGraph is an ordered list of named nodes wired by name: one input, one
-output, skip/concat fan-in allowed. A conv node runs either a spec, which may
-carry a LoRA branch, or a non-empty parallel-branch group; the executor runs
-these training-form decorations live and the fuse rewrites fold them away.
-No other op carries conv weights.
+output, skip/concat fan-in allowed. A conv node sums parallel convs: its
+spec, its spec and a LoRA delta, or a non-empty branch group with an optional
+identity. `_parallel_convs` lists them once; shapes, FLOPs and the rewrite
+checks read that list, the executor runs the decorations live and the fuse
+rewrites fold them away. No other op carries conv weights.
 
 Attention triples (plain 1x1 conv, add, mul) registered as fusion groups run
 as one step on the residual and f3: the fused single-pass operator in "fused"
@@ -28,6 +29,7 @@ from .fusion import (
     TrafficCounter,
     branch_forward,
     fused_attention,
+    lora_delta_spec,
     lora_forward,
     reference_attention,
 )
@@ -221,24 +223,49 @@ def _input_shape(n: Node, ins: list[Shape]) -> Shape:
     return ins[0]
 
 
-def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
-    # A conv runs either its spec, plus an optional LoRA, or a branch group.
+def _parallel_convs(n: Node) -> tuple[list[ConvSpec], bool]:
+    """The convs a conv node runs in parallel and sums, and whether its input
+    (an identity branch) joins the sum: the spec, the spec and its LoRA delta,
+    or a branch group's convs."""
     if n.branches is not None:
         if n.spec is not None or n.lora is not None or not n.branches.branches:
             raise ShapeError(f"conv node {n.name!r}: branches need a conv and no spec or LoRA")
-        spec = n.branches.branches[0]
-    elif n.spec is not None:
-        spec = n.spec
-    else:
+        return list(n.branches.branches), n.branches.include_identity
+    if n.spec is None:
         raise ShapeError(f"conv node {n.name!r} has neither spec nor branches")
+    if n.lora is None:
+        return [n.spec], False
+    try:
+        return [n.spec, lora_delta_spec(n.spec, n.lora)], False
+    except ShapeError as e:
+        raise ShapeError(f"conv node {n.name!r}: {e}") from None
+
+
+def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
+    # Every parallel conv must take the input's width, and they and the
+    # identity must give one output shape. Extents are linear in the input's,
+    # so convs that agree at one input size agree at all.
+    convs, identity = _parallel_convs(n)
     cin, h, w = ins[0]
-    if spec.in_channels != cin:
-        raise ShapeError(
-            f"conv {n.name!r} expects {spec.in_channels} channels, "
-            f"producer provides {cin}"
-        )
-    (kh, kw), (ph, pw) = spec.kernel, spec.padding
-    return spec.out_channels, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    parts = [(s.in_channels, s.out_channels, s.kernel, s.padding) for s in convs]
+    parts += [(cin, cin, (1, 1), (0, 0))] * identity
+    names = [f"branch {i}" for i in range(len(convs))] + ["identity"]
+    outs = []
+    for name, (ci, co, (kh, kw), (ph, pw)) in zip(names, parts):
+        if ci != cin:
+            where = "" if n.branches is None else f" {name}"
+            raise ShapeError(f"conv {n.name!r}{where} expects {ci} channels, producer provides {cin}")
+        outs.append((co, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1))
+    _, c0, k0, p0 = parts[0]  # a LoRA delta has its spec's geometry, so only branches differ
+    for name, (_, co, k, p), out in zip(names[1:], parts[1:], outs[1:]):
+        if co != c0:
+            raise ShapeError(f"conv {n.name!r}: {name} gives {co} channels, branch 0 gives {c0}")
+        if out != outs[0]:
+            raise ShapeError(
+                f"conv {n.name!r}: {name} (kernel {k}, padding {p}) and branch 0 "
+                f"(kernel {k0}, padding {p0}) give different extents"
+            )
+    return outs[0]
 
 
 def _spec_flops(spec: ConvSpec, h: int, w: int) -> int:
@@ -248,17 +275,10 @@ def _spec_flops(spec: ConvSpec, h: int, w: int) -> int:
 
 
 def _conv_flops(n: Node, out: Shape) -> int:
+    # every parallel conv, plus one add per conv or identity summed onto the first
+    convs, identity = _parallel_convs(n)
     c, h, w = out
-    if n.branches is not None:
-        # every branch, plus summing the parallel branch outputs
-        extra = len(n.branches.branches) - 1 + (1 if n.branches.include_identity else 0)
-        return sum(_spec_flops(b, h, w) for b in n.branches.branches) + extra * c * h * w
-    total = _spec_flops(n.spec, h, w)
-    if n.lora is not None:
-        # the live low-rank branch conv (bias-free, ungrouped) and the add
-        kh, kw = n.spec.kernel
-        total += (c * n.spec.in_channels * kh * kw + c) * h * w
-    return total
+    return sum(_spec_flops(s, h, w) for s in convs) + (len(convs) - 1 + identity) * c * h * w
 
 
 def _run_conv(n: Node, x: Tensor) -> Tensor:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import FusionGroup, ModelGraph, Node
-from .tensor import ConvSpec, ShapeError, Tensor, mul
+from .tensor import ConvSpec, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,6 @@ def random_block(rng: np.random.Generator, cin: int, c: int) -> BlockSpec:
     )
 
 
-def span_baseline_attention(f1: Tensor, f3: Tensor) -> Tensor:
-    """The original parameter-free gate: plain elementwise product."""
-    if f1.shape != f3.shape:
-        raise ShapeError(f"baseline attention: shapes {f1.shape} vs {f3.shape} differ")
-    return mul(f1, f3)
-
-
 def near_pixel_init(spec: ConvSpec, s: int = 4) -> ConvSpec:
     """Re-initialize a depthwise 3 -> 3*s^2 conv as a pixel-repeat operator.
 
@@ -108,15 +101,7 @@ def near_pixel_init(spec: ConvSpec, s: int = 4) -> ConvSpec:
         for k in range(s * s):
             weight[c * s * s + k, 0, 1, 1] = 1.0
     bias = None if spec.bias is None else np.zeros_like(spec.bias)
-    return ConvSpec(
-        in_channels=spec.in_channels,
-        out_channels=spec.out_channels,
-        kernel=spec.kernel,
-        padding=spec.padding,
-        weight=weight,
-        bias=bias,
-        groups=spec.groups,
-    )
+    return replace(spec, weight=weight, bias=bias)
 
 
 def nearest_upsample(x: Tensor, s: int) -> Tensor:
@@ -200,26 +185,19 @@ def build_spanv2(
     return g
 
 
-def _baseline_block_nodes(prefix: str, block: "BaselineBlockSpec", src: str):
+def _baseline_block_nodes(prefix: str, convs: list[ConvSpec], src: str):
     a, ra = f"{prefix}.conv_a", f"{prefix}.relu_a"
     b, rb = f"{prefix}.conv_b", f"{prefix}.relu_b"
     c, out = f"{prefix}.conv_c", f"{prefix}.out"
     nodes = [
-        Node(a, "conv", (src,), spec=block.conv_a),
+        Node(a, "conv", (src,), spec=convs[0]),
         Node(ra, "relu", (a,)),
-        Node(b, "conv", (ra,), spec=block.conv_b),
+        Node(b, "conv", (ra,), spec=convs[1]),
         Node(rb, "relu", (b,)),
-        Node(c, "conv", (rb,), spec=block.conv_c),
+        Node(c, "conv", (rb,), spec=convs[2]),
         Node(out, "mul", (ra, c)),
     ]
     return nodes, out
-
-
-@dataclass(frozen=True)
-class BaselineBlockSpec:
-    conv_a: ConvSpec
-    conv_b: ConvSpec
-    conv_c: ConvSpec
 
 
 def build_span_baseline(
@@ -242,12 +220,8 @@ def build_span_baseline(
     src = "head"
     outs = []
     for i in range(1, blocks + 1):
-        block = BaselineBlockSpec(
-            conv_a=random_conv(rng, c, c),
-            conv_b=random_conv(rng, c, c),
-            conv_c=random_conv(rng, c, c),
-        )
-        block_nodes, src = _baseline_block_nodes(f"b{i}", block, src)
+        convs = [random_conv(rng, c, c) for _ in range(3)]  # conv_a, conv_b, conv_c
+        block_nodes, src = _baseline_block_nodes(f"b{i}", convs, src)
         nodes.extend(block_nodes)
         outs.append(src)
     skips = ["head", "tail", outs[0], outs[-2]]

@@ -14,16 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fusion import (
-    BranchGroup,
-    LoraFactors,
-    branch_forward,
-    collapse_branches,
-    lora_forward,
-    lora_merge,
-    max_errors,
-)
-from .graph import ModelGraph, Node, infer_shapes, run_graph
+from .fusion import BranchGroup, LoraFactors, collapse_branches, lora_merge, max_errors
+from .graph import OPS, ModelGraph, Node, _parallel_convs, infer_shapes, run_graph
 from .models import random_conv
 from .tensor import Tensor, conv2d
 
@@ -67,19 +59,17 @@ def apply_rewrites(g: ModelGraph, seed: int = 0) -> tuple[ModelGraph, list[Rewri
     new_nodes: list[Node] = []
     for n in g.nodes:
         if n.op == "conv" and n.branches is not None:
-            x = _probe(rng, shapes[n.inputs[0]][0])
-            merged = collapse_branches(list(n.branches.branches), n.branches.include_identity)
-            abs_err, rel_err = max_errors(conv2d(x, merged), branch_forward(x, n.branches))
-            reports.append(RewriteReport(n.name, "collapse_branches", abs_err, rel_err))
-            new_nodes.append(replace(n, spec=merged, branches=None))
+            kind, merged = "collapse_branches", collapse_branches(*_parallel_convs(n))
         elif n.op == "conv" and n.lora is not None:
-            x = _probe(rng, shapes[n.inputs[0]][0])
-            merged = lora_merge(n.spec, n.lora)
-            abs_err, rel_err = max_errors(conv2d(x, merged), lora_forward(x, n.spec, n.lora))
-            reports.append(RewriteReport(n.name, "lora_merge", abs_err, rel_err))
-            new_nodes.append(replace(n, spec=merged, lora=None))
+            kind, merged = "lora_merge", lora_merge(n.spec, n.lora)
         else:
             new_nodes.append(n)
+            continue
+        # the merged conv against the live conv rule run_graph executes
+        x = _probe(rng, shapes[n.inputs[0]][0])
+        abs_err, rel_err = max_errors(conv2d(x, merged), OPS["conv"].run(n, x))
+        reports.append(RewriteReport(n.name, kind, abs_err, rel_err))
+        new_nodes.append(replace(n, spec=merged, lora=None, branches=None))
     out = replace(g, nodes=new_nodes, meta=dict(g.meta), fusion_groups=list(g.fusion_groups))
     out.validate()
     return out, reports

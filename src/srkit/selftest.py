@@ -25,7 +25,6 @@ from .tensor import (
     Tensor,
     concat_channels,
     conv2d,
-    mul,
     pixel_shuffle,
     relu,
     slice_channels,
@@ -187,14 +186,6 @@ def check_near_pixel_equivalence():
     nonzero = spec.weight[spec.weight != 0]
     assert nonzero.size == 48 and np.all(nonzero == 1.0)
     assert np.all(spec.bias == 0.0)
-
-
-def check_baseline_attention_is_mul():
-    rng = np.random.default_rng(8)
-    f1, f3 = rand_tensor(rng, 2, 5, 4, 4), rand_tensor(rng, 2, 5, 4, 4)
-    assert np.array_equal(
-        models.span_baseline_attention(f1, f3).data, mul(f1, f3).data
-    )
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +459,6 @@ CHECKS = [
     check_block_fused_matches_unfused,
     check_graph_fused_matches_unfused,
     check_near_pixel_equivalence,
-    check_baseline_attention_is_mul,
     check_fused_scalar_case,
     check_traffic_counts,
     check_compose_interior,

@@ -175,7 +175,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     cin, cout, g = spec.in_channels, spec.out_channels, spec.groups
     cg, taps = cin // g, kh * kw
     wp = w + 2 * pw
-    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (taps + 1) + cout)))
+    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
     strips = -(-hout // most)
     rows = -(-hout // strips)
     nb, span = rows + kh - 1 + (kw > 1), rows * wp
@@ -220,11 +220,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; b may also be a per-channel (1, c, 1, 1) operand."""
     if a.shape != b.shape:
-        broadcast = b.n == 1 and b.h == 1 and b.w == 1 and b.c == a.c
-        if not broadcast:
-            raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     return Tensor(a.data * b.data)
 
 

@@ -141,6 +141,9 @@ def _replaced(header, path, value):
     return header
 
 
+_conv = functools.partial(random_conv, np.random.default_rng(0))  # a k=3 cin->cout conv
+
+
 def _rank1_lora(c, k):
     """A rank-1 LoRA for a c->c k x k conv."""
     rng = np.random.default_rng(0)
@@ -278,26 +281,46 @@ class TestMalformed:
             ("b1.attn", "lora", _rank1_lora(8, 1), "must be a plain 1x1 conv"),
             ("b1.conv_c", "lora", _rank1_lora(8, 3), "branches need a conv and no spec or LoRA"),
             ("b1.conv_c", "branches", BranchGroup((), True), "branches need a conv"),
-            ("b1.relu_a", "spec", random_conv(np.random.default_rng(0), 8, 8), "carries conv"),
+            ("b1.relu_a", "spec", _conv(8, 8), "carries conv"),
+            ("b1.conv_c", "branches", BranchGroup((_conv(8, 8), _conv(8, 6)), True),
+             "branch 1 gives 6 channels, branch 0 gives 8"),
+            ("b1.conv_c", "branches", BranchGroup((_conv(8, 8), replace(_conv(8, 8), padding=(0, 0)))),
+             "branch 1 (kernel (3, 3), padding (0, 0)) and branch 0 (kernel (3, 3), padding (1, 1))"),
+            ("b1.conv_c", "branches", BranchGroup((_conv(8, 6),), True),
+             "identity gives 8 channels, branch 0 gives 6"),
+            ("b1.conv_b", "lora", LoraFactors(np.ones((2, 5)), np.ones((7, 2)), 1),
+             "lora factors B(7, 2) @ A(2, 5) do not match"),
         ],
-        ids=["lora_on_fusion_group_conv", "branches_and_lora", "no_branch_convs", "relu_with_conv"],
+        ids=[
+            "lora_on_fusion_group_conv",
+            "branches_and_lora",
+            "no_branch_convs",
+            "relu_with_conv",
+            "branch_channels_differ",
+            "branch_extent_differs",
+            "identity_channels_differ",
+            "lora_factors_misfit",
+        ],
     )
     def test_misdecorated_conv_is_a_one_line_cli_error(self, tmp_path, node, field, value, message):
-        """A decoration that execution would ignore or crash on is rejected at load."""
+        """A decoration that execution would ignore or crash on, or that FLOP and
+        parameter counts would count, is rejected at load by both counting verbs."""
         g = decorate_for_reparam(build_spanv2(c=8, s=2, blocks=1, seed=0))
         i = [n.name for n in g.nodes].index(node)
         g.nodes[i] = replace(g.nodes[i], **{field: value})
         bad = tmp_path / "bad.srwt"
         save_archive(g, bad)
-        code, err = _params_cli(bad)
-        assert code == 1 and err.count("\n") == 1 and message in err
+        for verb in ("params", "flops"):
+            code, err = _params_cli(bad, verb)
+            assert code == 1 and err.count("\n") == 1, (verb, err)
+            assert message in err and repr(node) in err, (verb, err)
 
 
-def _params_cli(path):
-    """`srkit params --archive path` in-process: (exit code, stderr text)."""
+def _params_cli(path, verb="params"):
+    """`srkit <verb> --archive path` in-process: (exit code, stderr text)."""
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        code = main(["params", "--archive", str(path)])
+        code = main([verb, "--archive", str(path)])
     return code, err.getvalue()
 
 

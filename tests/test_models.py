@@ -11,7 +11,6 @@ from srkit.models import (
     nearest_upsample,
     random_block,
     random_conv,
-    span_baseline_attention,
 )
 from srkit.selftest import assert_close, rand_tensor
 from srkit.tensor import ConvSpec, ShapeError, Tensor, conv2d, pixel_shuffle
@@ -100,17 +99,6 @@ class TestNearPixel:
         x = Tensor.full(1, 3, 4, 4, 0.6)
         out = pixel_shuffle(conv2d(x, spec), 4)
         assert np.all(out.data == np.float32(0.6))
-
-
-class TestBaselineAttention:
-    def test_ones_passthrough(self, rng):
-        f3 = rand_tensor(rng, 1, 4, 3, 3)
-        ones = Tensor.full(1, 4, 3, 3, 1.0)
-        assert np.array_equal(span_baseline_attention(ones, f3).data, f3.data)
-
-    def test_zero_annihilates(self, rng):
-        f1 = rand_tensor(rng, 1, 4, 3, 3)
-        assert np.all(span_baseline_attention(f1, Tensor.zeros(1, 4, 3, 3)).data == 0)
 
 
 class TestBuildSpanv2:
