@@ -208,8 +208,9 @@ def sequential_extended(first: ConvSpec, second: ConvSpec, x: Tensor) -> Tensor:
     return conv2d(conv2d(x, widened), inner)
 
 
-def lora_delta_spec(base: ConvSpec, lora: LoraFactors) -> ConvSpec:
-    """The low-rank branch as a bias-free, ungrouped conv with kernel (alpha/r) * B @ A."""
+def check_lora_factors(base: ConvSpec, lora: LoraFactors) -> None:
+    """Raise ShapeError unless B @ A reshapes to an ungrouped kernel of base's
+    geometry; checks the factor shapes without forming the product."""
     kh, kw = base.kernel
     if kh != kw:
         raise ShapeError(f"lora requires a square kernel, got {base.kernel}")
@@ -224,6 +225,12 @@ def lora_delta_spec(base: ConvSpec, lora: LoraFactors) -> ConvSpec:
         raise ShapeError(
             f"lora A has {lora.a.shape[0]} rows, expected rank*k = {lora.rank * k}"
         )
+
+
+def lora_delta_spec(base: ConvSpec, lora: LoraFactors) -> ConvSpec:
+    """The low-rank branch as a bias-free, ungrouped conv with kernel (alpha/r) * B @ A."""
+    check_lora_factors(base, lora)
+    k = base.kernel[0]
     scale = np.float32(lora.alpha / lora.rank)
     delta = (lora.b @ lora.a) * scale
     kernel = (

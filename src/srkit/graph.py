@@ -3,14 +3,17 @@
 A ModelGraph is an ordered list of named nodes wired by name: one input, one
 output, skip/concat fan-in allowed. A conv node sums parallel convs: its
 spec, its spec and a LoRA delta, or a non-empty branch group with an optional
-identity. `_parallel_convs` lists them once; shapes, FLOPs and the rewrite
-checks read that list, the executor runs the decorations live and the fuse
-rewrites fold them away. No other op carries conv weights.
+identity. `_parallel_convs` lists their geometry once (a LoRA delta's
+factors are checked, not multiplied); shapes and FLOPs read that list, the
+executor runs the decorations live and the fuse rewrites fold them away. No
+other op carries conv weights.
 
-Attention triples (plain 1x1 conv, add, mul) registered as fusion groups run
-as one step on the residual and f3: the fused single-pass operator in "fused"
-mode, the literal three-op reference in "unfused" mode; both accept a
-traffic counter.
+The mode of `run_graph` selects the plan. "unfused" runs every op as
+written. "fused" runs each attention triple (plain 1x1 conv, add, mul)
+registered as a fusion group as one single-pass step on the residual and f3,
+where "unfused" runs the literal three-op reference; both accept a traffic
+counter. "fused" also never builds a concat that only plain-spec convs read:
+each such conv copies the parts into its strip band itself.
 
 Each op's output shape, FLOPs and execution are one entry of OPS; adding an
 op means adding one entry.
@@ -28,12 +31,13 @@ from .fusion import (
     LoraFactors,
     TrafficCounter,
     branch_forward,
+    check_lora_factors,
     fused_attention,
-    lora_delta_spec,
     lora_forward,
     reference_attention,
 )
 from .tensor import (
+    ChannelParts,
     ConvSpec,
     ShapeError,
     Tensor,
@@ -223,22 +227,41 @@ def _input_shape(n: Node, ins: list[Shape]) -> Shape:
     return ins[0]
 
 
-def _parallel_convs(n: Node) -> tuple[list[ConvSpec], bool]:
+class _ConvGeometry(NamedTuple):
+    """One parallel conv as shapes and FLOPs see it: everything but weights."""
+
+    in_channels: int
+    out_channels: int
+    kernel: tuple[int, int]
+    padding: tuple[int, int]
+    groups: int
+    bias: bool
+
+    @staticmethod
+    def of(s: ConvSpec) -> "_ConvGeometry":
+        bias = s.bias is not None
+        return _ConvGeometry(s.in_channels, s.out_channels, s.kernel, s.padding, s.groups, bias)
+
+
+def _parallel_convs(n: Node) -> tuple[list[_ConvGeometry], bool]:
     """The convs a conv node runs in parallel and sums, and whether its input
     (an identity branch) joins the sum: the spec, the spec and its LoRA delta,
-    or a branch group's convs."""
+    or a branch group's convs. The delta is a bias-free ungrouped conv of the
+    spec's geometry; its factors are checked, never multiplied."""
     if n.branches is not None:
         if n.spec is not None or n.lora is not None or not n.branches.branches:
             raise ShapeError(f"conv node {n.name!r}: branches need a conv and no spec or LoRA")
-        return list(n.branches.branches), n.branches.include_identity
+        return [_ConvGeometry.of(b) for b in n.branches.branches], n.branches.include_identity
     if n.spec is None:
         raise ShapeError(f"conv node {n.name!r} has neither spec nor branches")
-    if n.lora is None:
-        return [n.spec], False
-    try:
-        return [n.spec, lora_delta_spec(n.spec, n.lora)], False
-    except ShapeError as e:
-        raise ShapeError(f"conv node {n.name!r}: {e}") from None
+    convs = [_ConvGeometry.of(n.spec)]
+    if n.lora is not None:
+        try:
+            check_lora_factors(n.spec, n.lora)
+        except ShapeError as e:
+            raise ShapeError(f"conv node {n.name!r}: {e}") from None
+        convs.append(convs[0]._replace(groups=1, bias=False))
+    return convs, False
 
 
 def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
@@ -268,10 +291,9 @@ def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
     return outs[0]
 
 
-def _spec_flops(spec: ConvSpec, h: int, w: int) -> int:
-    macs = spec.out_channels * (spec.in_channels // spec.groups) * spec.kernel[0] * spec.kernel[1]
-    bias = spec.out_channels if spec.bias is not None else 0
-    return (macs + bias) * h * w
+def _spec_flops(conv: _ConvGeometry, h: int, w: int) -> int:
+    macs = conv.out_channels * (conv.in_channels // conv.groups) * conv.kernel[0] * conv.kernel[1]
+    return (macs + conv.out_channels * conv.bias) * h * w
 
 
 def _conv_flops(n: Node, out: Shape) -> int:
@@ -338,20 +360,34 @@ def infer_shapes(g: ModelGraph, h: int, w: int) -> dict[str, Shape]:
 # execution
 
 
+def _concats_read_in_place(g: ModelGraph, reads: list[tuple[str, ...]]) -> set[str]:
+    """Concats that are not the output and that only plain-spec convs read.
+
+    conv2d copies a concat's parts into the band it fills anyway, so such a
+    concat need never be built. `reads` lists what each node reads.
+    """
+    cats = {n.name for n in g.nodes if n.op == "concat"} - {g.output}
+    for n, refs in zip(g.nodes, reads):
+        if n.op != "conv" or n.lora is not None or n.branches is not None:
+            cats.difference_update(refs)
+    return cats
+
+
 def run_graph(
     g: ModelGraph,
     x: Tensor,
     mode: str = "unfused",
     counter: TrafficCounter | None = None,
 ) -> Tensor:
-    """Execute the graph on x. mode selects the attention execution plan."""
+    """Execute the graph on x. mode selects the execution plan (module docstring)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     gates = _fusion_gates(g)
     reads = [gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes]
     last_use = {r: i for i, refs in enumerate(reads) for r in refs}
     last_use[g.output] = len(g.nodes)  # the sink outlives the loop
-    env: dict[str, Tensor] = {}
+    in_place = _concats_read_in_place(g, reads) if mode == "fused" else set()
+    env: dict[str, Tensor | ChannelParts] = {}
     for i, n in enumerate(g.nodes):
         if n.name not in last_use:
             continue  # a group's conv or add: its mul reads res and f3 itself
@@ -370,6 +406,8 @@ def run_graph(
             if not np.isfinite(x.data).all():
                 raise ValueError(f"graph {g.name!r}: input contains non-finite values")
             out = OPS[n.op].run(n, x)
+        elif n.name in in_place:
+            out = ChannelParts(tuple(args))
         else:
             out = OPS[n.op].run(n, *args)
         env[n.name] = out

@@ -61,8 +61,9 @@ def image_to_tensor(img: np.ndarray) -> Tensor:
 
 def tensor_to_image(t: Tensor) -> np.ndarray:
     """(1, 3, h, w) float in [0, 1] -> rounded, clamped (h, w, 3) uint8."""
-    arr = np.clip(t.data[0], 0.0, 1.0) * 255.0
-    return np.rint(arr).astype(np.uint8).transpose(1, 2, 0)
+    arr = np.clip(t.data[0], 0.0, 1.0)  # the one float temporary, scaled in place
+    arr *= 255.0
+    return np.rint(arr, out=arr).astype(np.uint8).transpose(1, 2, 0)
 
 
 # --------------------------------------------------------------------------

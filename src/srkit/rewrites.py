@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fusion import BranchGroup, LoraFactors, collapse_branches, lora_merge, max_errors
-from .graph import OPS, ModelGraph, Node, _parallel_convs, infer_shapes, run_graph
+from .graph import OPS, ModelGraph, Node, infer_shapes, run_graph
 from .models import random_conv
 from .tensor import Tensor, conv2d
 
@@ -59,7 +59,8 @@ def apply_rewrites(g: ModelGraph, seed: int = 0) -> tuple[ModelGraph, list[Rewri
     new_nodes: list[Node] = []
     for n in g.nodes:
         if n.op == "conv" and n.branches is not None:
-            kind, merged = "collapse_branches", collapse_branches(*_parallel_convs(n))
+            merged = collapse_branches(list(n.branches.branches), n.branches.include_identity)
+            kind = "collapse_branches"
         elif n.op == "conv" and n.lora is not None:
             kind, merged = "lora_merge", lora_merge(n.spec, n.lora)
         else:

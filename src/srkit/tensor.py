@@ -83,6 +83,39 @@ def tensor(values) -> Tensor:
 
 
 @dataclass(frozen=True)
+class ChannelParts:
+    """The channel parts of a concat, in order, as one conv2d input that is
+    never built: conv2d copies each part's rows into its own channel range.
+    The parts must agree in (n, h, w)."""
+
+    parts: tuple[Tensor, ...]
+
+    def __post_init__(self) -> None:
+        if not self.parts:
+            raise ShapeError("concat_channels: need at least one tensor")
+        n, _, h, w = self.parts[0].shape
+        for i, p in enumerate(self.parts[1:], start=1):
+            if (p.n, p.h, p.w) != (n, h, w):
+                raise ShapeError(
+                    f"concat_channels: part {i} has (n,h,w)=({p.n},{p.h},{p.w}), "
+                    f"expected ({n},{h},{w})"
+                )
+
+    @property
+    def c(self) -> int:
+        return sum(p.c for p in self.parts)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        n, _, h, w = self.parts[0].shape
+        return n, self.c, h, w
+
+    @property
+    def numel(self) -> int:
+        return sum(p.numel for p in self.parts)
+
+
+@dataclass(frozen=True)
 class ConvSpec:
     """One convolution layer: geometry plus its weights.
 
@@ -142,10 +175,11 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 
-def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
+def conv2d(x: Tensor | ChannelParts, spec: ConvSpec) -> Tensor:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
-    Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1.
+    Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1. x may
+    be the parts of a channel concat; the result is the conv of their concat.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -181,6 +215,11 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     nb, span = rows + kh - 1 + (kw > 1), rows * wp
     band = np.zeros((n, cin, nb, wp), np.float32)
     interior = band[..., pw : pw + w]
+    # each input part fills its own channel range of the band; a Tensor is one part
+    fills, c0 = [], 0
+    for p in x.parts if isinstance(x, ChannelParts) else (x,):
+        fills.append((c0, c0 + p.c, p.data))
+        c0 += p.c
     sn, sc, sr, se = band.strides
     windows = np.lib.stride_tricks.as_strided(
         band, (n, g, cg, kh, kw, span), (sn, cg * sc, sc, sr, se, se), writeable=False
@@ -200,7 +239,8 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
         # `a` rows above it still hold zeros, as strips only move down
         a = min(max(ph - r0, 0), nb)
         b = max(min(h + ph - r0, nb), a)
-        interior[:, :, a:b] = x.data[:, :, r0 - ph + a : r0 - ph + b]
+        for c0, c1, src in fills:
+            interior[:, c0:c1, a:b] = src[:, :, r0 - ph + a : r0 - ph + b]
         interior[:, :, b:] = 0.0
         if cols is not band:
             np.copyto(cols, windows)
@@ -260,16 +300,7 @@ def space_to_depth(x: Tensor, s: int) -> Tensor:
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_channels: need at least one tensor")
-    n, _, h, w = parts[0].shape
-    for i, p in enumerate(parts[1:], start=1):
-        if (p.n, p.h, p.w) != (n, h, w):
-            raise ShapeError(
-                f"concat_channels: part {i} has (n,h,w)=({p.n},{p.h},{p.w}), "
-                f"expected ({n},{h},{w})"
-            )
-    return Tensor(np.concatenate([p.data for p in parts], axis=1))
+    return Tensor(np.concatenate([p.data for p in ChannelParts(tuple(parts)).parts], axis=1))
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:

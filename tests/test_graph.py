@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from srkit import graph
-from srkit.graph import FusionGroup, ModelGraph, Node, run_graph, validate_graph
-from srkit.models import build_spanv2, random_conv
-from srkit.selftest import rand_tensor
+from srkit import fusion, graph
+from srkit.fusion import LoraFactors
+from srkit.graph import FusionGroup, ModelGraph, Node, infer_shapes, run_graph, validate_graph
+from srkit.metrics import count_flops
+from srkit.models import build_span_baseline, build_spanv2, random_conv
+from srkit.rewrites import decorate_for_reparam
+from srkit.selftest import assert_close, rand_tensor
 from srkit.tensor import ShapeError, Tensor
 
 
@@ -200,3 +205,100 @@ def test_run_graph_rejects_non_finite_input(rng, bad):
     data[0, 1, 2, 3] = bad
     with pytest.raises(ValueError, match="graph 'spanv2': input contains non-finite values"):
         run_graph(g, Tensor(data))
+
+
+def _cat_graph(readers):
+    """cat = concat(a, b) of two convs on the input, then `readers`, which
+    read cat and end in the output node."""
+    nodes = [
+        _inp(),
+        Node("a", "conv", ("input",), spec=_conv(3, 2)),
+        Node("b", "conv", ("input",), spec=_conv(3, 1)),
+        Node("cat", "concat", ("a", "b")),
+        *readers,
+    ]
+    return _graph(nodes)
+
+
+PLAIN = Node("cat_conv", "conv", ("cat",), spec=_conv(3, 4))
+RANK1 = LoraFactors(np.ones((3, 9), np.float32), np.ones((12, 3), np.float32), 1)
+LORA = Node("cat_conv", "conv", ("cat",), spec=_conv(3, 4), lora=RANK1)
+
+
+@pytest.mark.parametrize(
+    "readers, builds",
+    [
+        ([PLAIN], 0),
+        ([PLAIN, Node("cat_conv2", "conv", ("cat",), spec=_conv(3, 4, k=1)),
+          Node("sum", "add", ("cat_conv", "cat_conv2"))], 0),
+        ([PLAIN, Node("r", "relu", ("cat",)), Node("r_conv", "conv", ("r",), spec=_conv(3, 4)),
+          Node("sum", "add", ("cat_conv", "r_conv"))], 1),
+        ([LORA], 1),
+        ([], 1),
+    ],
+    ids=["conv", "two_convs", "conv_and_relu", "lora_conv", "graph_output"],
+)
+def test_fused_builds_a_concat_only_for_a_reader_other_than_a_plain_conv(
+    monkeypatch, rng, readers, builds
+):
+    calls = []
+    concat = graph.concat_channels
+    monkeypatch.setattr(graph, "concat_channels", lambda parts: calls.append(1) or concat(parts))
+    g = _cat_graph(readers)
+    x = rand_tensor(rng, 1, 3, 5, 7)
+    fused = run_graph(g, x, mode="fused")
+    assert len(calls) == builds
+    # no fusion groups, so the two plans do the same arithmetic
+    assert np.array_equal(fused.data, run_graph(g, x, mode="unfused").data)
+    assert len(calls) == builds + 1  # unfused is the literal op-by-op run
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3))],
+    ids=["span", "spanv2_train_form"],
+)
+def test_models_fused_match_unfused(rng, g):
+    # SPAN's `cat` and SPANV2's `fuse.cat` are read in place in fused mode
+    x = rand_tensor(rng, 1, 3, 11, 9)
+    assert_close(run_graph(g, x, "fused"), run_graph(g, x, "unfused"))
+
+
+def test_fused_span_never_holds_its_concat_plane(rng):
+    # Held beyond the output at 256^2: the 112-channel cat plane (28 MiB)
+    # with its four parts alive made 44 MiB; read in place, the peak is 32 MiB.
+    g = build_span_baseline(seed=0)
+    x = rand_tensor(rng, 1, 3, 256, 256)
+    held = {}
+    for mode in ("fused", "unfused"):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run_graph(g, x, mode=mode)
+            held[mode] = (tracemalloc.get_traced_memory()[1] - base - out.data.nbytes) / 2**20
+        finally:
+            tracemalloc.stop()
+        del out
+    assert held["fused"] <= 33 < 43 <= held["unfused"], held
+
+
+def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):
+    g = decorate_for_reparam(build_spanv2(c=8, blocks=2, seed=0))
+    calls = []
+    product = fusion.lora_delta_spec
+
+    def counting(*args):
+        calls.append(1)
+        return product(*args)
+
+    for mod in (fusion, graph):
+        monkeypatch.setattr(mod, "lora_delta_spec", counting, raising=False)
+    validate_graph(g)
+    infer_shapes(g, 16, 16)
+    # the count made when each LoRA delta was a B @ A conv spec: bias-free
+    # and ungrouped, plus one add per output element
+    assert count_flops(g, 16, 16) == 2_168_832
+    assert calls == []
+    run_graph(g, Tensor.zeros(1, 3, 4, 4))  # the live LoRA convs still form it
+    assert len(calls) == sum(n.lora is not None for n in g.nodes) > 0

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import types
 from contextlib import nullcontext
 
@@ -8,6 +9,7 @@ import pytest
 from srkit.metrics import bench_runtime, image_to_tensor, psnr, tensor_to_image
 from srkit.models import build_spanv2
 from srkit.selftest import rand_tensor
+from srkit.tensor import Tensor
 
 
 class TestPsnr:
@@ -36,6 +38,20 @@ class TestPsnr:
     def test_image_tensor_roundtrip(self, rng):
         img = rng.integers(0, 256, (7, 9, 3), dtype=np.uint8)
         assert np.array_equal(tensor_to_image(image_to_tensor(img)), img)
+
+    def test_tensor_to_image_holds_one_float_plane(self, rng):
+        x = Tensor(rng.normal(0.5, 0.6, (1, 3, 512, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            img = tensor_to_image(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.data.nbytes + img.nbytes + (64 << 10), peak
+        want = np.rint(np.clip(x.data[0], 0.0, 1.0) * 255.0).astype(np.uint8)
+        assert np.array_equal(img, want.transpose(1, 2, 0))
 
 
 class TestBench:

@@ -6,6 +6,7 @@ import pytest
 
 from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
+    ChannelParts,
     ConvSpec,
     ShapeError,
     Tensor,
@@ -61,12 +62,29 @@ CONV_CASES = pytest.mark.parametrize(
 )
 
 
-def _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias):
+def _spec(rng, cin, cout, kernel, padding, groups, bias):
     w = rng.normal(0, 0.5, (cout, cin // groups, *kernel)).astype(np.float32)
     b = rng.normal(0, 0.5, cout).astype(np.float32) if bias else None
-    spec = ConvSpec(cin, cout, kernel, padding, w, bias=b, groups=groups)
+    return ConvSpec(cin, cout, kernel, padding, w, bias=b, groups=groups)
+
+
+def _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias):
+    spec = _spec(rng, cin, cout, kernel, padding, groups, bias)
     x = rand_tensor(rng, n, cin, 5, 6)
     assert_close(conv2d(x, spec), brute_conv(x, spec))
+
+
+STRIP_ROWS = pytest.mark.parametrize("strip_rows", [1, 2, None], ids=["strip1", "strip2", "whole"])
+
+
+def _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows):
+    """Make conv2d run strips of `strip_rows` output rows on 6-column inputs
+    (one strip for the whole image when None)."""
+    # conv2d's strip height is its float budget over this per-row cost
+    taps = kernel[0] * kernel[1]
+    row_floats = n * (6 + 2 * padding[1]) * (cin * (1 + taps * (taps > 1)) + cout)
+    budget = 1 << 40 if strip_rows is None else strip_rows * row_floats
+    monkeypatch.setattr(tensor_module, "_STRIP_FLOATS", budget)
 
 
 class TestTensorType:
@@ -162,18 +180,29 @@ class TestConv2d:
     # 1-row strips (with pad 2, the first and last two lie wholly in padding),
     # 2-row strips, which do not divide the 5-row outputs, so the last strip
     # overlaps the one before it, and one strip for the whole image
-    @pytest.mark.parametrize("strip_rows", [1, 2, None], ids=["strip1", "strip2", "whole"])
+    @STRIP_ROWS
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
     @CONV_CASES
     def test_strips_match_brute_force_oracle(
         self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, bias, strip_rows
     ):
-        # conv2d's strip height is its float budget over this per-row cost
-        taps = kernel[0] * kernel[1]
-        row_floats = n * (6 + 2 * padding[1]) * (cin * (1 + taps * (taps > 1)) + cout)
-        budget = 1 << 40 if strip_rows is None else strip_rows * row_floats
-        monkeypatch.setattr(tensor_module, "_STRIP_FLOATS", budget)
+        _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
         _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias)
+
+    @STRIP_ROWS
+    @CONV_CASES
+    def test_concat_parts_match_conv_of_concat(
+        self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows
+    ):
+        # The input split 1 / (cin-1)//2 / the rest, empty parts dropped: a
+        # 1-channel part leads, every part of a 3-channel input has one
+        # channel, and groups2's first group straddles parts 0 and 1.
+        sizes = [c for c in (1, (cin - 1) // 2, cin - 1 - (cin - 1) // 2) if c]
+        parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes]
+        spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
+        _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
+        whole = conv2d(concat_channels(parts), spec)
+        assert np.array_equal(conv2d(ChannelParts(tuple(parts)), spec).data, whole.data)
 
     def test_peak_memory_is_a_small_multiple_of_input_and_output(self, rng):
         # No im2col-style copy of the input: beyond its output, one 3x3 conv
@@ -261,3 +290,21 @@ class TestConcat:
     def test_spatial_mismatch(self, rng):
         with pytest.raises(ShapeError, match="concat"):
             concat_channels([Tensor.zeros(1, 1, 2, 2), Tensor.zeros(1, 1, 3, 2)])
+
+    @pytest.mark.parametrize("odd", [(2, 1, 2, 3), (1, 2, 3, 3), (1, 1, 2, 4)], ids=["n", "h", "w"])
+    def test_parts_raise_the_concat_error(self, odd):
+        # an unbuilt concat (conv2d's input parts) checks (n, h, w) as concat does
+        parts = [Tensor.zeros(1, 2, 2, 3), Tensor.zeros(*odd)]
+        with pytest.raises(ShapeError) as built:
+            concat_channels(parts)
+        assert "concat_channels: part 1 has (n,h,w)" in str(built.value)
+        spec = ConvSpec(3, 1, (1, 1), (0, 0), np.ones((1, 3, 1, 1), np.float32))
+        with pytest.raises(ShapeError) as unbuilt:
+            conv2d(ChannelParts(tuple(parts)), spec)
+        assert str(unbuilt.value) == str(built.value)
+
+    def test_parts_describe_their_concat(self, rng):
+        # shape, c and numel are what a tracer or a shape check reads of an input
+        parts = (rand_tensor(rng, 2, 1, 3, 4), rand_tensor(rng, 2, 5, 3, 4))
+        held, built = ChannelParts(parts), concat_channels(list(parts))
+        assert (held.shape, held.c, held.numel) == (built.shape, built.c, built.numel)
