@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import ConvSpec, ShapeError, Tensor, add, conv2d, mul
+from .tensor import _STRIP_FLOATS, ConvSpec, ShapeError, Tensor, add, conv2d, mul
 
 
 @dataclass
@@ -104,15 +104,33 @@ def fused_attention(
 
     Plan: per spatial position, the C-vectors of x and f3 are each read once
     and the C outputs written once -> 2N reads + N writes for N = C*H*W. The
-    O(C^2) weights are cached, not streamed, and are not counted.
+    O(C^2) weights are cached, not streamed, and are not counted. The plane
+    is computed in column strips sized so four C x strip buffers fit the
+    conv strip budget: one gate buffer is reused and y is written once, so no
+    plane holds W f3 + b or x + f3.
     """
     _check_attention_operands(x, f3, attn)
     n, c, h, w = x.shape
     weight = attn.weight.reshape(c, c)
-    bias = attn.bias if attn.bias is not None else np.zeros(c, dtype=np.float32)
-    f = f3.data.reshape(n, c, h * w)
-    m = np.matmul(weight, f) + bias[None, :, None]
-    y = (x.data + f3.data) * m.reshape(n, c, h, w)
+    bias = 0.0 if attn.bias is None else attn.bias[:, None]
+    hw = h * w
+    xs, fs = x.data.reshape(n, c, hw), f3.data.reshape(n, c, hw)
+    y = np.empty((n, c, h, w), np.float32)
+    ys = y.reshape(n, c, hw)
+    # Strips are `step` columns, a multiple of 64, and the last one also takes
+    # the remainder. OpenBLAS rounds the last columns of a narrow product
+    # differently from the same columns of a wide one; with no GEMM narrower
+    # than `step` (or the plane) the output is bitwise that of one whole-plane
+    # product (OpenBLAS 0.3.31, checked in tests/test_fusion.py).
+    step = max(64, _STRIP_FLOATS // (4 * n * c) // 64 * 64)
+    edges = [i * step for i in range(max(hw // step, 1))] + [hw]
+    gates = np.empty(n * c * (hw - edges[-2]), np.float32)  # the last strip is the widest
+    for s0, s1 in zip(edges, edges[1:]):
+        gate = gates[: n * c * (s1 - s0)].reshape(n, c, -1)
+        np.matmul(weight, fs[..., s0:s1], out=gate)
+        gate += bias
+        np.add(xs[..., s0:s1], fs[..., s0:s1], out=ys[..., s0:s1])
+        ys[..., s0:s1] *= gate
     if counter is not None:
         numel = x.numel
         counter.read(2 * numel)

@@ -8,12 +8,16 @@ factors are checked, not multiplied); shapes and FLOPs read that list, the
 executor runs the decorations live and the fuse rewrites fold them away. No
 other op carries conv weights.
 
-The mode of `run_graph` selects the plan. "unfused" runs every op as
-written. "fused" runs each attention triple (plain 1x1 conv, add, mul)
-registered as a fusion group as one single-pass step on the residual and f3,
-where "unfused" runs the literal three-op reference; both accept a traffic
-counter. "fused" also never builds a concat that only plain-spec convs read:
-each such conv copies the parts into its strip band itself.
+`run_graph` runs the nodes the output needs in one schedule, whatever the
+mode: a depth-first walk from the output that runs each node's deeper input
+first, freeing each value after its last reader. The mode selects what each
+step does. "unfused" runs every op as written. "fused" runs each attention
+triple (plain 1x1 conv, add, mul) registered as a fusion group as one
+single-pass step on the residual and f3, where "unfused" runs the literal
+three-op reference; both accept a traffic counter. "fused" also never builds
+a concat that only plain-spec convs read: each such conv copies the parts
+into its strip band itself. A plain grouped conv read that way runs part by
+part when its input parts fall on group boundaries, and passes parts on.
 
 Each op's output shape, FLOPs and execution are one entry of OPS; adding an
 op means adding one entry.
@@ -21,7 +25,7 @@ op means adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -360,17 +364,76 @@ def infer_shapes(g: ModelGraph, h: int, w: int) -> dict[str, Shape]:
 # execution
 
 
-def _concats_read_in_place(g: ModelGraph, reads: list[tuple[str, ...]]) -> set[str]:
-    """Concats that are not the output and that only plain-spec convs read.
+def _schedule(g: ModelGraph, reads: dict[str, tuple[str, ...]]) -> list[Node]:
+    """The nodes the output needs, in run order.
 
-    conv2d copies a concat's parts into the band it fills anyway, so such a
-    concat need never be built. `reads` lists what each node reads.
+    A depth-first walk from the output over `reads` that runs a node's deeper
+    input first (Sethi and Ullman's order), so a shallow input such as
+    SPANV2's `near` is not held while the deep one is computed. Depth is the
+    longest path from the input; ties keep node order.
     """
-    cats = {n.name for n in g.nodes if n.op == "concat"} - {g.output}
-    for n, refs in zip(g.nodes, reads):
-        if n.op != "conv" or n.lora is not None or n.branches is not None:
-            cats.difference_update(refs)
-    return cats
+    by_name = {n.name: n for n in g.nodes}
+    index = {n.name: i for i, n in enumerate(g.nodes)}
+    depth: dict[str, int] = {}
+    for n in g.nodes:  # node order is topological
+        depth[n.name] = 1 + max((depth[r] for r in reads[n.name]), default=-1)
+    order: dict[str, Node] = {}
+    stack = [(g.output, False)]  # (name, whether its inputs have run)
+    while stack:
+        name, inputs_done = stack.pop()
+        if name in order:
+            continue
+        if inputs_done:
+            order[name] = by_name[name]
+            continue
+        stack.append((name, True))
+        first = sorted(reads[name], key=lambda r: (-depth[r], index[r]))
+        stack.extend((r, False) for r in reversed(first))
+    return list(order.values())
+
+
+def _is_plain_conv(n: Node) -> bool:
+    return n.op == "conv" and n.lora is None and n.branches is None
+
+
+def _kept_as_parts(g: ModelGraph, steps: list[Node], reads: dict[str, tuple[str, ...]]) -> set[str]:
+    """Concats and plain-spec grouped convs, not the output, that only
+    plain-spec convs read: fused mode passes their values on as ChannelParts.
+
+    conv2d copies its input's parts into the band it fills anyway, so such a
+    concat is never built, and such a grouped conv maps input parts that fall
+    on group boundaries to output parts (`_part_specs`).
+    """
+    kept = {
+        n.name
+        for n in steps
+        if n.op == "concat" or (_is_plain_conv(n) and n.spec.groups > 1)
+    } - {g.output}
+    for n in steps:
+        if not _is_plain_conv(n):
+            kept.difference_update(reads[n.name])
+    return kept
+
+
+def _part_specs(x: Tensor | ChannelParts, spec: ConvSpec) -> list[ConvSpec] | None:
+    """spec cut into one grouped conv per part of x, or None unless x is
+    parts whose boundaries fall on spec's group boundaries. Each cut keeps
+    its groups' weight and bias rows, so the parts' outputs are the channel
+    parts of conv2d(x, spec)."""
+    if not isinstance(x, ChannelParts):
+        return None
+    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
+    if any(p.c % cg for p in x.parts):
+        return None
+    specs, o0 = [], 0
+    for p in x.parts:
+        groups = p.c // cg
+        rows = slice(o0, o0 + groups * og)
+        bias = None if spec.bias is None else spec.bias[rows]
+        cut = dict(in_channels=p.c, out_channels=groups * og, groups=groups)
+        specs.append(replace(spec, weight=spec.weight[rows], bias=bias, **cut))
+        o0 += groups * og
+    return specs
 
 
 def run_graph(
@@ -383,16 +446,15 @@ def run_graph(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     gates = _fusion_gates(g)
-    reads = [gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes]
-    last_use = {r: i for i, refs in enumerate(reads) for r in refs}
-    last_use[g.output] = len(g.nodes)  # the sink outlives the loop
-    in_place = _concats_read_in_place(g, reads) if mode == "fused" else set()
+    reads = {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
+    steps = _schedule(g, reads)  # a group's conv and add are not in it
+    last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
+    last_use[g.output] = len(steps)  # the sink outlives the loop
+    as_parts = _kept_as_parts(g, steps, reads) if mode == "fused" else set()
     env: dict[str, Tensor | ChannelParts] = {}
-    for i, n in enumerate(g.nodes):
-        if n.name not in last_use:
-            continue  # a group's conv or add: its mul reads res and f3 itself
-        args = [env[r] for r in reads[i]]
-        for r in reads[i]:
+    for i, n in enumerate(steps):
+        args = [env[r] for r in reads[n.name]]
+        for r in reads[n.name]:
             if last_use[r] == i:
                 env.pop(r, None)
         if n.name in gates:
@@ -406,9 +468,13 @@ def run_graph(
             if not np.isfinite(x.data).all():
                 raise ValueError(f"graph {g.name!r}: input contains non-finite values")
             out = OPS[n.op].run(n, x)
-        elif n.name in in_place:
+        elif n.name in as_parts and n.op == "concat":
             out = ChannelParts(tuple(args))
+        elif n.name in as_parts and (specs := _part_specs(args[0], n.spec)) is not None:
+            parts = list(args.pop().parts)  # each part is freed once its cut has run
+            out = ChannelParts(tuple(conv2d(parts.pop(0), s) for s in specs))
         else:
             out = OPS[n.op].run(n, *args)
         env[n.name] = out
+        del args, out  # hold no value past its last reader
     return env[g.output]

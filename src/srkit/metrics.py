@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import statistics
 import time
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -95,6 +96,7 @@ class RuntimeStats:
     per_image_ms: list[float]
     mean_ms: float
     median_ms: float
+    peak_mib: float  # largest run_graph allocation peak over the images
     mode: str
     threads: int | None  # BLAS threads actually pinned; None when nothing was
     blas: str | None  # "name version" of the BLAS numpy was built with
@@ -104,6 +106,7 @@ class RuntimeStats:
             "per_image_ms": self.per_image_ms,
             "mean_ms": self.mean_ms,
             "median_ms": self.median_ms,
+            "peak_mib": self.peak_mib,
             "mode": self.mode,
             "threads": self.threads,
             "blas": self.blas,
@@ -118,6 +121,22 @@ def _blas_in_use() -> str | None:
         return f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # show_config has no dict mode before numpy 1.26
         return None
+
+
+def _peak_mib(g: ModelGraph, x: Tensor, mode: str) -> float:
+    """tracemalloc peak of one run_graph above the memory held before it, in
+    MiB; the output counts, as the caller holds it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_graph(g, x, mode=mode)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @contextmanager
@@ -141,7 +160,9 @@ def bench_runtime(
 ) -> RuntimeStats:
     """Per-image wall-clock of running the graph, after discarded warmups.
 
-    Each image's figure is the mean of `reps` timed runs. BLAS threading is
+    Each image's figure is the mean of `reps` timed runs. One more, untimed
+    run per image measures memory: peak_mib is the largest tracemalloc peak
+    of those runs above the memory held before each. BLAS threading is
     pinned to `threads` when threadpoolctl is importable (single-threaded by
     default), and the stats report the pin that took effect and the BLAS in
     use; timings are reported, never asserted.
@@ -155,6 +176,7 @@ def bench_runtime(
     if not images:
         raise ValueError("bench_runtime: empty image list")
     per_image: list[float] = []
+    peak = 0.0
     with _thread_limit(threads) as pinned:
         for img in images:
             for _ in range(warmup):
@@ -165,10 +187,12 @@ def bench_runtime(
                 run_graph(g, img, mode=mode)
                 times.append((time.perf_counter() - t0) * 1000.0)
             per_image.append(statistics.mean(times))
+            peak = max(peak, _peak_mib(g, img, mode))
     return RuntimeStats(
         per_image_ms=per_image,
         mean_ms=statistics.mean(per_image),
         median_ms=statistics.median(per_image),
+        peak_mib=peak,
         mode=mode,
         threads=pinned,
         blas=_blas_in_use(),

@@ -156,6 +156,8 @@ class TestVerbs:
         assert len(doc["per_image_ms"]) == 1
         assert doc["mean_ms"] > 0
         assert doc["blas"] and "threads" in doc
+        lr_h, lr_w = ppm.read_image(lr_path).shape[:2]
+        assert doc["peak_mib"] >= 3 * (2 * lr_h) * (2 * lr_w) * 4 / 2**20  # the x2 output
 
     def test_score_verb(self, tmp_path, capsys):
         from importlib import resources
@@ -354,3 +356,31 @@ def test_any_mutated_ppm_infers_or_exits_cleanly(edits):
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             code = main([*argv, str(src), str(Path(tmp) / "sr.ppm")])
     assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (code, err.getvalue())
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    border=st.integers(-3, 12),
+    sizes=st.tuples(*[st.tuples(st.integers(1, 12), st.integers(1, 12))] * 2),
+    reps=st.integers(-1, 2),
+    warmup=st.integers(-2, 1),
+    threads=st.integers(-1, 2),
+)
+def test_psnr_and_bench_arguments_run_or_exit_cleanly(border, sizes, reps, warmup, threads):
+    """Exit 0, or exit 1 with one stderr line, for any border, image sizes
+    and bench counts."""
+    with TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / f"{i}.ppm") for i in range(2)]
+        for path, (h, w) in zip(paths, sizes):
+            ppm.write_ppm(path, np.full((h, w, 3), 7 * h + w, np.uint8))
+        bench = ["bench", "--model", "spanv2", "--width", "4", "--blocks", "1", "--upscale", "2"]
+        for argv in (
+            ["psnr", f"--border={border}", *paths],
+            [*bench, f"--reps={reps}", f"--warmup={warmup}", f"--threads={threads}", paths[0]],
+        ):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (
+                argv, code, err.getvalue()
+            )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,36 @@ class TestFusedAttention:
         with pytest.raises(ShapeError, match="1x1"):
             fused_attention(Tensor.zeros(1, 4, 3, 3), Tensor.zeros(1, 4, 3, 3), attn)
 
+
+    @pytest.mark.parametrize(
+        "shape, bias",
+        [((1, 32, 129, 131), True), ((2, 32, 64, 70), False), ((3, 80, 3, 5000), True),
+         ((1, 1, 1, 1), True)],
+        ids=["strips_and_remainder", "batch2_no_bias", "batch3_wide", "one_element"],
+    )
+    def test_strips_equal_the_whole_plane_formula(self, rng, shape, bias):
+        n, c, h, w = shape
+        x, f3 = rand_tensor(rng, *shape), rand_tensor(rng, *shape)
+        attn = random_conv(rng, c, c, k=1, bias=bias)
+        m = np.matmul(attn.weight.reshape(c, c), f3.data.reshape(n, c, h * w))
+        if bias:
+            m = m + attn.bias[None, :, None]
+        want = (x.data + f3.data) * m.reshape(shape)
+        assert np.array_equal(fused_attention(x, f3, attn).data, want)
+
+    def test_allocates_its_output_and_one_gate_strip(self, rng):
+        # the whole-plane form allocated the gate plane and x + f3 too (16 MiB)
+        x, f3 = rand_tensor(rng, 1, 32, 256, 256), rand_tensor(rng, 1, 32, 256, 256)
+        attn = random_conv(rng, 32, 32, k=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = fused_attention(x, f3, attn)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.data.nbytes + 1.5 * 2**20, peak / 2**20
 
 class TestTraffic:
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 16, 5, 7), (1, 52, 9, 3)])

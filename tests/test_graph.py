@@ -10,7 +10,7 @@ from srkit.metrics import count_flops
 from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.rewrites import decorate_for_reparam
 from srkit.selftest import assert_close, rand_tensor
-from srkit.tensor import ShapeError, Tensor
+from srkit.tensor import ChannelParts, ShapeError, Tensor
 
 
 def _conv(cin, cout, k=3, groups=1):
@@ -264,23 +264,94 @@ def test_models_fused_match_unfused(rng, g):
     assert_close(run_graph(g, x, "fused"), run_graph(g, x, "unfused"))
 
 
+def _held_mib(g, x, mode):
+    """tracemalloc peak of one run_graph beyond the memory held before it
+    and the output's own bytes, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run_graph(g, x, mode=mode)
+        return (tracemalloc.get_traced_memory()[1] - base - out.data.nbytes) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_fused_span_never_holds_its_concat_plane(rng):
     # Held beyond the output at 256^2: the 112-channel cat plane (28 MiB)
     # with its four parts alive made 44 MiB; read in place, the peak is 32 MiB.
     g = build_span_baseline(seed=0)
     x = rand_tensor(rng, 1, 3, 256, 256)
-    held = {}
-    for mode in ("fused", "unfused"):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = run_graph(g, x, mode=mode)
-            held[mode] = (tracemalloc.get_traced_memory()[1] - base - out.data.nbytes) / 2**20
-        finally:
-            tracemalloc.stop()
-        del out
+    held = {mode: _held_mib(g, x, mode) for mode in ("fused", "unfused")}
     assert held["fused"] <= 33 < 43 <= held["unfused"], held
+
+
+def test_spanv2_runs_near_late_and_its_head_in_parts(rng):
+    # Held beyond the output at 256^2 when `near` (12 MiB) ran first and was
+    # held across the blocks, and fuse.dw built its 80-channel plane (20 MiB)
+    # with both inputs alive: 32 MiB fused, 40 MiB unfused.
+    g = build_spanv2(seed=0)
+    x = rand_tensor(rng, 1, 3, 256, 256)
+    held = {mode: _held_mib(g, x, mode) for mode in ("fused", "unfused")}
+    assert held["fused"] <= 23 and held["unfused"] <= 31, held
+
+
+def _steps(g):
+    gates = graph._fusion_gates(g)
+    reads = {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
+    return graph._schedule(g, reads), reads
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_spanv2(seed=0), build_span_baseline(seed=0),
+     decorate_for_reparam(build_spanv2(c=8, blocks=2, seed=0)), _gated(fin_src="input")],
+    ids=["spanv2", "span", "spanv2_train_form", "gated"],
+)
+def test_schedule_is_a_topological_order_of_what_the_output_needs(g):
+    steps, reads = _steps(g)
+    names = [n.name for n in steps]
+    grouped = {name for fg in g.fusion_groups for name in (fg.conv, fg.add)}
+    needed, todo = set(), [g.output]
+    while todo:
+        name = todo.pop()
+        if name not in needed:
+            needed.add(name)
+            todo.extend(reads[name])
+    assert len(names) == len(set(names)) and set(names) == needed
+    assert not needed & grouped
+    for i, n in enumerate(steps):
+        assert set(reads[n.name]) <= set(names[:i]), n.name
+
+
+def test_schedule_runs_the_deeper_input_first():
+    spanv2 = [n.name for n in _steps(build_spanv2(seed=0))[0]]
+    assert spanv2[-6:] == ["b5.out", "near", "fuse.cat", "fuse.dw", "fuse.pw", "up"]
+    span = build_span_baseline(seed=0)
+    assert [n.name for n in _steps(span)[0]] == [n.name for n in span.nodes]
+
+
+@pytest.mark.parametrize("widths, calls", [((2, 4), 2), ((1, 5), 1)], ids=["aligned", "misaligned"])
+def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rng, widths, calls):
+    # cat = concat(a, b) -> grouped conv (3 groups of 2 channels) -> 1x1 conv
+    a, b = widths
+    nodes = [
+        _inp(),
+        Node("a", "conv", ("input",), spec=_conv(3, a)),
+        Node("b", "conv", ("input",), spec=_conv(3, b)),
+        Node("cat", "concat", ("a", "b")),
+        Node("grouped", "conv", ("cat",), spec=_conv(6, 9, groups=3)),
+        Node("pw", "conv", ("grouped",), spec=_conv(9, 2, k=1)),
+    ]
+    g = _graph(nodes)
+    seen = []
+    conv = graph.conv2d
+    monkeypatch.setattr(graph, "conv2d", lambda x, spec: seen.append(x) or conv(x, spec))
+    x = rand_tensor(rng, 1, 3, 5, 7)
+    fused = run_graph(g, x, mode="fused")
+    assert len(seen) == 3 + calls  # a, b and pw, plus the grouped conv's calls
+    assert isinstance(seen[-1], ChannelParts) == (calls > 1)
+    assert np.array_equal(fused.data, run_graph(g, x, mode="unfused").data)
 
 
 def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):

@@ -100,6 +100,13 @@ class TestBench:
         doc = stats.to_dict()
         assert list(doc)[-2:] == ["threads", "blas"] and doc["blas"] == stats.blas
 
+    def test_reports_the_peak_of_one_run(self, rng):
+        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
+        images = [rand_tensor(rng, 1, 3, 16, 16), rand_tensor(rng, 1, 3, 32, 24)]
+        stats = bench_runtime(g, images, warmup=0, reps=1, mode="fused")
+        largest_output = 3 * 64 * 48 * 4 / 2**20  # x2 of the 32x24 image
+        assert stats.to_dict()["peak_mib"] == stats.peak_mib >= largest_output
+
     def test_fused_vs_unfused_paired_report(self, rng, capsys):
         # informational comparison; never asserted, only printed
         g = build_spanv2(c=16, s=2, blocks=2, seed=1)

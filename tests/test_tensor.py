@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from srkit.graph import _part_specs
 from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
     ChannelParts,
@@ -23,43 +24,29 @@ from srkit.tensor import (
 # The package re-exports a `tensor()` function that shadows the module name.
 tensor_module = importlib.import_module("srkit.tensor")
 
+_CONV_NAMES = "n, cin, cout, kernel, padding, groups"
+_CONV_TABLE = {  # id: (n, cin, cout, kernel, padding, groups)
+    "dense3x3": (1, 3, 4, (3, 3), (1, 1), 1),
+    "groups2": (1, 4, 6, (3, 3), (1, 1), 2),
+    "depthwise3to48": (1, 3, 48, (3, 3), (1, 1), 3),
+    "pointwise": (1, 5, 3, (1, 1), (0, 0), 1),
+    "kernel3x5": (1, 2, 3, (3, 5), (2, 1), 1),
+    "batch2": (2, 3, 4, (3, 3), (1, 1), 1),
+    "unpadded3x3": (1, 3, 4, (3, 3), (0, 0), 1),
+    "kernel1x3": (1, 3, 4, (1, 3), (0, 1), 1),
+    "kernel3x1": (1, 3, 4, (3, 1), (1, 0), 1),
+    "pad2": (1, 3, 4, (3, 3), (2, 2), 1),
+    "dense1to4": (1, 1, 4, (3, 3), (1, 1), 1),
+    "depthwise8to16_batch2": (2, 8, 16, (3, 3), (1, 1), 8),
+    "kernel5x6_to_1x1": (1, 3, 2, (5, 6), (0, 0), 1),
+    "depthwise1x1": (1, 6, 6, (1, 1), (0, 0), 6),
+    "pointwise_pad2": (1, 3, 4, (1, 1), (2, 2), 1),
+}
 CONV_CASES = pytest.mark.parametrize(
-    "n, cin, cout, kernel, padding, groups",
-    [
-        (1, 3, 4, (3, 3), (1, 1), 1),
-        (1, 4, 6, (3, 3), (1, 1), 2),
-        (1, 3, 48, (3, 3), (1, 1), 3),
-        (1, 5, 3, (1, 1), (0, 0), 1),
-        (1, 2, 3, (3, 5), (2, 1), 1),
-        (2, 3, 4, (3, 3), (1, 1), 1),
-        (1, 3, 4, (3, 3), (0, 0), 1),
-        (1, 3, 4, (1, 3), (0, 1), 1),
-        (1, 3, 4, (3, 1), (1, 0), 1),
-        (1, 3, 4, (3, 3), (2, 2), 1),
-        (1, 1, 4, (3, 3), (1, 1), 1),
-        (2, 8, 16, (3, 3), (1, 1), 8),
-        (1, 3, 2, (5, 6), (0, 0), 1),
-        (1, 6, 6, (1, 1), (0, 0), 6),
-        (1, 3, 4, (1, 1), (2, 2), 1),
-    ],
-    ids=[
-        "dense3x3",
-        "groups2",
-        "depthwise3to48",
-        "pointwise",
-        "kernel3x5",
-        "batch2",
-        "unpadded3x3",
-        "kernel1x3",
-        "kernel3x1",
-        "pad2",
-        "dense1to4",
-        "depthwise8to16_batch2",
-        "kernel5x6_to_1x1",
-        "depthwise1x1",
-        "pointwise_pad2",
-    ],
+    _CONV_NAMES, list(_CONV_TABLE.values()), ids=list(_CONV_TABLE)
 )
+_GROUPED = {name: case for name, case in _CONV_TABLE.items() if case[-1] > 1}
+GROUPED_CASES = pytest.mark.parametrize(_CONV_NAMES, list(_GROUPED.values()), ids=list(_GROUPED))
 
 
 def _spec(rng, cin, cout, kernel, padding, groups, bias):
@@ -203,6 +190,26 @@ class TestConv2d:
         _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
         whole = conv2d(concat_channels(parts), spec)
         assert np.array_equal(conv2d(ChannelParts(tuple(parts)), spec).data, whole.data)
+
+    @GROUPED_CASES
+    @pytest.mark.parametrize("split", ["first_group", "ones", "off_groups"])
+    def test_grouped_conv_maps_parts_to_parts(
+        self, rng, n, cin, cout, kernel, padding, groups, split
+    ):
+        # Cut on group boundaries, each part's conv gives its channels of the
+        # whole conv; 1-channel parts split groups2's groups, and a cut off
+        # the boundaries (possible only where groups have 2 channels) gets no
+        # cuts, so run_graph runs one conv2d on the parts.
+        cg = cin // groups
+        sizes = {"first_group": [cg, cin - cg], "ones": [1] * cin, "off_groups": [1, cin - 1]}
+        parts = tuple(rand_tensor(rng, n, c, 5, 6) for c in sizes[split])
+        spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
+        whole = conv2d(concat_channels(list(parts)), spec)
+        specs = _part_specs(ChannelParts(parts), spec)
+        assert (specs is None) == any(c % cg for c in sizes[split])
+        if specs is not None:
+            outs = [conv2d(p, s) for p, s in zip(parts, specs)]
+            assert np.array_equal(concat_channels(outs).data, whole.data)
 
     def test_peak_memory_is_a_small_multiple_of_input_and_output(self, rng):
         # No im2col-style copy of the input: beyond its output, one 3x3 conv
