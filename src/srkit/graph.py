@@ -19,12 +19,22 @@ a concat that only plain-spec convs read: each such conv copies the parts
 into its strip band itself. A plain grouped conv read that way runs part by
 part when its input parts fall on group boundaries, and passes parts on.
 
-Each op's output shape, FLOPs and execution are one entry of OPS; adding an
-op means adding one entry.
+A fused run whose whole planes would hold more than tensor._GRAPH_BYTES
+streams instead, one image at a time: the schedule runs once per strip of
+input rows, depth-first. Each step computes, once, the rows its readers need
+next; a conv reads its input's real neighbour rows with row padding 0 (zero
+rows only at the image border), and each value keeps only the rows its
+readers will still read: a conv reader's halo, a skip reader's lag. Memory
+then grows with the image's width, not its height. A batch that fits runs
+the whole-plane plan above.
+
+Each op's output shape, FLOPs, the input rows an output row reads, and
+execution are one entry of OPS; adding an op means adding one entry.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple
 
@@ -43,6 +53,7 @@ from .fusion import (
 from .tensor import (
     ChannelParts,
     ConvSpec,
+    RowParts,
     ShapeError,
     Tensor,
     add,
@@ -51,9 +62,14 @@ from .tensor import (
     mul,
     pixel_shuffle,
     relu,
+    strip_height,
 )
 
 MODES = ("unfused", "fused")
+
+# The package re-exports a `tensor()` function that shadows the module name;
+# _GRAPH_BYTES is read from the module at call time.
+_tensor = importlib.import_module(".tensor", __package__)
 
 
 @dataclass
@@ -209,12 +225,16 @@ class Op(NamedTuple):
     graph input. Rules call the kernels through this module's globals at call
     time, so rebinding e.g. `graph.conv2d` reaches every execution.
     arity: the number of inputs a node takes; None means one or more.
+    rows(node) -> (top, bottom, scale): output rows [d, e) read input rows
+    [d // scale - top, ceil(e / scale) + bottom); rows outside the input are
+    zero. A node with scale s computes its rows s at a time.
     """
 
     shape: Callable[[Node, list[Shape]], Shape]
     flops: Callable[[Node, Shape], int]
     run: Callable[..., Tensor]
     arity: int | None = 1
+    rows: Callable[[Node], tuple[int, int, int]] = lambda n: (0, 0, 1)
 
 
 def _free(n: Node, out: Shape) -> int:
@@ -315,6 +335,14 @@ def _run_conv(n: Node, x: Tensor) -> Tensor:
     return conv2d(x, n.spec)
 
 
+def _conv_rows(n: Node) -> tuple[int, int, int]:
+    # the rows every parallel conv reads, and the identity's own rows
+    convs, identity = _parallel_convs(n)
+    top = max([s.padding[0] for s in convs] + [0] * identity)
+    bottom = max([s.kernel[0] - 1 - s.padding[0] for s in convs] + [0] * identity)
+    return top, bottom, 1
+
+
 def _same_width_shape(n: Node, ins: list[Shape]) -> Shape:
     (a, h, w), (b, _, _) = ins
     if a != b:
@@ -340,12 +368,14 @@ def _shuffle_shape(n: Node, ins: list[Shape]) -> Shape:
 
 OPS: dict[str, Op] = {
     "input": Op(_input_shape, _free, lambda n, x: x, 0),
-    "conv": Op(_conv_shape, _conv_flops, _run_conv),
+    "conv": Op(_conv_shape, _conv_flops, _run_conv, rows=_conv_rows),
     "relu": Op(lambda n, ins: ins[0], _numel, lambda n, x: relu(x)),
     "add": Op(_same_width_shape, _numel, lambda n, a, b: add(a, b), 2),
     "mul": Op(_same_width_shape, _numel, lambda n, a, b: mul(a, b), 2),
     "concat": Op(_concat_shape, _free, lambda n, *parts: concat_channels(list(parts)), None),
-    "pixel_shuffle": Op(_shuffle_shape, _free, lambda n, x: pixel_shuffle(x, n.upscale)),
+    "pixel_shuffle": Op(
+        _shuffle_shape, _free, lambda n, x: pixel_shuffle(x, n.upscale), rows=lambda n: (0, 0, n.upscale)
+    ),
 }
 
 
@@ -436,6 +466,171 @@ def _part_specs(x: Tensor | ChannelParts, spec: ConvSpec) -> list[ConvSpec] | No
     return specs
 
 
+def _check_input(g: ModelGraph, n: Node, x: Tensor) -> None:
+    if x.c != n.channels:
+        raise ShapeError(f"graph {g.name!r} expects {n.channels}-channel input, got {x.c}")
+    if not np.isfinite(x.data).all():
+        raise ValueError(f"graph {g.name!r}: input contains non-finite values")
+
+
+def _plane_bytes(
+    steps: list[Node],
+    reads: dict[str, tuple[str, ...]],
+    last_use: dict[str, int],
+    shapes: dict[str, Shape],
+) -> int:
+    """Bytes one image's whole-plane run holds beyond its input and output:
+    the values alive at its widest step."""
+    size = {name: 4 * c * h * w for name, (c, h, w) in shapes.items()}
+    size[steps[0].name] = 0  # the schedule's one leaf is the input, which the caller holds
+    held = peak = 0
+    for i, n in enumerate(steps[:-1]):
+        held += size[n.name]
+        peak = max(peak, held)
+        held -= sum(size[r] for r in set(reads[n.name]) if last_use[r] == i)
+    return peak
+
+
+def _conv_aligned(rows: int, steps: list[Node], shapes: dict[str, Shape]) -> int:
+    """rows rounded down to whole strips of the graph's costliest conv, when
+    that leaves at least 4: conv2d runs a call of h rows in strips of equal
+    height, recomputing the rows its last strip overlaps, so strips of the
+    graph that end off its strip height make it compute up to a tenth more."""
+    convs = [n for n in steps if n.op == "conv"]
+    if not convs:
+        return rows
+    n = max(convs, key=lambda n: _conv_flops(n, shapes[n.name]))
+    step = strip_height(1, n.spec if n.branches is None else n.branches.branches[0], shapes[n.inputs[0]][2])
+    return rows // step * step if rows // step * step >= 4 else rows
+
+
+def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
+    """Conv node n as its parallel convs with row padding 0, each with the
+    rows it skips at the top and bottom of the node's input window; None is
+    the identity branch."""
+    top, bottom, _ = _conv_rows(n)
+    specs = [n.spec] if n.branches is None else list(n.branches.branches)
+    cuts = [
+        (replace(s, padding=(0, s.padding[1])), top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
+        for s in specs
+    ]
+    if n.branches is not None and n.branches.include_identity:
+        cuts.append((None, top, bottom))
+    return cuts
+
+
+def _run_conv_rows(n: Node, x: Tensor, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor:
+    # a branch group's sum in branch_forward's order: the convs, then the identity
+    y = None
+    for spec, a, b in cuts:
+        part = x if a == b == 0 else Tensor(x.data[:, :, a : x.h - b])
+        if spec is not None:
+            part = conv2d(part, spec) if n.lora is None else lora_forward(part, spec, n.lora)
+        y = part if y is None else add(y, part)
+    return y
+
+
+def _rows(
+    chunks: list[tuple[int, Tensor]], lo: int, hi: int, shape: Shape, parts: bool
+) -> Tensor | RowParts:
+    """Rows [lo, hi) of one image's value of `shape` held as (first row,
+    rows) chunks; rows outside the plane are zero. A chunk that is exactly
+    those rows is passed on as it is; others are joined, or passed as
+    RowParts if `parts`."""
+    c, h, w = shape
+    pieces = []
+    for r0, t in chunks:
+        a, b = max(lo, r0), min(hi, r0 + t.h)
+        if (a, b) == (lo, hi) == (r0, r0 + t.h):
+            return t
+        if a < b:
+            pieces.append(t.data[:, :, a - r0 : b - r0])
+    if lo < 0:
+        pieces.insert(0, np.zeros((1, c, min(hi, 0) - lo, w), np.float32))
+    if hi > h:
+        pieces.append(np.zeros((1, c, hi - max(lo, h), w), np.float32))
+    return RowParts(tuple(pieces)) if parts else Tensor(np.concatenate(pieces, axis=2))
+
+
+def _stream(
+    g: ModelGraph,
+    steps: list[Node],
+    reads: dict[str, tuple[str, ...]],
+    gates: dict[str, tuple[ConvSpec, str, str]],
+    shapes: dict[str, Shape],
+    x: Tensor,
+    rows: int,
+    counter: TrafficCounter | None,
+) -> Tensor:
+    """Fused run of x one image at a time, each in strips of `rows` input
+    rows, depth-first: per strip, every step computes the rows its readers
+    need next, once, and each value keeps only the rows its readers will
+    still read."""
+    index = {n.name: j for j, n in enumerate(steps)}
+    ins = [[index[r] for r in reads[n.name]] for n in steps]
+    readers: list[list[int]] = [[] for _ in steps]
+    for j, n in enumerate(steps):
+        for r in set(ins[j]):
+            readers[r].append(j)
+    rule = [OPS[n.op].rows(n) for n in steps]
+    shape = [shapes[n.name] for n in steps]
+    height = [h for _, h, _ in shape]
+    cuts = [_row_convs(n) if n.op == "conv" else None for n in steps]
+    c, out_h, w = shapes[g.output]
+    out = np.empty((x.n, c, out_h, w), np.float32)
+    last, strips = len(steps) - 1, -(-x.h // rows)
+    for i in range(x.n):
+        done = [0] * len(steps)
+        held: list[list[tuple[int, Tensor]]] = [[] for _ in steps]
+        done[0], held[0] = x.h, [(0, Tensor(x.data[i : i + 1]))]  # steps[0] is the input
+
+        def first_read(q: int) -> float:
+            top, _, s = rule[q]
+            return done[q] // s - top if done[q] < height[q] else np.inf
+
+        for k in range(1, strips + 1):
+            # how far each step must run, from the output back; all of it at the end
+            need = list(height) if k == strips else [0] * last + [out_h * k * rows // x.h]
+            for j in range(last, 0, -1):
+                _, bottom, s = rule[j]
+                e = need[j] = min(-(-need[j] // s) * s, height[j])
+                if e > done[j] and k < strips:
+                    for r in ins[j]:
+                        need[r] = max(need[r], min(-(-e // s) + bottom, height[r]))
+            for j in range(1, last + 1):
+                d, e = done[j], need[j]
+                if e <= d:
+                    continue
+                n, (top, bottom, s) = steps[j], rule[j]
+                lo, hi = d // s - top, -(-e // s) + bottom
+                parts = n.op == "conv" and n.branches is None  # a branch group cuts its input
+                args = [_rows(held[r], lo, hi, shape[r], parts) for r in ins[j]]
+                if n.name in gates:
+                    y = fused_attention(*args, gates[n.name][0], counter)
+                elif n.op == "conv":
+                    y = _run_conv_rows(n, args[0], cuts[j])
+                else:
+                    y = OPS[n.op].run(n, *args)
+                done[j] = e
+                if j == last:
+                    out[i, :, d:e] = y.data[0]
+                else:
+                    held[j].append((d, y))
+                del args, y
+                for r in set(ins[j]) - {0}:  # the caller holds the input
+                    _drop_rows(held[r], min(first_read(q) for q in readers[r]))
+    return Tensor(out)
+
+
+def _drop_rows(chunks: list[tuple[int, Tensor]], keep: float) -> None:
+    """Drop the rows above row `keep` from chunks, copying out a kept tail."""
+    while chunks and chunks[0][0] + chunks[0][1].h <= keep:
+        chunks.pop(0)
+    if chunks and chunks[0][0] < keep:
+        r0, t = chunks[0]
+        chunks[0] = keep, Tensor(t.data[:, :, keep - r0 :])
+
+
 def run_graph(
     g: ModelGraph,
     x: Tensor,
@@ -450,6 +645,15 @@ def run_graph(
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     last_use[g.output] = len(steps)  # the sink outlives the loop
+    if mode == "fused":
+        # a batch whose whole-plane run does not fit the budget streams each
+        # image in strips of rows whose share of that run does, at least 4
+        shapes = infer_shapes(g, x.h, x.w)
+        plane, budget = _plane_bytes(steps, reads, last_use, shapes), _tensor._GRAPH_BYTES
+        if x.n * plane > budget:
+            _check_input(g, steps[0], x)
+            rows = _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
+            return _stream(g, steps, reads, gates, shapes, x, rows, counter)
     as_parts = _kept_as_parts(g, steps, reads) if mode == "fused" else set()
     env: dict[str, Tensor | ChannelParts] = {}
     for i, n in enumerate(steps):
@@ -461,12 +665,7 @@ def run_graph(
             attention = fused_attention if mode == "fused" else reference_attention
             out = attention(*args, gates[n.name][0], counter)
         elif n.op == "input":
-            if x.c != n.channels:
-                raise ShapeError(
-                    f"graph {g.name!r} expects {n.channels}-channel input, got {x.c}"
-                )
-            if not np.isfinite(x.data).all():
-                raise ValueError(f"graph {g.name!r}: input contains non-finite values")
+            _check_input(g, n, x)
             out = OPS[n.op].run(n, x)
         elif n.name in as_parts and n.op == "concat":
             out = ChannelParts(tuple(args))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import OPS, ModelGraph, infer_shapes, run_graph
-from .tensor import Tensor
+from .tensor import _STRIP_FLOATS, Tensor
 
 PSNR_CAP_DB = 100.0
 
@@ -61,10 +61,21 @@ def image_to_tensor(img: np.ndarray) -> Tensor:
 
 
 def tensor_to_image(t: Tensor) -> np.ndarray:
-    """(1, 3, h, w) float in [0, 1] -> rounded, clamped (h, w, 3) uint8."""
-    arr = np.clip(t.data[0], 0.0, 1.0)  # the one float temporary, scaled in place
-    arr *= 255.0
-    return np.rint(arr, out=arr).astype(np.uint8).transpose(1, 2, 0)
+    """(1, 3, h, w) float in [0, 1] -> rounded, clamped (h, w, 3) uint8.
+
+    Works in blocks of rows through one float buffer of at most the conv
+    strip budget, so no float plane the size of the image is built.
+    """
+    _, c, h, w = t.shape
+    img = np.empty((c, h, w), np.uint8)
+    rows = max(1, _STRIP_FLOATS // (c * w))
+    buf = np.empty((c, min(rows, h), w), np.float32)
+    for r0 in range(0, h, rows):
+        src = t.data[0, :, r0 : r0 + rows]
+        block = np.clip(src, 0.0, 1.0, out=buf[:, : src.shape[1]])  # scaled in place
+        block *= 255.0
+        img[:, r0 : r0 + rows] = np.rint(block, out=block)
+    return img.transpose(1, 2, 0)
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +104,10 @@ def count_flops(g: ModelGraph, h: int = 256, w: int = 256) -> int:
 
 @dataclass
 class RuntimeStats:
-    per_image_ms: list[float]
+    per_image_ms: list[float]  # each image's mean over its reps
+    per_image_min_ms: list[float]
+    per_image_median_ms: list[float]
+    per_image_iqr_ms: list[float]  # upper minus lower quartile of the reps
     mean_ms: float
     median_ms: float
     peak_mib: float  # largest run_graph allocation peak over the images
@@ -104,6 +118,9 @@ class RuntimeStats:
     def to_dict(self) -> dict:
         return {
             "per_image_ms": self.per_image_ms,
+            "per_image_min_ms": self.per_image_min_ms,
+            "per_image_median_ms": self.per_image_median_ms,
+            "per_image_iqr_ms": self.per_image_iqr_ms,
             "mean_ms": self.mean_ms,
             "median_ms": self.median_ms,
             "peak_mib": self.peak_mib,
@@ -160,7 +177,9 @@ def bench_runtime(
 ) -> RuntimeStats:
     """Per-image wall-clock of running the graph, after discarded warmups.
 
-    Each image's figure is the mean of `reps` timed runs. One more, untimed
+    Each image's figure is the mean of `reps` timed runs, the one the
+    challenge averages; its min, median and interquartile range are reported
+    beside it. One more, untimed
     run per image measures memory: peak_mib is the largest tracemalloc peak
     of those runs above the memory held before each. BLAS threading is
     pinned to `threads` when threadpoolctl is importable (single-threaded by
@@ -175,7 +194,7 @@ def bench_runtime(
         raise ValueError(f"bench_runtime: threads must be >= 1, got {threads}")
     if not images:
         raise ValueError("bench_runtime: empty image list")
-    per_image: list[float] = []
+    per_image: list[list[float]] = []
     peak = 0.0
     with _thread_limit(threads) as pinned:
         for img in images:
@@ -186,12 +205,17 @@ def bench_runtime(
                 t0 = time.perf_counter()
                 run_graph(g, img, mode=mode)
                 times.append((time.perf_counter() - t0) * 1000.0)
-            per_image.append(statistics.mean(times))
+            per_image.append(times)
             peak = max(peak, _peak_mib(g, img, mode))
+    means = [statistics.mean(t) for t in per_image]
+    quartiles = [np.percentile(t, [25, 75]) for t in per_image]
     return RuntimeStats(
-        per_image_ms=per_image,
-        mean_ms=statistics.mean(per_image),
-        median_ms=statistics.median(per_image),
+        per_image_ms=means,
+        per_image_min_ms=[min(t) for t in per_image],
+        per_image_median_ms=[statistics.median(t) for t in per_image],
+        per_image_iqr_ms=[float(q3 - q1) for q1, q3 in quartiles],
+        mean_ms=statistics.mean(means),
+        median_ms=statistics.median(means),
         peak_mib=peak,
         mode=mode,
         threads=pinned,

@@ -116,6 +116,37 @@ class ChannelParts:
 
 
 @dataclass(frozen=True)
+class RowParts:
+    """Consecutive row ranges of one plane, top to bottom, as one conv2d
+    input that is never built: conv2d copies each part into its own rows of
+    the band. Parts are arrays, so rows of a tensor pass without a copy; they
+    must agree in (n, c, w)."""
+
+    parts: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if not self.parts:
+            raise ShapeError("RowParts: need at least one part")
+        n, c, _, w = self.parts[0].shape
+        for i, p in enumerate(self.parts):
+            if p.ndim != 4 or (p.shape[0], p.shape[1], p.shape[3]) != (n, c, w):
+                raise ShapeError(f"RowParts: part {i} has shape {p.shape}, expected ({n},{c},*,{w})")
+
+    @property
+    def c(self) -> int:
+        return self.parts[0].shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        n, c, _, w = self.parts[0].shape
+        return n, c, sum(p.shape[2] for p in self.parts), w
+
+    @property
+    def numel(self) -> int:
+        return sum(p.size for p in self.parts)
+
+
+@dataclass(frozen=True)
 class ConvSpec:
     """One convolution layer: geometry plus its weights.
 
@@ -174,12 +205,28 @@ class ConvSpec:
 # conv memory is bounded by this, not by the image.
 _STRIP_FLOATS = 1 << 19
 
+# Bytes of activations one fused run_graph image aims to hold beyond its
+# output. An image whose whole-plane run fits runs whole; a larger one runs in
+# strips of input rows sized to it (graph.run_graph), so its memory is
+# bounded by its width, not its height.
+_GRAPH_BYTES = 6 << 20
 
-def conv2d(x: Tensor | ChannelParts, spec: ConvSpec) -> Tensor:
+
+def strip_height(n: int, spec: ConvSpec, w: int) -> int:
+    """Output rows conv2d computes per strip on n images w wide: as many as
+    keep its strip buffers (band, column block, accumulator) within
+    _STRIP_FLOATS."""
+    taps, wp = spec.kernel[0] * spec.kernel[1], w + 2 * spec.padding[1]
+    row = wp * (spec.in_channels * (1 + taps * (taps > 1)) + spec.out_channels)
+    return max(1, _STRIP_FLOATS // (n * row))
+
+
+def conv2d(x: Tensor | ChannelParts | RowParts, spec: ConvSpec) -> Tensor:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
     Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1. x may
-    be the parts of a channel concat; the result is the conv of their concat.
+    be the parts of a channel or row concat; the result is the conv of their
+    concat.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -209,20 +256,25 @@ def conv2d(x: Tensor | ChannelParts, spec: ConvSpec) -> Tensor:
     cin, cout, g = spec.in_channels, spec.out_channels, spec.groups
     cg, taps = cin // g, kh * kw
     wp = w + 2 * pw
-    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
+    most = strip_height(n, spec, w)
     strips = -(-hout // most)
     rows = -(-hout // strips)
     nb, span = rows + kh - 1 + (kw > 1), rows * wp
     band = np.zeros((n, cin, nb, wp), np.float32)
     interior = band[..., pw : pw + w]
-    # each input part fills its own channel range of the band; a Tensor is one part
-    fills, c0 = [], 0
-    for p in x.parts if isinstance(x, ChannelParts) else (x,):
-        fills.append((c0, c0 + p.c, p.data))
-        c0 += p.c
+    # each input part fills its own channels and rows of the band; a Tensor is one part
+    fills, c0, top = [], 0, 0
+    if isinstance(x, RowParts):
+        for p in x.parts:
+            fills.append((0, cin, top, p))
+            top += p.shape[2]
+    else:
+        for p in x.parts if isinstance(x, ChannelParts) else (x,):
+            fills.append((c0, c0 + p.c, 0, p.data))
+            c0 += p.c
     sn, sc, sr, se = band.strides
-    windows = np.lib.stride_tricks.as_strided(
-        band, (n, g, cg, kh, kw, span), (sn, cg * sc, sc, sr, se, se), writeable=False
+    windows = np.ndarray(  # a strided view of the band; as_strided costs 20 us a call
+        (n, g, cg, kh, kw, span), np.float32, band, strides=(sn, cg * sc, sc, sr, se, se)
     )
     cols = band if taps == 1 else np.empty((n, g, cg, kh, kw, span), np.float32)
     gemm_cols = cols.reshape(n, g, cg * taps, span)
@@ -239,8 +291,10 @@ def conv2d(x: Tensor | ChannelParts, spec: ConvSpec) -> Tensor:
         # `a` rows above it still hold zeros, as strips only move down
         a = min(max(ph - r0, 0), nb)
         b = max(min(h + ph - r0, nb), a)
-        for c0, c1, src in fills:
-            interior[:, c0:c1, a:b] = src[:, :, r0 - ph + a : r0 - ph + b]
+        for c0, c1, top, src in fills:  # src holds input rows top, top + 1, ...
+            j0, j1 = max(a, top + ph - r0), min(b, top + src.shape[2] + ph - r0)
+            if j0 < j1:
+                interior[:, c0:c1, j0:j1] = src[:, :, r0 - ph - top + j0 : r0 - ph - top + j1]
         interior[:, :, b:] = 0.0
         if cols is not band:
             np.copyto(cols, windows)

@@ -155,6 +155,9 @@ class TestVerbs:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["per_image_ms"]) == 1
         assert doc["mean_ms"] > 0
+        # each image's spread over its reps, next to its mean
+        (low,), (mid,), (iqr,) = (doc[f"per_image_{k}_ms"] for k in ("min", "median", "iqr"))
+        assert 0 < low <= mid and low <= doc["per_image_ms"][0] and iqr >= 0
         assert doc["blas"] and "threads" in doc
         lr_h, lr_w = ppm.read_image(lr_path).shape[:2]
         assert doc["peak_mib"] >= 3 * (2 * lr_h) * (2 * lr_w) * 4 / 2**20  # the x2 output
@@ -384,3 +387,30 @@ def test_psnr_and_bench_arguments_run_or_exit_cleanly(border, sizes, reps, warmu
             assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (
                 argv, code, err.getvalue()
             )
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    edits=st.lists(_EDITS, max_size=1),
+    sizes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=2),
+)
+def test_any_fuse_probes_fuse_or_exit_cleanly(edits, sizes):
+    """Exit 0, or exit 1 with one stderr line, for any probe images: a
+    byte-edited PPM and well-formed ones of any size, empty ones included."""
+    with TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        probes = []
+        for i, e in enumerate(edits):
+            probes.append(tmp / f"edited{i}.ppm")
+            probes[-1].write_bytes(_mutated(_PPM, e))
+        for i, (h, w) in enumerate(sizes):
+            probes.append(tmp / f"{h}x{w}.ppm")
+            probes[-1].write_bytes(b"P6\n%d %d\n255\n" % (w, h) + bytes(range(3 * h * w)))
+        archive = str(tmp / "train.srwt")
+        init = ["init", "--width", "4", "--blocks", "1", "--reparam", "--out", archive]
+        fuse = ["fuse", "--archive", archive, "--out", str(tmp / "f.srwt"), "--report", str(tmp / "r.json")]
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            assert main(init) == 0
+            code = main([*fuse, *(arg for p in probes for arg in ("--probe", str(p)))])
+    assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), (code, err.getvalue())

@@ -1,4 +1,6 @@
+import importlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,3 +375,135 @@ def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):
     assert calls == []
     run_graph(g, Tensor.zeros(1, 3, 4, 4))  # the live LoRA convs still form it
     assert len(calls) == sum(n.lora is not None for n in g.nodes) > 0
+
+
+# -- strip streaming ---------------------------------------------------------
+
+tensor_module = importlib.import_module("srkit.tensor")
+
+
+def _stream_in_strips(monkeypatch, g, x, rows):
+    """Set the fused-run byte budget so x streams in strips of `rows` input
+    rows (4 at the least), and record the strip height each run_graph uses."""
+    steps, reads = _steps(g)
+    last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
+    plane = graph._plane_bytes(steps, reads, last_use, infer_shapes(g, x.h, x.w))
+    budget = min(-(-rows * plane // x.h), x.n * plane - 1)  # the batch must not fit
+    monkeypatch.setattr(tensor_module, "_GRAPH_BYTES", budget)
+    used, stream = [], graph._stream
+    monkeypatch.setattr(graph, "_stream", lambda *a: used.append(a[6]) or stream(*a))
+    return used
+
+
+def _odd_geometry():
+    """Convs that shrink, grow and keep the height around a pixel_shuffle:
+    output rows that read only zero rows, and strips in units of 2 rows."""
+    nodes = [
+        _inp(),
+        Node("shrink", "conv", ("input",), spec=replace(_conv(3, 8), padding=(0, 1))),
+        Node("grow", "conv", ("shrink",), spec=replace(_conv(8, 8, k=1), padding=(2, 0))),
+        Node("up", "pixel_shuffle", ("grow",), upscale=2),
+        Node("tall", "conv", ("up",), spec=replace(_conv(2, 3, k=5), padding=(1, 2))),
+    ]
+    return _graph(nodes)
+
+
+STREAMED = [
+    build_spanv2(seed=3),
+    build_span_baseline(seed=3),
+    decorate_for_reparam(build_spanv2(seed=3)),
+    _gated(fin_src="input"),
+    _odd_geometry(),
+]
+STREAMED_IDS = ["spanv2", "span", "spanv2_train_form", "gated", "odd_geometry"]
+
+
+STRIPS = {  # id: ((n, h, w), strip rows)
+    "odd_4": ((1, 37, 53), 4),
+    "odd_7": ((1, 37, 53), 7),
+    "one_row": ((1, 1, 9), 4),
+    "shorter_than_a_strip": ((1, 3, 10), 4),
+    "batch2": ((2, 13, 11), 4),
+    "batch3": ((3, 9, 6), 6),
+}
+
+
+_STRIP_CASES = [  # odd_geometry's first conv takes at least 3 rows
+    (g, name, case)
+    for g, name in zip(STREAMED, STREAMED_IDS)
+    for case, ((_, h, _), _) in STRIPS.items()
+    if name != "odd_geometry" or h > 3
+]
+
+
+@pytest.mark.parametrize(
+    "g, shape, rows",
+    [(g, *STRIPS[case]) for g, _, case in _STRIP_CASES],
+    ids=[f"{case}-{name}" for _, name, case in _STRIP_CASES],
+)
+def test_streamed_fused_matches_unfused_and_the_one_strip_run(monkeypatch, rng, g, shape, rows):
+    # SPANV2's receptive radius is 16 rows and SPAN's 21, so strips of 4-7
+    # rows end inside the halos of many nodes; the last strip of 37 rows in
+    # 4-row strips is one row. A conv strip gets its neighbours' real rows
+    # with row padding 0; a wrong row anywhere would differ from unfused.
+    n, h, w = shape
+    x = rand_tensor(rng, n, g.nodes[0].channels, h, w)
+    whole, unfused = run_graph(g, x, "fused"), run_graph(g, x, "unfused")
+    used = _stream_in_strips(monkeypatch, g, x, rows)
+    pads = []
+    conv = graph.conv2d
+    monkeypatch.setattr(graph, "conv2d", lambda a, spec: pads.append(spec.padding[0]) or conv(a, spec))
+    streamed = run_graph(g, x, "fused")
+    assert used == [rows] and set(pads) <= {0}
+    # Strips change GEMM widths and so roundings, which untrained SPAN's
+    # products of activations grow with its outputs (to 1e6 and beyond):
+    # the absolute tolerance is taken relative to the output's peak.
+    atol = 1e-6 * max(1.0, float(np.abs(unfused.data).max()))
+    assert_close(streamed, unfused, atol=atol)
+    assert_close(streamed, whole, atol=atol)
+
+
+def _conv_flops(spec, out, bias=True, groups=None):
+    groups = spec.groups if groups is None else groups
+    macs = spec.out_channels * spec.in_channels // groups * spec.kernel[0] * spec.kernel[1]
+    return (macs + spec.out_channels * (bias and spec.bias is not None)) * out.h * out.w
+
+
+# FLOPs of a call from its arguments and output, as perfbench's tracer counts
+# them: a LoRA conv is its spec, a bias-free ungrouped delta and their sum; the
+# fused attention step the 1x1 conv, its bias, the add and the mul
+KERNEL_FLOPS = {
+    "conv2d": lambda a, out: _conv_flops(a[1], out),
+    "lora_forward": lambda a, out: _conv_flops(a[1], out)
+    + _conv_flops(a[1], out, bias=False, groups=1)
+    + out.numel,
+    "relu": lambda a, out: out.numel,
+    "add": lambda a, out: out.numel,
+    "mul": lambda a, out: out.numel,
+    "fused_attention": lambda a, out: (a[2].in_channels + 2 + (a[2].bias is not None)) * out.numel,
+}
+
+
+@pytest.mark.parametrize("g", STREAMED, ids=STREAMED_IDS)
+def test_streamed_kernel_flops_sum_to_count_flops(monkeypatch, rng, g):
+    # a row computed twice, or one never computed, moves the sum
+    x = rand_tensor(rng, 2, g.nodes[0].channels, 37, 21)
+    used = _stream_in_strips(monkeypatch, g, x, 4)
+    flops = []
+    for name, count in KERNEL_FLOPS.items():
+        def counting(*args, fn=getattr(graph, name), count=count):
+            out = fn(*args)
+            flops.append(count(args, out))
+            return out
+
+        monkeypatch.setattr(graph, name, counting)
+    run_graph(g, x, "fused")
+    assert used == [4] and sum(flops) == 2 * count_flops(g, 37, 21)
+
+
+def test_fused_memory_beyond_the_output_is_flat_in_height(rng):
+    # Whole-plane, fused SPANV2 held 7.0, 22.0 and 42.0 MiB at these
+    # heights and SPAN 9.5, 32.0 and 62.0.
+    for g in (build_spanv2(seed=0), build_span_baseline(seed=0)):
+        held = [_held_mib(g, rand_tensor(rng, 1, 3, h, 256), "fused") for h in (64, 256, 512)]
+        assert max(held) - min(held) <= 0.5 and max(held) <= 12, (g.name, held)

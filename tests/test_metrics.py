@@ -6,6 +6,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from srkit import metrics
 from srkit.metrics import bench_runtime, image_to_tensor, psnr, tensor_to_image
 from srkit.models import build_spanv2
 from srkit.selftest import rand_tensor
@@ -54,6 +55,27 @@ class TestPsnr:
         assert np.array_equal(img, want.transpose(1, 2, 0))
 
 
+    @pytest.mark.parametrize("h", [1, 5, 342])
+    def test_tensor_to_image_works_in_row_blocks(self, monkeypatch, rng, h):
+        # blocks of 2 rows at width 7: a last block of one row, and one block
+        # for a 1-row image; the bytes are those of the whole-plane formula
+        monkeypatch.setattr(metrics, "_STRIP_FLOATS", 2 * 3 * 7)
+        x = Tensor(rng.normal(0.5, 0.6, (1, 3, h, 7)).astype(np.float32))
+        want = np.rint(np.clip(x.data[0], 0.0, 1.0) * 255.0).astype(np.uint8)
+        assert np.array_equal(tensor_to_image(x), want.transpose(1, 2, 0))
+        big = Tensor(rng.normal(0.5, 0.6, (1, 3, 1024, 1024)).astype(np.float32))
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            img = tensor_to_image(big)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= img.nbytes + 4 * metrics._STRIP_FLOATS + (64 << 10), peak
+
+
 class TestBench:
     def test_contract(self, rng):
         g = build_spanv2(c=8, s=2, blocks=2, seed=0)
@@ -62,6 +84,19 @@ class TestBench:
         assert len(stats.per_image_ms) == 3
         assert all(v > 0 for v in stats.per_image_ms)
         assert stats.median_ms > 0 and stats.mean_ms > 0
+
+    def test_reports_each_images_spread_next_to_its_mean(self, monkeypatch, rng):
+        # two images, reps timed 4, 1, 3, 2 ms and 5, 5, 5, 9 ms
+        ticks = iter(np.cumsum([0, 4, 0, 1, 0, 3, 0, 2, 0, 5, 0, 5, 0, 5, 0, 9]) / 1000.0)
+        monkeypatch.setattr(metrics.time, "perf_counter", lambda: float(next(ticks)))
+        g = build_spanv2(c=4, s=2, blocks=1, seed=0)
+        images = [rand_tensor(rng, 1, 3, 4, 4) for _ in range(2)]
+        stats = bench_runtime(g, images, warmup=0, reps=4).to_dict()
+        assert stats["per_image_ms"] == pytest.approx([2.5, 6.0])
+        assert stats["per_image_min_ms"] == pytest.approx([1.0, 5.0])
+        assert stats["per_image_median_ms"] == pytest.approx([2.5, 5.0])
+        assert stats["per_image_iqr_ms"] == pytest.approx([1.5, 1.0])
+        assert stats["mean_ms"] == pytest.approx(4.25)
 
     def test_empty_images_rejected(self):
         g = build_spanv2(c=8, s=2, blocks=1, seed=0)
