@@ -10,23 +10,22 @@ other op carries conv weights.
 
 `run_graph` runs the nodes the output needs in one schedule, whatever the
 mode: a depth-first walk from the output that runs each node's deeper input
-first, freeing each value after its last reader. The mode selects what each
-step does. "unfused" runs every op as written. "fused" runs each attention
-triple (plain 1x1 conv, add, mul) registered as a fusion group as one
-single-pass step on the residual and f3, where "unfused" runs the literal
-three-op reference; both accept a traffic counter. "fused" also never builds
-a concat that only plain-spec convs read: each such conv copies the parts
-into its strip band itself. A plain grouped conv read that way runs part by
-part when its input parts fall on group boundaries, and passes parts on.
+first. "unfused" runs every op as written on whole planes, freeing each
+value after its last reader: the literal op-by-op oracle. "fused" runs each
+attention triple (plain 1x1 conv, add, mul) registered as a fusion group as
+one single-pass step on the residual and f3, where "unfused" runs the
+three-op reference; both accept a traffic counter.
 
-A fused run whose whole planes would hold more than tensor._GRAPH_BYTES
-streams instead, one image at a time: the schedule runs once per strip of
-input rows, depth-first. Each step computes, once, the rows its readers need
-next; a conv reads its input's real neighbour rows with row padding 0 (zero
-rows only at the image border), and each value keeps only the rows its
-readers will still read: a conv reader's halo, a skip reader's lag. Memory
-then grows with the image's width, not its height. A batch that fits runs
-the whole-plane plan above.
+"fused" streams: the schedule runs once per strip of input rows, and each
+step computes, once, the rows its readers need next. Each value keeps only
+the rows its readers will still read (a conv reader's halo, a skip reader's
+lag), as tensor.Tiles. A batch whose whole-plane run fits tensor._GRAPH_BYTES
+is one strip, in which each op runs by its own rule on whole inputs; a larger
+image runs alone in strips sized to the budget, so memory grows with its
+width, not its height. A concat that only plain-spec convs read is never
+built: its tiles are its inputs', which those convs copy into their strip
+bands. A plain grouped conv read that way runs once per input channel range
+on its group boundaries and passes its outputs on as tiles.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,11 +50,11 @@ from .fusion import (
     reference_attention,
 )
 from .tensor import (
-    ChannelParts,
     ConvSpec,
-    RowParts,
     ShapeError,
     Tensor,
+    Tile,
+    Tiles,
     add,
     concat_channels,
     conv2d,
@@ -422,50 +421,6 @@ def _schedule(g: ModelGraph, reads: dict[str, tuple[str, ...]]) -> list[Node]:
     return list(order.values())
 
 
-def _is_plain_conv(n: Node) -> bool:
-    return n.op == "conv" and n.lora is None and n.branches is None
-
-
-def _kept_as_parts(g: ModelGraph, steps: list[Node], reads: dict[str, tuple[str, ...]]) -> set[str]:
-    """Concats and plain-spec grouped convs, not the output, that only
-    plain-spec convs read: fused mode passes their values on as ChannelParts.
-
-    conv2d copies its input's parts into the band it fills anyway, so such a
-    concat is never built, and such a grouped conv maps input parts that fall
-    on group boundaries to output parts (`_part_specs`).
-    """
-    kept = {
-        n.name
-        for n in steps
-        if n.op == "concat" or (_is_plain_conv(n) and n.spec.groups > 1)
-    } - {g.output}
-    for n in steps:
-        if not _is_plain_conv(n):
-            kept.difference_update(reads[n.name])
-    return kept
-
-
-def _part_specs(x: Tensor | ChannelParts, spec: ConvSpec) -> list[ConvSpec] | None:
-    """spec cut into one grouped conv per part of x, or None unless x is
-    parts whose boundaries fall on spec's group boundaries. Each cut keeps
-    its groups' weight and bias rows, so the parts' outputs are the channel
-    parts of conv2d(x, spec)."""
-    if not isinstance(x, ChannelParts):
-        return None
-    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
-    if any(p.c % cg for p in x.parts):
-        return None
-    specs, o0 = [], 0
-    for p in x.parts:
-        groups = p.c // cg
-        rows = slice(o0, o0 + groups * og)
-        bias = None if spec.bias is None else spec.bias[rows]
-        cut = dict(in_channels=p.c, out_channels=groups * og, groups=groups)
-        specs.append(replace(spec, weight=spec.weight[rows], bias=bias, **cut))
-        o0 += groups * og
-    return specs
-
-
 def _check_input(g: ModelGraph, n: Node, x: Tensor) -> None:
     if x.c != n.channels:
         raise ShapeError(f"graph {g.name!r} expects {n.channels}-channel input, got {x.c}")
@@ -519,37 +474,71 @@ def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
     return cuts
 
 
-def _run_conv_rows(n: Node, x: Tensor, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor:
+def _run_conv_rows(n: Node, x: Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor:
     # a branch group's sum in branch_forward's order: the convs, then the identity
     y = None
     for spec, a, b in cuts:
-        part = x if a == b == 0 else Tensor(x.data[:, :, a : x.h - b])
-        if spec is not None:
+        part = x if a == b == 0 else _window(x.tiles, a, x.shape[2] - b, x.shape)
+        if spec is None:
+            part = part.build()
+        else:
             part = conv2d(part, spec) if n.lora is None else lora_forward(part, spec, n.lora)
         y = part if y is None else add(y, part)
     return y
 
 
-def _rows(
-    chunks: list[tuple[int, Tensor]], lo: int, hi: int, shape: Shape, parts: bool
-) -> Tensor | RowParts:
-    """Rows [lo, hi) of one image's value of `shape` held as (first row,
-    rows) chunks; rows outside the plane are zero. A chunk that is exactly
-    those rows is passed on as it is; others are joined, or passed as
-    RowParts if `parts`."""
-    c, h, w = shape
-    pieces = []
-    for r0, t in chunks:
-        a, b = max(lo, r0), min(hi, r0 + t.h)
-        if (a, b) == (lo, hi) == (r0, r0 + t.h):
-            return t
-        if a < b:
-            pieces.append(t.data[:, :, a - r0 : b - r0])
-    if lo < 0:
-        pieces.insert(0, np.zeros((1, c, min(hi, 0) - lo, w), np.float32))
-    if hi > h:
-        pieces.append(np.zeros((1, c, hi - max(lo, h), w), np.float32))
-    return RowParts(tuple(pieces)) if parts else Tensor(np.concatenate(pieces, axis=2))
+def _conv_by_channels(x: Tiles, spec: ConvSpec) -> Tensor | Tiles:
+    """conv2d(x, spec), run once per channel range of x's tiles when there
+    are several and they fall on spec's group boundaries. Each cut keeps its
+    groups' weight and bias rows, so its output is its channel range of the
+    whole conv's; the outputs are passed on as tiles, and each input range
+    is freed once its cut has run."""
+    n, _, h, w = x.shape
+    ranges = sorted({(c0, c0 + a.shape[1]) for _, c0, a in x.tiles})
+    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
+    if len(ranges) == 1 or any(r[1] != q[0] or r[1] % cg for r, q in zip(ranges, ranges[1:])):
+        return conv2d(x, spec)
+    parts = [
+        Tiles(tuple((r0, 0, a) for r0, c0, a in x.tiles if c0 == lo), (n, hi - lo, h, w))
+        for lo, hi in ranges
+    ]
+    del x
+    tiles = []
+    for lo, hi in ranges:
+        rows = slice(lo // cg * og, hi // cg * og)
+        bias = None if spec.bias is None else spec.bias[rows]
+        cut = dict(in_channels=hi - lo, out_channels=rows.stop - rows.start, groups=(hi - lo) // cg)
+        y = conv2d(parts.pop(0), replace(spec, weight=spec.weight[rows], bias=bias, **cut))
+        tiles.append((0, rows.start, y.data))
+    return Tiles(tuple(tiles), (n, spec.out_channels, y.h, y.w))
+
+
+def _window(held: Sequence[Tile], lo: int, hi: int, shape: tuple[int, int, int, int]) -> Tiles:
+    """Rows [lo, hi) of a plane of `shape` held as tiles, as tiles of the
+    window; rows outside the plane are zero, one zero tile per channel range."""
+    n, c, h, w = shape
+    if (lo, hi) == (0, h):  # the whole plane, all of it held: no views to make
+        return Tiles(tuple(held), shape)
+    tiles = [
+        (max(r0, lo) - lo, c0, a[:, :, max(lo - r0, 0) : hi - r0])
+        for r0, c0, a in held
+        if max(r0, lo) < min(r0 + a.shape[2], hi)
+    ]
+    if lo < 0 or hi > h:
+        ranges = {(c0, a.shape[1]) for _, c0, a in held} or {(0, c)}
+        for z0, z1 in ((lo, min(hi, 0)), (max(lo, h), hi)):
+            if z0 < z1:
+                tiles += [(z0 - lo, c0, np.zeros((n, cc, z1 - z0, w), np.float32)) for c0, cc in ranges]
+    return Tiles(tuple(tiles), (n, c, hi - lo, w))
+
+
+def _drop_rows(tiles: list[Tile], keep: float) -> None:
+    """Drop the rows above row `keep` from tiles, copying out kept tails."""
+    tiles[:] = [
+        (r0, c0, a) if r0 >= keep else (keep, c0, a[:, :, keep - r0 :].copy())
+        for r0, c0, a in tiles
+        if r0 + a.shape[2] > keep
+    ]
 
 
 def _stream(
@@ -562,27 +551,59 @@ def _stream(
     rows: int,
     counter: TrafficCounter | None,
 ) -> Tensor:
-    """Fused run of x one image at a time, each in strips of `rows` input
-    rows, depth-first: per strip, every step computes the rows its readers
-    need next, once, and each value keeps only the rows its readers will
-    still read."""
+    """Fused run of x in strips of `rows` input rows, depth-first: per strip,
+    every step computes the rows its readers need next, once, and each value
+    keeps only the rows its readers will still read, as tiles.
+
+    rows == x.h is the one-strip run: the batch runs at once and each step
+    runs its op's own rule on whole inputs. Otherwise each image runs alone,
+    and a conv reads its input's real neighbour rows with row padding 0
+    (_row_convs), so zero rows appear only at the image border.
+
+    A concat or plain grouped conv, not the output, that only plain-spec
+    convs read is held as tiles: the concat relabels its inputs' tiles and
+    is never built, and the grouped conv runs per channel range
+    (_conv_by_channels). conv2d copies tiles into its band itself.
+    """
     index = {n.name: j for j, n in enumerate(steps)}
     ins = [[index[r] for r in reads[n.name]] for n in steps]
     readers: list[list[int]] = [[] for _ in steps]
     for j, n in enumerate(steps):
         for r in set(ins[j]):
             readers[r].append(j)
-    rule = [OPS[n.op].rows(n) for n in steps]
-    shape = [shapes[n.name] for n in steps]
-    height = [h for _, h, _ in shape]
-    cuts = [_row_convs(n) if n.op == "conv" else None for n in steps]
-    c, out_h, w = shapes[g.output]
-    out = np.empty((x.n, c, out_h, w), np.float32)
     last, strips = len(steps) - 1, -(-x.h // rows)
-    for i in range(x.n):
+    plain = [n.op == "conv" and n.lora is None and n.branches is None for n in steps]
+    tiled = [
+        j < last
+        and (n.op == "concat" or plain[j] and n.spec.groups > 1)
+        and all(plain[q] for q in readers[j])
+        for j, n in enumerate(steps)
+    ]
+    whole = rows == x.h
+    per = x.n if whole else 1  # images run at once
+    rule = [(0, 0, 1) if whole else OPS[n.op].rows(n) for n in steps]  # one strip has no halos
+    shape = [(per, *shapes[n.name]) for n in steps]
+    height = [h for _, _, h, _ in shape]
+    cuts = [_row_convs(n) if n.op == "conv" and not whole else None for n in steps]
+
+    def run(j: int, args: list[Tiles]) -> Tensor | Tiles:
+        n = steps[j]
+        if n.name in gates:
+            return fused_attention(*[a.build() for a in args], gates[n.name][0], counter)
+        if tiled[j] and n.op == "concat":
+            return Tiles.concat(args)
+        if tiled[j]:  # popped, so each range is freed once its cut has run
+            return _conv_by_channels(args.pop(), cuts[j][0][0] if cuts[j] else n.spec)
+        if cuts[j]:
+            return _run_conv_rows(n, args[0], cuts[j])
+        reads_tiles = n.op == "conv" and n.branches is None  # conv2d and lora_forward do
+        return OPS[n.op].run(n, *(args if reads_tiles else [a.build() for a in args]))
+
+    out = None if whole else np.empty((x.n, *shapes[g.output]), np.float32)
+    for i in range(0, x.n, per):
         done = [0] * len(steps)
-        held: list[list[tuple[int, Tensor]]] = [[] for _ in steps]
-        done[0], held[0] = x.h, [(0, Tensor(x.data[i : i + 1]))]  # steps[0] is the input
+        held: list[list[Tile]] = [[] for _ in steps]
+        done[0], held[0] = x.h, [(0, 0, x.data[i : i + per])]  # steps[0] is the input
 
         def first_read(q: int) -> float:
             top, _, s = rule[q]
@@ -590,45 +611,36 @@ def _stream(
 
         for k in range(1, strips + 1):
             # how far each step must run, from the output back; all of it at the end
-            need = list(height) if k == strips else [0] * last + [out_h * k * rows // x.h]
-            for j in range(last, 0, -1):
-                _, bottom, s = rule[j]
-                e = need[j] = min(-(-need[j] // s) * s, height[j])
-                if e > done[j] and k < strips:
-                    for r in ins[j]:
-                        need[r] = max(need[r], min(-(-e // s) + bottom, height[r]))
+            need = list(height)
+            if k < strips:
+                need = [0] * last + [height[last] * k * rows // x.h]
+                for j in range(last, 0, -1):
+                    _, bottom, s = rule[j]
+                    e = need[j] = min(-(-need[j] // s) * s, height[j])
+                    if e > done[j]:
+                        for r in ins[j]:
+                            need[r] = max(need[r], min(-(-e // s) + bottom, height[r]))
             for j in range(1, last + 1):
                 d, e = done[j], need[j]
                 if e <= d:
                     continue
-                n, (top, bottom, s) = steps[j], rule[j]
-                lo, hi = d // s - top, -(-e // s) + bottom
-                parts = n.op == "conv" and n.branches is None  # a branch group cuts its input
-                args = [_rows(held[r], lo, hi, shape[r], parts) for r in ins[j]]
-                if n.name in gates:
-                    y = fused_attention(*args, gates[n.name][0], counter)
-                elif n.op == "conv":
-                    y = _run_conv_rows(n, args[0], cuts[j])
-                else:
-                    y = OPS[n.op].run(n, *args)
+                top, bottom, s = rule[j]  # output rows [d, e) read input rows [lo, hi)
+                lo, hi = (0, height[ins[j][0]]) if whole else (d // s - top, -(-e // s) + bottom)
+                args = [_window(held[r], lo, hi, shape[r]) for r in ins[j]]
                 done[j] = e
-                if j == last:
-                    out[i, :, d:e] = y.data[0]
-                else:
-                    held[j].append((d, y))
-                del args, y
-                for r in set(ins[j]) - {0}:  # the caller holds the input
+                for r in set(ins[j]) - {0}:  # before the kernel; the caller holds the input
                     _drop_rows(held[r], min(first_read(q) for q in readers[r]))
+                y = run(j, args)
+                if j < last and isinstance(y, Tiles):
+                    held[j] += [(d + r0, c0, a) for r0, c0, a in y.tiles]
+                elif j < last:
+                    held[j].append((d, 0, y.data))
+                elif out is None:
+                    out = y.data  # the batch's one strip
+                else:
+                    out[i : i + per, :, d:e] = y.data
+                del args, y
     return Tensor(out)
-
-
-def _drop_rows(chunks: list[tuple[int, Tensor]], keep: float) -> None:
-    """Drop the rows above row `keep` from chunks, copying out a kept tail."""
-    while chunks and chunks[0][0] + chunks[0][1].h <= keep:
-        chunks.pop(0)
-    if chunks and chunks[0][0] < keep:
-        r0, t = chunks[0]
-        chunks[0] = keep, Tensor(t.data[:, :, keep - r0 :])
 
 
 def run_graph(
@@ -644,34 +656,22 @@ def run_graph(
     reads = {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
-    last_use[g.output] = len(steps)  # the sink outlives the loop
-    if mode == "fused":
-        # a batch whose whole-plane run does not fit the budget streams each
-        # image in strips of rows whose share of that run does, at least 4
+    _check_input(g, steps[0], x)  # steps[0] is the input
+    if mode == "fused" and len(steps) > 1:  # an input-only graph has no step to fuse
+        # the batch runs as one strip when its whole-plane run fits the budget;
+        # otherwise each image runs in strips of rows whose share of it does, at least 4
         shapes = infer_shapes(g, x.h, x.w)
         plane, budget = _plane_bytes(steps, reads, last_use, shapes), _tensor._GRAPH_BYTES
-        if x.n * plane > budget:
-            _check_input(g, steps[0], x)
-            rows = _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
-            return _stream(g, steps, reads, gates, shapes, x, rows, counter)
-    as_parts = _kept_as_parts(g, steps, reads) if mode == "fused" else set()
-    env: dict[str, Tensor | ChannelParts] = {}
-    for i, n in enumerate(steps):
+        rows = x.h if x.n * plane <= budget else _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
+        return _stream(g, steps, reads, gates, shapes, x, rows, counter)
+    env = {steps[0].name: x}
+    for i, n in enumerate(steps[1:], 1):
         args = [env[r] for r in reads[n.name]]
         for r in reads[n.name]:
             if last_use[r] == i:
                 env.pop(r, None)
         if n.name in gates:
-            attention = fused_attention if mode == "fused" else reference_attention
-            out = attention(*args, gates[n.name][0], counter)
-        elif n.op == "input":
-            _check_input(g, n, x)
-            out = OPS[n.op].run(n, x)
-        elif n.name in as_parts and n.op == "concat":
-            out = ChannelParts(tuple(args))
-        elif n.name in as_parts and (specs := _part_specs(args[0], n.spec)) is not None:
-            parts = list(args.pop().parts)  # each part is freed once its cut has run
-            out = ChannelParts(tuple(conv2d(parts.pop(0), s) for s in specs))
+            out = reference_attention(*args, gates[n.name][0], counter)
         else:
             out = OPS[n.op].run(n, *args)
         env[n.name] = out

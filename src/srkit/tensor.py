@@ -82,68 +82,71 @@ def tensor(values) -> Tensor:
     return Tensor(np.array(values, dtype=np.float32))
 
 
-@dataclass(frozen=True)
-class ChannelParts:
-    """The channel parts of a concat, in order, as one conv2d input that is
-    never built: conv2d copies each part's rows into its own channel range.
-    The parts must agree in (n, h, w)."""
+Tile = tuple[int, int, np.ndarray]  # (first row, first channel, array)
 
-    parts: tuple[Tensor, ...]
+
+@dataclass(frozen=True)
+class Tiles:
+    """An (n, c, h, w) plane held as tiles and never built: each tile's
+    array holds its rows and channels of the plane, from its first row and
+    first channel on. conv2d copies each tile into its own rows and channels
+    of the band it fills anyway, so a concat's channel parts or a streamed
+    value's row chunks cost no plane of their own. Tiles must not overlap;
+    each must have the plane's n and w and lie inside it, and their channel
+    rows must add up to the plane's, so that they cover it."""
+
+    tiles: tuple[Tile, ...]
+    shape: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        n, c, h, w = self.shape
+        area = 0
+        for i, (r0, c0, a) in enumerate(self.tiles):
+            fits = a.ndim == 4 and (a.shape[0], a.shape[3]) == (n, w)
+            if not (fits and 0 <= r0 <= h - a.shape[2] and 0 <= c0 <= c - a.shape[1]):
+                where = f"tile {i} {a.shape} at row {r0}, channel {c0}"
+                raise ShapeError(f"Tiles: {where} is outside {self.shape}")
+            area += a.shape[1] * a.shape[2]
+        if area != c * h:
+            raise ShapeError(f"Tiles: tiles cover {area} of the {c * h} channel rows of {self.shape}")
+
+    @staticmethod
+    def of(x: Tensor | Tiles) -> Tiles:
+        return x if isinstance(x, Tiles) else Tiles(((0, 0, x.data),), x.shape)
+
+    @staticmethod
+    def concat(parts: list[Tensor | Tiles]) -> Tiles:
+        """The channel concat of parts, as their tiles relabelled; the parts
+        must agree in (n, h, w)."""
+        if not parts:
             raise ShapeError("concat_channels: need at least one tensor")
-        n, _, h, w = self.parts[0].shape
-        for i, p in enumerate(self.parts[1:], start=1):
-            if (p.n, p.h, p.w) != (n, h, w):
-                raise ShapeError(
-                    f"concat_channels: part {i} has (n,h,w)=({p.n},{p.h},{p.w}), "
-                    f"expected ({n},{h},{w})"
-                )
+        n, _, h, w = parts[0].shape
+        tiles, c = [], 0
+        for i, p in enumerate(parts):
+            pn, pc, ph, pw = p.shape
+            if (pn, ph, pw) != (n, h, w):
+                got = f"({pn},{ph},{pw}), expected ({n},{h},{w})"
+                raise ShapeError(f"concat_channels: part {i} has (n,h,w)={got}")
+            tiles += [(r0, c + c0, a) for r0, c0, a in Tiles.of(p).tiles]
+            c += pc
+        return Tiles(tuple(tiles), (n, c, h, w))
 
     @property
     def c(self) -> int:
-        return sum(p.c for p in self.parts)
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        n, _, h, w = self.parts[0].shape
-        return n, self.c, h, w
+        return self.shape[1]
 
     @property
     def numel(self) -> int:
-        return sum(p.numel for p in self.parts)
+        return sum(a.size for _, _, a in self.tiles)
 
-
-@dataclass(frozen=True)
-class RowParts:
-    """Consecutive row ranges of one plane, top to bottom, as one conv2d
-    input that is never built: conv2d copies each part into its own rows of
-    the band. Parts are arrays, so rows of a tensor pass without a copy; they
-    must agree in (n, c, w)."""
-
-    parts: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ShapeError("RowParts: need at least one part")
-        n, c, _, w = self.parts[0].shape
-        for i, p in enumerate(self.parts):
-            if p.ndim != 4 or (p.shape[0], p.shape[1], p.shape[3]) != (n, c, w):
-                raise ShapeError(f"RowParts: part {i} has shape {p.shape}, expected ({n},{c},*,{w})")
-
-    @property
-    def c(self) -> int:
-        return self.parts[0].shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        n, c, _, w = self.parts[0].shape
-        return n, c, sum(p.shape[2] for p in self.parts), w
-
-    @property
-    def numel(self) -> int:
-        return sum(p.size for p in self.parts)
+    def build(self) -> Tensor:
+        """The plane as one Tensor; a single tile is passed on as it is."""
+        if len(self.tiles) == 1:
+            return Tensor(self.tiles[0][2])
+        out = np.empty(self.shape, np.float32)
+        for r0, c0, a in self.tiles:
+            out[:, c0 : c0 + a.shape[1], r0 : r0 + a.shape[2]] = a
+        return Tensor(out)
 
 
 @dataclass(frozen=True)
@@ -206,9 +209,9 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 # Bytes of activations one fused run_graph image aims to hold beyond its
-# output. An image whose whole-plane run fits runs whole; a larger one runs in
-# strips of input rows sized to it (graph.run_graph), so its memory is
-# bounded by its width, not its height.
+# output. It sets the height of the strips of input rows a fused run streams
+# in (graph.run_graph): one strip when the whole-plane run fits, so memory is
+# bounded by the image's width, not its height.
 _GRAPH_BYTES = 6 << 20
 
 
@@ -221,12 +224,11 @@ def strip_height(n: int, spec: ConvSpec, w: int) -> int:
     return max(1, _STRIP_FLOATS // (n * row))
 
 
-def conv2d(x: Tensor | ChannelParts | RowParts, spec: ConvSpec) -> Tensor:
+def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
     Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1. x may
-    be the parts of a channel or row concat; the result is the conv of their
-    concat.
+    be a plane held as tiles; the result is the conv of the built plane.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -262,16 +264,7 @@ def conv2d(x: Tensor | ChannelParts | RowParts, spec: ConvSpec) -> Tensor:
     nb, span = rows + kh - 1 + (kw > 1), rows * wp
     band = np.zeros((n, cin, nb, wp), np.float32)
     interior = band[..., pw : pw + w]
-    # each input part fills its own channels and rows of the band; a Tensor is one part
-    fills, c0, top = [], 0, 0
-    if isinstance(x, RowParts):
-        for p in x.parts:
-            fills.append((0, cin, top, p))
-            top += p.shape[2]
-    else:
-        for p in x.parts if isinstance(x, ChannelParts) else (x,):
-            fills.append((c0, c0 + p.c, 0, p.data))
-            c0 += p.c
+    tiles = Tiles.of(x).tiles  # each fills its own rows and channels of the band
     sn, sc, sr, se = band.strides
     windows = np.ndarray(  # a strided view of the band; as_strided costs 20 us a call
         (n, g, cg, kh, kw, span), np.float32, band, strides=(sn, cg * sc, sc, sr, se, se)
@@ -291,10 +284,11 @@ def conv2d(x: Tensor | ChannelParts | RowParts, spec: ConvSpec) -> Tensor:
         # `a` rows above it still hold zeros, as strips only move down
         a = min(max(ph - r0, 0), nb)
         b = max(min(h + ph - r0, nb), a)
-        for c0, c1, top, src in fills:  # src holds input rows top, top + 1, ...
-            j0, j1 = max(a, top + ph - r0), min(b, top + src.shape[2] + ph - r0)
+        for top, c0, src in tiles:  # band row j holds src row j + k
+            k = r0 - ph - top
+            j0, j1 = max(a, -k), min(b, src.shape[2] - k)
             if j0 < j1:
-                interior[:, c0:c1, j0:j1] = src[:, :, r0 - ph - top + j0 : r0 - ph - top + j1]
+                interior[:, c0 : c0 + src.shape[1], j0:j1] = src[:, :, j0 + k : j1 + k]
         interior[:, :, b:] = 0.0
         if cols is not band:
             np.copyto(cols, windows)
@@ -354,7 +348,7 @@ def space_to_depth(x: Tensor, s: int) -> Tensor:
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
-    return Tensor(np.concatenate([p.data for p in ChannelParts(tuple(parts)).parts], axis=1))
+    return Tiles.concat(parts).build()
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:

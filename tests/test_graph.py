@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from srkit.metrics import count_flops
 from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.rewrites import decorate_for_reparam
 from srkit.selftest import assert_close, rand_tensor
-from srkit.tensor import ChannelParts, ShapeError, Tensor
+from srkit.tensor import ShapeError, Tensor, Tiles
 
 
 def _conv(cin, cout, k=3, groups=1):
@@ -279,6 +280,31 @@ def _held_mib(g, x, mode):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize(
+    "g",
+    [build_spanv2(seed=3), build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3))],
+    ids=["spanv2", "span", "spanv2_train_form"],
+)
+@pytest.mark.parametrize("h, w", [(17, 19), (61, 63), (64, 64)], ids=["17x19", "61x63", "64x64"])
+def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, h, w):
+    # Images whose whole-plane run fits the budget run as one strip, each op
+    # by its own rule on whole inputs: the kernels unfused runs, on the same
+    # planes, but for the attention step, whose pass is bitwise the triple's.
+    x = rand_tensor(rng, 1, 3, h, w)
+    unfused = run_graph(g, x, "unfused")
+    used = _record_strip_rows(monkeypatch)
+    assert np.array_equal(run_graph(g, x, "fused").data, unfused.data) and used == [h]
+
+
+def test_fused_patch_memory(rng):
+    # Held beyond the output at 61x63, a benchmark patch: about 3.1 MiB
+    # (SPANV2) and 3.5 (SPAN) when this was written. Building SPANV2's
+    # fuse.cat (0.73 MiB) or SPAN's cat (1.6 MiB) breaks the bound.
+    for g, bound in ((build_spanv2(seed=0), 3.35), (build_span_baseline(seed=0), 3.75)):
+        held = _held_mib(g, rand_tensor(rng, 1, 3, 61, 63), "fused")
+        assert held <= bound, (g.name, held)
+
+
 def test_fused_span_never_holds_its_concat_plane(rng):
     # Held beyond the output at 256^2: the 112-channel cat plane (28 MiB)
     # with its four parts alive made 44 MiB; read in place, the peak is 32 MiB.
@@ -352,7 +378,7 @@ def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rn
     x = rand_tensor(rng, 1, 3, 5, 7)
     fused = run_graph(g, x, mode="fused")
     assert len(seen) == 3 + calls  # a, b and pw, plus the grouped conv's calls
-    assert isinstance(seen[-1], ChannelParts) == (calls > 1)
+    assert isinstance(seen[-1], Tiles) and len(seen[-1].tiles) == calls  # pw reads one tile per call
     assert np.array_equal(fused.data, run_graph(g, x, mode="unfused").data)
 
 
@@ -382,6 +408,19 @@ def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):
 tensor_module = importlib.import_module("srkit.tensor")
 
 
+def _record_strip_rows(monkeypatch):
+    """The strip height each fused run_graph passes its executor, as a list
+    that fills as they run."""
+    used, stream = [], graph._stream
+
+    def recording(*args, **kwargs):
+        used.append(inspect.signature(stream).bind(*args, **kwargs).arguments["rows"])
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "_stream", recording)
+    return used
+
+
 def _stream_in_strips(monkeypatch, g, x, rows):
     """Set the fused-run byte budget so x streams in strips of `rows` input
     rows (4 at the least), and record the strip height each run_graph uses."""
@@ -390,9 +429,7 @@ def _stream_in_strips(monkeypatch, g, x, rows):
     plane = graph._plane_bytes(steps, reads, last_use, infer_shapes(g, x.h, x.w))
     budget = min(-(-rows * plane // x.h), x.n * plane - 1)  # the batch must not fit
     monkeypatch.setattr(tensor_module, "_GRAPH_BYTES", budget)
-    used, stream = [], graph._stream
-    monkeypatch.setattr(graph, "_stream", lambda *a: used.append(a[6]) or stream(*a))
-    return used
+    return _record_strip_rows(monkeypatch)
 
 
 def _odd_geometry():

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srkit.graph import _part_specs
+from srkit.graph import _conv_by_channels
 from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
-    ChannelParts,
     ConvSpec,
     ShapeError,
     Tensor,
+    Tiles,
     add,
     concat_channels,
     conv2d,
@@ -176,40 +176,56 @@ class TestConv2d:
         _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
         _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias)
 
-    @STRIP_ROWS
+    # Each strip height with three tilings of the 5-row input: channel
+    # parts; row parts cut at row 3, so 2-row strips end inside a tile; and a
+    # grid, each channel part cut at its own row.
+    @pytest.mark.parametrize(
+        "strip_rows, tiling",
+        [(rows, tiling) for tiling in ("channels", "rows", "grid") for rows in (1, 2, None)],
+        ids=[
+            f"{strips}{'' if tiling == 'channels' else '_' + tiling}"
+            for tiling in ("channels", "rows", "grid")
+            for strips in ("strip1", "strip2", "whole")
+        ],
+    )
     @CONV_CASES
     def test_concat_parts_match_conv_of_concat(
-        self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows
+        self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows, tiling
     ):
         # The input split 1 / (cin-1)//2 / the rest, empty parts dropped: a
         # 1-channel part leads, every part of a 3-channel input has one
         # channel, and groups2's first group straddles parts 0 and 1.
         sizes = [c for c in (1, (cin - 1) // 2, cin - 1 - (cin - 1) // 2) if c]
         parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes]
+        tiles, c0 = [], 0
+        for i, p in enumerate(parts if tiling != "rows" else [concat_channels(parts)]):
+            cuts = {"channels": (0, 5), "rows": (0, 3, 5), "grid": (0, 1 + i, 5)}[tiling]
+            tiles += [(r0, c0, p.data[:, :, r0:r1].copy()) for r0, r1 in zip(cuts, cuts[1:])]
+            c0 += p.c
         spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
         _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
         whole = conv2d(concat_channels(parts), spec)
-        assert np.array_equal(conv2d(ChannelParts(tuple(parts)), spec).data, whole.data)
+        held = Tiles(tuple(tiles), (n, cin, 5, 6))
+        assert np.array_equal(conv2d(held, spec).data, whole.data)
 
     @GROUPED_CASES
     @pytest.mark.parametrize("split", ["first_group", "ones", "off_groups"])
     def test_grouped_conv_maps_parts_to_parts(
         self, rng, n, cin, cout, kernel, padding, groups, split
     ):
-        # Cut on group boundaries, each part's conv gives its channels of the
-        # whole conv; 1-channel parts split groups2's groups, and a cut off
-        # the boundaries (possible only where groups have 2 channels) gets no
-        # cuts, so run_graph runs one conv2d on the parts.
+        # Cut on group boundaries, each channel part's conv gives its channels
+        # of the whole conv, passed on as one tile per part; 1-channel parts
+        # split groups2's groups, and a cut off the boundaries (possible only
+        # where groups have 2 channels) runs one conv2d on the tiles.
         cg = cin // groups
         sizes = {"first_group": [cg, cin - cg], "ones": [1] * cin, "off_groups": [1, cin - 1]}
-        parts = tuple(rand_tensor(rng, n, c, 5, 6) for c in sizes[split])
+        parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes[split]]
         spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
-        whole = conv2d(concat_channels(list(parts)), spec)
-        specs = _part_specs(ChannelParts(parts), spec)
-        assert (specs is None) == any(c % cg for c in sizes[split])
-        if specs is not None:
-            outs = [conv2d(p, s) for p, s in zip(parts, specs)]
-            assert np.array_equal(concat_channels(outs).data, whole.data)
+        whole = conv2d(concat_channels(parts), spec)
+        out = _conv_by_channels(Tiles.concat(parts), spec)
+        cut = not any(c % cg for c in sizes[split])
+        assert isinstance(out, Tiles) == cut and len(Tiles.of(out).tiles) == (len(parts) if cut else 1)
+        assert np.array_equal(Tiles.of(out).build().data, whole.data)
 
     def test_peak_memory_is_a_small_multiple_of_input_and_output(self, rng):
         # No im2col-style copy of the input: beyond its output, one 3x3 conv
@@ -300,18 +316,27 @@ class TestConcat:
 
     @pytest.mark.parametrize("odd", [(2, 1, 2, 3), (1, 2, 3, 3), (1, 1, 2, 4)], ids=["n", "h", "w"])
     def test_parts_raise_the_concat_error(self, odd):
-        # an unbuilt concat (conv2d's input parts) checks (n, h, w) as concat does
+        # an unbuilt concat (channel tiles) checks (n, h, w) as concat does,
+        # and so does a tile that does not fit the plane it is said to hold
         parts = [Tensor.zeros(1, 2, 2, 3), Tensor.zeros(*odd)]
         with pytest.raises(ShapeError) as built:
             concat_channels(parts)
         assert "concat_channels: part 1 has (n,h,w)" in str(built.value)
-        spec = ConvSpec(3, 1, (1, 1), (0, 0), np.ones((1, 3, 1, 1), np.float32))
         with pytest.raises(ShapeError) as unbuilt:
-            conv2d(ChannelParts(tuple(parts)), spec)
+            Tiles.concat(parts)
         assert str(unbuilt.value) == str(built.value)
+        with pytest.raises(ShapeError, match="Tiles: tile 1 .* is outside"):
+            Tiles(((0, 0, parts[0].data), (0, 2, parts[1].data)), (1, 2 + parts[1].c, 2, 3))
 
     def test_parts_describe_their_concat(self, rng):
-        # shape, c and numel are what a tracer or a shape check reads of an input
-        parts = (rand_tensor(rng, 2, 1, 3, 4), rand_tensor(rng, 2, 5, 3, 4))
-        held, built = ChannelParts(parts), concat_channels(list(parts))
+        # shape, c and numel are what a tracer or a shape check reads of an
+        # input, here one part held as two row tiles; a missing tile is rejected
+        parts = [rand_tensor(rng, 2, 1, 3, 4), rand_tensor(rng, 2, 5, 3, 4)]
+        built = concat_channels(parts)
+        top, rest = parts[0].data[:, :, :1], parts[0].data[:, :, 1:]
+        tiles = ((0, 0, top), (1, 0, rest), (0, 1, parts[1].data))
+        held = Tiles(tiles, built.shape)
         assert (held.shape, held.c, held.numel) == (built.shape, built.c, built.numel)
+        assert np.array_equal(held.build().data, built.data)
+        with pytest.raises(ShapeError, match="Tiles: tiles cover 17 of the 18 channel rows"):
+            Tiles(tiles[1:], built.shape)
