@@ -16,13 +16,14 @@ attention triple (plain 1x1 conv, add, mul) registered as a fusion group as
 one single-pass step on the residual and f3, where "unfused" runs the
 three-op reference; both accept a traffic counter.
 
-"fused" streams: the schedule runs once per strip of input rows, and each
-step computes, once, the rows its readers need next. Each value keeps only
-the rows its readers will still read (a conv reader's halo, a skip reader's
-lag), as tensor.Tiles. A batch whose whole-plane run fits tensor._GRAPH_BYTES
-is one strip, in which each op runs by its own rule on whole inputs; a larger
-image runs alone in strips sized to the budget, so memory grows with its
-width, not its height. A concat that only plain-spec convs read is never
+"fused" streams each image alone: the schedule runs once per strip of input
+rows, and each step computes, once, the rows its readers need next. Each
+value keeps only the rows its readers will still read (a conv reader's halo,
+a skip reader's lag), as tensor.Tiles. An image whose whole-plane run fits
+tensor._GRAPH_BYTES is one strip; a larger one runs in strips sized to the
+budget, so memory grows with its width, not its height. A conv reads its
+input's real neighbour rows with row padding 0, so zero rows appear only at
+the image border. A concat that only plain-spec convs read is never
 built: its tiles are its inputs', which those convs copy into their strip
 bands. A plain grouped conv read that way runs once per input channel range
 on its group boundaries and passes its outputs on as tiles.
@@ -551,14 +552,13 @@ def _stream(
     rows: int,
     counter: TrafficCounter | None,
 ) -> Tensor:
-    """Fused run of x in strips of `rows` input rows, depth-first: per strip,
-    every step computes the rows its readers need next, once, and each value
-    keeps only the rows its readers will still read, as tiles.
-
-    rows == x.h is the one-strip run: the batch runs at once and each step
-    runs its op's own rule on whole inputs. Otherwise each image runs alone,
-    and a conv reads its input's real neighbour rows with row padding 0
-    (_row_convs), so zero rows appear only at the image border.
+    """Fused run of x in strips of `rows` input rows, depth-first: each
+    image runs alone, and per strip every step computes the rows its readers
+    need next, once, and each value keeps only the rows its readers will
+    still read, as tiles. A step reads its inputs' rows by its op's rule;
+    a conv reads its input's real neighbour rows with row padding 0
+    (_row_convs), so zero rows appear only at the image border. rows ==
+    x.h is the one-strip case of the same walk.
 
     A concat or plain grouped conv, not the output, that only plain-spec
     convs read is held as tiles: the concat relabels its inputs' tiles and
@@ -579,12 +579,10 @@ def _stream(
         and all(plain[q] for q in readers[j])
         for j, n in enumerate(steps)
     ]
-    whole = rows == x.h
-    per = x.n if whole else 1  # images run at once
-    rule = [(0, 0, 1) if whole else OPS[n.op].rows(n) for n in steps]  # one strip has no halos
-    shape = [(per, *shapes[n.name]) for n in steps]
+    rule = [OPS[n.op].rows(n) for n in steps]
+    shape = [(1, *shapes[n.name]) for n in steps]
     height = [h for _, _, h, _ in shape]
-    cuts = [_row_convs(n) if n.op == "conv" and not whole else None for n in steps]
+    cuts = [_row_convs(n) if n.op == "conv" else None for n in steps]
 
     def run(j: int, args: list[Tiles]) -> Tensor | Tiles:
         n = steps[j]
@@ -593,17 +591,17 @@ def _stream(
         if tiled[j] and n.op == "concat":
             return Tiles.concat(args)
         if tiled[j]:  # popped, so each range is freed once its cut has run
-            return _conv_by_channels(args.pop(), cuts[j][0][0] if cuts[j] else n.spec)
+            return _conv_by_channels(args.pop(), cuts[j][0][0])
         if cuts[j]:
             return _run_conv_rows(n, args[0], cuts[j])
-        reads_tiles = n.op == "conv" and n.branches is None  # conv2d and lora_forward do
-        return OPS[n.op].run(n, *(args if reads_tiles else [a.build() for a in args]))
+        return OPS[n.op].run(n, *[a.build() for a in args])
 
-    out = None if whole else np.empty((x.n, *shapes[g.output]), np.float32)
-    for i in range(0, x.n, per):
+    # one image in one strip returns its last step's output: no second output plane
+    out = None if x.n == strips == 1 else np.empty((x.n, *shapes[g.output]), np.float32)
+    for i in range(x.n):
         done = [0] * len(steps)
         held: list[list[Tile]] = [[] for _ in steps]
-        done[0], held[0] = x.h, [(0, 0, x.data[i : i + per])]  # steps[0] is the input
+        done[0], held[0] = x.h, [(0, 0, x.data[i : i + 1])]  # steps[0] is the input
 
         def first_read(q: int) -> float:
             top, _, s = rule[q]
@@ -625,7 +623,7 @@ def _stream(
                 if e <= d:
                     continue
                 top, bottom, s = rule[j]  # output rows [d, e) read input rows [lo, hi)
-                lo, hi = (0, height[ins[j][0]]) if whole else (d // s - top, -(-e // s) + bottom)
+                lo, hi = d // s - top, -(-e // s) + bottom
                 args = [_window(held[r], lo, hi, shape[r]) for r in ins[j]]
                 done[j] = e
                 for r in set(ins[j]) - {0}:  # before the kernel; the caller holds the input
@@ -636,9 +634,9 @@ def _stream(
                 elif j < last:
                     held[j].append((d, 0, y.data))
                 elif out is None:
-                    out = y.data  # the batch's one strip
+                    out = y.data
                 else:
-                    out[i : i + per, :, d:e] = y.data
+                    out[i : i + 1, :, d:e] = y.data
                 del args, y
     return Tensor(out)
 
@@ -658,11 +656,11 @@ def run_graph(
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     _check_input(g, steps[0], x)  # steps[0] is the input
     if mode == "fused" and len(steps) > 1:  # an input-only graph has no step to fuse
-        # the batch runs as one strip when its whole-plane run fits the budget;
-        # otherwise each image runs in strips of rows whose share of it does, at least 4
+        # each image runs as one strip when its whole-plane run fits the budget,
+        # otherwise in strips of rows whose share of it does, at least 4
         shapes = infer_shapes(g, x.h, x.w)
         plane, budget = _plane_bytes(steps, reads, last_use, shapes), _tensor._GRAPH_BYTES
-        rows = x.h if x.n * plane <= budget else _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
+        rows = x.h if plane <= budget else _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
         return _stream(g, steps, reads, gates, shapes, x, rows, counter)
     env = {steps[0].name: x}
     for i, n in enumerate(steps[1:], 1):

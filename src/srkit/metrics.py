@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import OPS, ModelGraph, infer_shapes, run_graph
-from .tensor import _STRIP_FLOATS, Tensor
+from .tensor import _STRIP_FLOATS, ShapeError, Tensor
 
 PSNR_CAP_DB = 100.0
 
@@ -66,6 +66,8 @@ def tensor_to_image(t: Tensor) -> np.ndarray:
     Works in blocks of rows through one float buffer of at most the conv
     strip budget, so no float plane the size of the image is built.
     """
+    if t.shape[:2] != (1, 3):
+        raise ShapeError(f"tensor_to_image: expects one 3-channel image (1, 3, h, w), got {t.shape}")
     _, c, h, w = t.shape
     img = np.empty((c, h, w), np.uint8)
     rows = max(1, _STRIP_FLOATS // (c * w))

@@ -100,13 +100,21 @@ class Tiles:
 
     def __post_init__(self) -> None:
         n, c, h, w = self.shape
-        area = 0
+        area, boxes = 0, []
         for i, (r0, c0, a) in enumerate(self.tiles):
             fits = a.ndim == 4 and (a.shape[0], a.shape[3]) == (n, w)
             if not (fits and 0 <= r0 <= h - a.shape[2] and 0 <= c0 <= c - a.shape[1]):
                 where = f"tile {i} {a.shape} at row {r0}, channel {c0}"
                 raise ShapeError(f"Tiles: {where} is outside {self.shape}")
             area += a.shape[1] * a.shape[2]
+            r1, c1 = r0 + a.shape[2], c0 + a.shape[1]
+            for j, (q0, q1, d0, d1) in enumerate(boxes):  # none for the first tile
+                if max(r0, q0) < min(r1, q1) and max(c0, d0) < min(c1, d1):
+                    raise ShapeError(
+                        f"Tiles: tile {j} (rows {q0}:{q1}, channels {d0}:{d1}) overlaps "
+                        f"tile {i} (rows {r0}:{r1}, channels {c0}:{c1})"
+                    )
+            boxes.append((r0, r1, c0, c1))
         if area != c * h:
             raise ShapeError(f"Tiles: tiles cover {area} of the {c * h} channel rows of {self.shape}")
 
@@ -209,9 +217,9 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 # Bytes of activations one fused run_graph image aims to hold beyond its
-# output. It sets the height of the strips of input rows a fused run streams
-# in (graph.run_graph): one strip when the whole-plane run fits, so memory is
-# bounded by the image's width, not its height.
+# output. It sets the height of the strips of input rows each image of a
+# fused run streams in alone (graph.run_graph): one strip when the image's
+# whole-plane run fits, so memory is bounded by its width, not its height.
 _GRAPH_BYTES = 6 << 20
 
 

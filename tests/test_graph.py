@@ -285,15 +285,24 @@ def _held_mib(g, x, mode):
     [build_spanv2(seed=3), build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3))],
     ids=["spanv2", "span", "spanv2_train_form"],
 )
-@pytest.mark.parametrize("h, w", [(17, 19), (61, 63), (64, 64)], ids=["17x19", "61x63", "64x64"])
-def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, h, w):
-    # Images whose whole-plane run fits the budget run as one strip, each op
-    # by its own rule on whole inputs: the kernels unfused runs, on the same
-    # planes, but for the attention step, whose pass is bitwise the triple's.
-    x = rand_tensor(rng, 1, 3, h, w)
+@pytest.mark.parametrize(
+    "n, h, w",
+    [(1, 17, 19), (1, 61, 63), (1, 64, 64), (2, 17, 19), (2, 61, 63)],
+    ids=["17x19", "61x63", "64x64", "batch2_17x19", "batch2_61x63"],
+)
+def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
+    # Images whose whole-plane run fits the budget run alone as one strip of
+    # the streamed walk: each conv reads explicit zero rows at the image
+    # border with row padding 0, the rows unfused's padded band holds, and
+    # the attention step's pass is bitwise the triple's.
+    x = rand_tensor(rng, n, 3, h, w)
     unfused = run_graph(g, x, "unfused")
     used = _record_strip_rows(monkeypatch)
+    pads = []
+    conv = graph.conv2d
+    monkeypatch.setattr(graph, "conv2d", lambda a, spec: pads.append(spec.padding[0]) or conv(a, spec))
     assert np.array_equal(run_graph(g, x, "fused").data, unfused.data) and used == [h]
+    assert pads and set(pads) <= {0}
 
 
 def test_fused_patch_memory(rng):
@@ -427,7 +436,7 @@ def _stream_in_strips(monkeypatch, g, x, rows):
     steps, reads = _steps(g)
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     plane = graph._plane_bytes(steps, reads, last_use, infer_shapes(g, x.h, x.w))
-    budget = min(-(-rows * plane // x.h), x.n * plane - 1)  # the batch must not fit
+    budget = min(-(-rows * plane // x.h), plane - 1)  # the image must not fit
     monkeypatch.setattr(tensor_module, "_GRAPH_BYTES", budget)
     return _record_strip_rows(monkeypatch)
 

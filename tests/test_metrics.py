@@ -10,7 +10,7 @@ from srkit import metrics
 from srkit.metrics import bench_runtime, image_to_tensor, psnr, tensor_to_image
 from srkit.models import build_spanv2
 from srkit.selftest import rand_tensor
-from srkit.tensor import Tensor
+from srkit.tensor import ShapeError, Tensor
 
 
 class TestPsnr:
@@ -39,6 +39,12 @@ class TestPsnr:
     def test_image_tensor_roundtrip(self, rng):
         img = rng.integers(0, 256, (7, 9, 3), dtype=np.uint8)
         assert np.array_equal(tensor_to_image(image_to_tensor(img)), img)
+
+    def test_tensor_to_image_takes_one_rgb_image(self, rng):
+        # a batch would encode its first image and drop the rest
+        for shape in ((2, 3, 4, 5), (1, 4, 4, 5)):
+            with pytest.raises(ShapeError, match="one 3-channel image"):
+                tensor_to_image(Tensor(rng.random(shape, dtype=np.float32)))
 
     def test_tensor_to_image_holds_one_float_plane(self, rng):
         x = Tensor(rng.normal(0.5, 0.6, (1, 3, 512, 512)).astype(np.float32))

@@ -330,7 +330,8 @@ class TestConcat:
 
     def test_parts_describe_their_concat(self, rng):
         # shape, c and numel are what a tracer or a shape check reads of an
-        # input, here one part held as two row tiles; a missing tile is rejected
+        # input, here one part held as two row tiles; a missing tile, or two
+        # overlapping ones that leave rows uncovered, is rejected
         parts = [rand_tensor(rng, 2, 1, 3, 4), rand_tensor(rng, 2, 5, 3, 4)]
         built = concat_channels(parts)
         top, rest = parts[0].data[:, :, :1], parts[0].data[:, :, 1:]
@@ -340,3 +341,6 @@ class TestConcat:
         assert np.array_equal(held.build().data, built.data)
         with pytest.raises(ShapeError, match="Tiles: tiles cover 17 of the 18 channel rows"):
             Tiles(tiles[1:], built.shape)
+        a = parts[1].data[:1, :2, :2]
+        with pytest.raises(ShapeError, match=r"tile 0 \(rows 0:2, channels 0:2\) overlaps tile 1"):
+            Tiles(((0, 0, a), (0, 0, a)), (1, 2, 4, 4))
