@@ -169,7 +169,7 @@ def load_archive(path: str | Path) -> ModelGraph:
             raise ArchiveError(f"{path}: unsupported format version {version}")
         try:
             header = json.loads(_read_exact(fh, header_len, "header"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, depth
             raise ArchiveError(f"{path}: corrupt header JSON: {exc}") from exc
         payload = fh.read()
     _check_header(header, _HEADER, f"{path}: header")

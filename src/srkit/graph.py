@@ -20,13 +20,14 @@ three-op reference; both accept a traffic counter.
 rows, and each step computes, once, the rows its readers need next. Each
 value keeps only the rows its readers will still read (a conv reader's halo,
 a skip reader's lag), as tensor.Tiles. An image whose whole-plane run fits
-tensor._GRAPH_BYTES is one strip; a larger one runs in strips sized to the
-budget, so memory grows with its width, not its height. A conv reads its
-input's real neighbour rows with row padding 0, so zero rows appear only at
-the image border. A concat that only plain-spec convs read is never
-built: its tiles are its inputs', which those convs copy into their strip
-bands. A plain grouped conv read that way runs once per input channel range
-on its group boundaries and passes its outputs on as tiles.
+_GRAPH_BYTES is one strip; a larger one runs in strips sized to the budget,
+so memory grows with its width, not its height. A conv reads its input's
+real neighbour rows with row padding 0, so zero rows appear only at the
+image border. How a value is held depends on its op alone: a concat is never
+built, its tiles are its inputs', and a plain conv whose input's channel
+ranges fall on its group boundaries runs once per range and passes its
+outputs on as tiles. A conv copies the tiles it reads into its strip bands;
+an op that needs a plane builds the rows it reads.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -34,7 +35,6 @@ execution are one entry of OPS; adding an op means adding one entry.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -67,9 +67,11 @@ from .tensor import (
 
 MODES = ("unfused", "fused")
 
-# The package re-exports a `tensor()` function that shadows the module name;
-# _GRAPH_BYTES is read from the module at call time.
-_tensor = importlib.import_module(".tensor", __package__)
+# Bytes of activations one fused run_graph image aims to hold beyond its
+# output. It sets the height of the strips of input rows each image of a
+# fused run streams in alone: one strip when the image's whole-plane run
+# fits, so memory is bounded by its width, not its height.
+_GRAPH_BYTES = 6 << 20
 
 
 @dataclass
@@ -475,11 +477,16 @@ def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
     return cuts
 
 
-def _run_conv_rows(n: Node, x: Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor:
-    # a branch group's sum in branch_forward's order: the convs, then the identity
+def _run_conv_rows(n: Node, x: Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor | Tiles:
+    # a plain conv runs by channel ranges; a branch group's sum is in
+    # branch_forward's order: the convs, then the identity
+    parts = [x if a == b == 0 else _window(x.tiles, a, x.shape[2] - b, x.shape) for _, a, b in cuts]
+    del x  # popped, so each part is freed once its cut has run
+    if n.lora is None and n.branches is None:
+        return _conv_by_channels(parts.pop(0), cuts[0][0])
     y = None
-    for spec, a, b in cuts:
-        part = x if a == b == 0 else _window(x.tiles, a, x.shape[2] - b, x.shape)
+    for spec, _, _ in cuts:
+        part = parts.pop(0)
         if spec is None:
             part = part.build()
         else:
@@ -560,10 +567,11 @@ def _stream(
     (_row_convs), so zero rows appear only at the image border. rows ==
     x.h is the one-strip case of the same walk.
 
-    A concat or plain grouped conv, not the output, that only plain-spec
-    convs read is held as tiles: the concat relabels its inputs' tiles and
-    is never built, and the grouped conv runs per channel range
-    (_conv_by_channels). conv2d copies tiles into its band itself.
+    What a step holds depends on its op alone: a concat relabels its
+    inputs' tiles and is never built, a plain conv runs per channel range
+    when its input's ranges fall on its group boundaries
+    (_conv_by_channels), and conv2d copies tiles into its band itself.
+    Other ops build the rows they read; the output step builds its rows.
     """
     index = {n.name: j for j, n in enumerate(steps)}
     ins = [[index[r] for r in reads[n.name]] for n in steps]
@@ -572,13 +580,6 @@ def _stream(
         for r in set(ins[j]):
             readers[r].append(j)
     last, strips = len(steps) - 1, -(-x.h // rows)
-    plain = [n.op == "conv" and n.lora is None and n.branches is None for n in steps]
-    tiled = [
-        j < last
-        and (n.op == "concat" or plain[j] and n.spec.groups > 1)
-        and all(plain[q] for q in readers[j])
-        for j, n in enumerate(steps)
-    ]
     rule = [OPS[n.op].rows(n) for n in steps]
     shape = [(1, *shapes[n.name]) for n in steps]
     height = [h for _, _, h, _ in shape]
@@ -588,12 +589,10 @@ def _stream(
         n = steps[j]
         if n.name in gates:
             return fused_attention(*[a.build() for a in args], gates[n.name][0], counter)
-        if tiled[j] and n.op == "concat":
+        if n.op == "concat":
             return Tiles.concat(args)
-        if tiled[j]:  # popped, so each range is freed once its cut has run
-            return _conv_by_channels(args.pop(), cuts[j][0][0])
-        if cuts[j]:
-            return _run_conv_rows(n, args[0], cuts[j])
+        if cuts[j]:  # popped, so _run_conv_rows frees its input's parts as they run
+            return _run_conv_rows(n, args.pop(), cuts[j])
         return OPS[n.op].run(n, *[a.build() for a in args])
 
     # one image in one strip returns its last step's output: no second output plane
@@ -634,9 +633,9 @@ def _stream(
                 elif j < last:
                     held[j].append((d, 0, y.data))
                 elif out is None:
-                    out = y.data
+                    out = Tiles.of(y).build().data
                 else:
-                    out[i : i + 1, :, d:e] = y.data
+                    out[i : i + 1, :, d:e] = Tiles.of(y).build().data
                 del args, y
     return Tensor(out)
 
@@ -659,7 +658,7 @@ def run_graph(
         # each image runs as one strip when its whole-plane run fits the budget,
         # otherwise in strips of rows whose share of it does, at least 4
         shapes = infer_shapes(g, x.h, x.w)
-        plane, budget = _plane_bytes(steps, reads, last_use, shapes), _tensor._GRAPH_BYTES
+        plane, budget = _plane_bytes(steps, reads, last_use, shapes), _GRAPH_BYTES
         rows = x.h if plane <= budget else _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
         return _stream(g, steps, reads, gates, shapes, x, rows, counter)
     env = {steps[0].name: x}

@@ -15,7 +15,7 @@ import statistics
 import time
 import tracemalloc
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,18 +118,7 @@ class RuntimeStats:
     blas: str | None  # "name version" of the BLAS numpy was built with
 
     def to_dict(self) -> dict:
-        return {
-            "per_image_ms": self.per_image_ms,
-            "per_image_min_ms": self.per_image_min_ms,
-            "per_image_median_ms": self.per_image_median_ms,
-            "per_image_iqr_ms": self.per_image_iqr_ms,
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "peak_mib": self.peak_mib,
-            "mode": self.mode,
-            "threads": self.threads,
-            "blas": self.blas,
-        }
+        return asdict(self)
 
 
 def _blas_in_use() -> str | None:

@@ -10,7 +10,7 @@ tool rather than an automatic graph pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,12 +31,7 @@ class RewriteReport:
     max_rel_err: float
 
     def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "kind": self.kind,
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-        }
+        return asdict(self)
 
 
 def _probe(rng: np.random.Generator, channels: int) -> Tensor:

@@ -53,7 +53,12 @@ def score_metric(team_value: float, baseline_value: float) -> float:
         raise ValueError(
             f"score_metric: values must be > 0, got {team_value} / {baseline_value}"
         )
-    return math.exp(2.0 * team_value / baseline_value)
+    try:
+        return math.exp(2.0 * team_value / baseline_value)
+    except OverflowError:
+        raise ValueError(
+            f"score_metric: {team_value} against {baseline_value} is too large a ratio to score"
+        ) from None
 
 
 def score_final(runtime_score: float, flops_score: float, params_score: float) -> float:
@@ -264,6 +269,8 @@ def _row_to_metrics(row) -> TeamMetrics:
             return float(value)
         except (TypeError, ValueError):
             raise ValueError(f"field {key!r} is not a number: {value!r}") from None
+        except OverflowError:
+            raise ValueError(f"field {key!r} is out of float range: {value!r}") from None
 
     if "name" not in row:
         raise ValueError("lacks field 'name'")
@@ -287,10 +294,18 @@ def load_team_table(path: str | Path) -> tuple[list[TeamMetrics], TeamMetrics]:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
-            raw = list(csv.DictReader(fh))
+            raw = []
+            try:
+                for row in csv.DictReader(fh):
+                    raw.append(row)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: row {len(raw)} {exc}") from None
     else:
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+                raise ValueError(f"{path}: not a JSON table: {exc}") from None
         raw = doc.get("teams") if isinstance(doc, dict) else doc
         if not isinstance(raw, list):
             raise ValueError(f'{path}: expected a list of rows or {{"teams": [...]}}')

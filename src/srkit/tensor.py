@@ -216,12 +216,6 @@ class ConvSpec:
 # conv memory is bounded by this, not by the image.
 _STRIP_FLOATS = 1 << 19
 
-# Bytes of activations one fused run_graph image aims to hold beyond its
-# output. It sets the height of the strips of input rows each image of a
-# fused run streams in alone (graph.run_graph): one strip when the image's
-# whole-plane run fits, so memory is bounded by its width, not its height.
-_GRAPH_BYTES = 6 << 20
-
 
 def strip_height(n: int, spec: ConvSpec, w: int) -> int:
     """Output rows conv2d computes per strip on n images w wide: as many as

@@ -210,6 +210,15 @@ class TestMalformed:
         with pytest.raises(ArchiveError, match="header"):
             load_archive(bad)
 
+    @pytest.mark.parametrize(
+        "blob", [b"[" * 200_000 + b"]" * 200_000, b'{"a": "\xff"}'], ids=["nested_too_deeply", "not_utf8"]
+    )
+    def test_undecodable_header_json(self, tmp_path, blob):
+        bad = tmp_path / "bad.srwt"
+        bad.write_bytes(MAGIC + struct.pack("<HI", VERSION, len(blob)) + blob)
+        with pytest.raises(ArchiveError, match="corrupt header JSON"):
+            load_archive(bad)
+
     def test_gapped_offsets_rejected(self, tmp_path, good):
         raw = good.read_bytes()
         (hlen,) = struct.unpack("<I", raw[6:10])

@@ -221,8 +221,18 @@ class TestVerbs:
                 '[{"name": "a", "runtime_ms": [1], "params_m": 1, "flops_g": 1}]',
                 "row 0 field 'runtime_ms' is not a number",
             ),
+            ("t.json", "[" * 200_000 + "]" * 200_000, "maximum recursion depth"),
+            ("t.csv", f"name,runtime_ms,params_m,flops_g,baseline\n{'a' * 131_073},1,1,1,true\n", "row 0 field larger"),
+            (
+                "t.json",
+                f'[{{"name": "a", "runtime_ms": 1{"0" * 400}, "params_m": 1, "flops_g": 1}}]',
+                "row 0 field 'runtime_ms' is out of float range",
+            ),
         ],
-        ids=["no_flops_g", "csv_no_params_m", "no_teams", "teams_int", "row_int", "list_runtime"],
+        ids=[
+            "no_flops_g", "csv_no_params_m", "no_teams", "teams_int", "row_int", "list_runtime",
+            "deep_json", "long_csv_field", "huge_runtime",
+        ],
     )
     def test_malformed_score_table_diagnostic(self, tmp_path, capsys, name, text, needle):
         table = tmp_path / name
@@ -230,6 +240,13 @@ class TestVerbs:
         assert main(["score", str(table)]) == 1  # a traceback would escape as an exception
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(table) in err and needle in err
+
+    def test_score_ratio_too_large_diagnostic(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("name,runtime_ms,params_m,flops_g,baseline\nslow,1000,1,1,\nbase,1,1,1,true\n")
+        assert main(["score", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1000.0 against 1.0 is too large a ratio" in err
 
     @pytest.mark.parametrize(
         "argv, needle",

@@ -1,4 +1,3 @@
-import importlib
 import inspect
 import tracemalloc
 from dataclasses import replace
@@ -229,31 +228,32 @@ LORA = Node("cat_conv", "conv", ("cat",), spec=_conv(3, 4), lora=RANK1)
 
 
 @pytest.mark.parametrize(
-    "readers, builds",
+    "readers",
     [
-        ([PLAIN], 0),
-        ([PLAIN, Node("cat_conv2", "conv", ("cat",), spec=_conv(3, 4, k=1)),
-          Node("sum", "add", ("cat_conv", "cat_conv2"))], 0),
-        ([PLAIN, Node("r", "relu", ("cat",)), Node("r_conv", "conv", ("r",), spec=_conv(3, 4)),
-          Node("sum", "add", ("cat_conv", "r_conv"))], 1),
-        ([LORA], 1),
-        ([], 1),
+        [PLAIN],
+        [PLAIN, Node("cat_conv2", "conv", ("cat",), spec=_conv(3, 4, k=1)),
+         Node("sum", "add", ("cat_conv", "cat_conv2"))],
+        [PLAIN, Node("r", "relu", ("cat",)), Node("r_conv", "conv", ("r",), spec=_conv(3, 4)),
+         Node("sum", "add", ("cat_conv", "r_conv"))],
+        [LORA],
+        [],
     ],
     ids=["conv", "two_convs", "conv_and_relu", "lora_conv", "graph_output"],
 )
-def test_fused_builds_a_concat_only_for_a_reader_other_than_a_plain_conv(
-    monkeypatch, rng, readers, builds
-):
+def test_fused_builds_a_concat_only_for_a_reader_other_than_a_plain_conv(monkeypatch, rng, readers):
+    # Fused holds a concat as its inputs' tiles whoever reads it: convs copy
+    # them into their bands, and a reader that needs a plane (the relu, the
+    # graph output) builds the rows it reads, never the concat as such.
     calls = []
     concat = graph.concat_channels
     monkeypatch.setattr(graph, "concat_channels", lambda parts: calls.append(1) or concat(parts))
     g = _cat_graph(readers)
     x = rand_tensor(rng, 1, 3, 5, 7)
     fused = run_graph(g, x, mode="fused")
-    assert len(calls) == builds
+    assert calls == []
     # no fusion groups, so the two plans do the same arithmetic
     assert np.array_equal(fused.data, run_graph(g, x, mode="unfused").data)
-    assert len(calls) == builds + 1  # unfused is the literal op-by-op run
+    assert len(calls) == 1  # unfused is the literal op-by-op run
 
 
 @pytest.mark.parametrize(
@@ -368,9 +368,22 @@ def test_schedule_runs_the_deeper_input_first():
     assert [n.name for n in _steps(span)[0]] == [n.name for n in span.nodes]
 
 
-@pytest.mark.parametrize("widths, calls", [((2, 4), 2), ((1, 5), 1)], ids=["aligned", "misaligned"])
-def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rng, widths, calls):
-    # cat = concat(a, b) -> grouped conv (3 groups of 2 channels) -> 1x1 conv
+GROUPED_TAILS = {
+    "pw": [Node("pw", "conv", ("grouped",), spec=_conv(9, 2, k=1))],
+    "output": [],
+    "relu": [Node("r", "relu", ("grouped",))],
+}
+
+
+@pytest.mark.parametrize(
+    "widths, calls, tail",
+    [((2, 4), 2, "pw"), ((1, 5), 1, "pw"), ((2, 4), 2, "output"), ((1, 5), 1, "output"),
+     ((2, 4), 2, "relu"), ((1, 5), 1, "relu")],
+    ids=["aligned", "misaligned", "aligned_output", "misaligned_output", "aligned_relu", "misaligned_relu"],
+)
+def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rng, widths, calls, tail):
+    # cat = concat(a, b) -> grouped conv (3 groups of 2 channels) -> a 1x1
+    # conv, nothing (the grouped conv is the output) or a relu
     a, b = widths
     nodes = [
         _inp(),
@@ -378,7 +391,7 @@ def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rn
         Node("b", "conv", ("input",), spec=_conv(3, b)),
         Node("cat", "concat", ("a", "b")),
         Node("grouped", "conv", ("cat",), spec=_conv(6, 9, groups=3)),
-        Node("pw", "conv", ("grouped",), spec=_conv(9, 2, k=1)),
+        *GROUPED_TAILS[tail],
     ]
     g = _graph(nodes)
     seen = []
@@ -386,8 +399,9 @@ def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rn
     monkeypatch.setattr(graph, "conv2d", lambda x, spec: seen.append(x) or conv(x, spec))
     x = rand_tensor(rng, 1, 3, 5, 7)
     fused = run_graph(g, x, mode="fused")
-    assert len(seen) == 3 + calls  # a, b and pw, plus the grouped conv's calls
-    assert isinstance(seen[-1], Tiles) and len(seen[-1].tiles) == calls  # pw reads one tile per call
+    assert len(seen) == 2 + calls + (tail == "pw")  # a and b, the grouped conv's calls, pw
+    if tail == "pw":
+        assert isinstance(seen[-1], Tiles) and len(seen[-1].tiles) == calls  # pw reads one tile per call
     assert np.array_equal(fused.data, run_graph(g, x, mode="unfused").data)
 
 
@@ -414,9 +428,6 @@ def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):
 
 # -- strip streaming ---------------------------------------------------------
 
-tensor_module = importlib.import_module("srkit.tensor")
-
-
 def _record_strip_rows(monkeypatch):
     """The strip height each fused run_graph passes its executor, as a list
     that fills as they run."""
@@ -437,7 +448,7 @@ def _stream_in_strips(monkeypatch, g, x, rows):
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     plane = graph._plane_bytes(steps, reads, last_use, infer_shapes(g, x.h, x.w))
     budget = min(-(-rows * plane // x.h), plane - 1)  # the image must not fit
-    monkeypatch.setattr(tensor_module, "_GRAPH_BYTES", budget)
+    monkeypatch.setattr(graph, "_GRAPH_BYTES", budget)
     return _record_strip_rows(monkeypatch)
 
 

@@ -45,6 +45,10 @@ class TestScoreMetric:
         with pytest.raises(ValueError):
             score_metric(1.0, -2.0)
 
+    def test_rejects_a_ratio_whose_score_overflows(self):
+        with pytest.raises(ValueError, match="1000.0 against 1.0"):
+            score_metric(1000.0, 1.0)
+
 
 class TestScoreFinal:
     def test_weights(self):
