@@ -3,10 +3,10 @@
 A ModelGraph is an ordered list of named nodes wired by name: one input, one
 output, skip/concat fan-in allowed. A conv node sums parallel convs: its
 spec, its spec and a LoRA delta, or a non-empty branch group with an optional
-identity. `_parallel_convs` lists their geometry once (a LoRA delta's
-factors are checked, not multiplied); shapes and FLOPs read that list, the
-executor runs the decorations live and the fuse rewrites fold them away. No
-other op carries conv weights.
+identity. `_parallel_convs` lists the node's specs once (a LoRA delta's
+factors are checked, not multiplied); shapes, FLOPs and the fused row cuts
+read that list, the executor runs the decorations live and the fuse
+rewrites fold them away. No other op carries conv weights.
 
 `run_graph` runs the nodes the output needs in one schedule, whatever the
 mode: a depth-first walk from the output that runs each node's deeper input
@@ -62,7 +62,6 @@ from .tensor import (
     mul,
     pixel_shuffle,
     relu,
-    strip_height,
 )
 
 MODES = ("unfused", "fused")
@@ -253,41 +252,23 @@ def _input_shape(n: Node, ins: list[Shape]) -> Shape:
     return ins[0]
 
 
-class _ConvGeometry(NamedTuple):
-    """One parallel conv as shapes and FLOPs see it: everything but weights."""
-
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
-    padding: tuple[int, int]
-    groups: int
-    bias: bool
-
-    @staticmethod
-    def of(s: ConvSpec) -> "_ConvGeometry":
-        bias = s.bias is not None
-        return _ConvGeometry(s.in_channels, s.out_channels, s.kernel, s.padding, s.groups, bias)
-
-
-def _parallel_convs(n: Node) -> tuple[list[_ConvGeometry], bool]:
+def _parallel_convs(n: Node) -> tuple[list[ConvSpec], bool]:
     """The convs a conv node runs in parallel and sums, and whether its input
-    (an identity branch) joins the sum: the spec, the spec and its LoRA delta,
-    or a branch group's convs. The delta is a bias-free ungrouped conv of the
-    spec's geometry; its factors are checked, never multiplied."""
+    (an identity branch) joins the sum: its spec, or its branch group's
+    convs. A LoRA delta on the spec is checked here, never multiplied;
+    _conv_flops counts it."""
     if n.branches is not None:
         if n.spec is not None or n.lora is not None or not n.branches.branches:
             raise ShapeError(f"conv node {n.name!r}: branches need a conv and no spec or LoRA")
-        return [_ConvGeometry.of(b) for b in n.branches.branches], n.branches.include_identity
+        return list(n.branches.branches), n.branches.include_identity
     if n.spec is None:
         raise ShapeError(f"conv node {n.name!r} has neither spec nor branches")
-    convs = [_ConvGeometry.of(n.spec)]
     if n.lora is not None:
         try:
             check_lora_factors(n.spec, n.lora)
         except ShapeError as e:
             raise ShapeError(f"conv node {n.name!r}: {e}") from None
-        convs.append(convs[0]._replace(groups=1, bias=False))
-    return convs, False
+    return [n.spec], False
 
 
 def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
@@ -305,7 +286,7 @@ def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
             where = "" if n.branches is None else f" {name}"
             raise ShapeError(f"conv {n.name!r}{where} expects {ci} channels, producer provides {cin}")
         outs.append((co, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1))
-    _, c0, k0, p0 = parts[0]  # a LoRA delta has its spec's geometry, so only branches differ
+    _, c0, k0, p0 = parts[0]
     for name, (_, co, k, p), out in zip(names[1:], parts[1:], outs[1:]):
         if co != c0:
             raise ShapeError(f"conv {n.name!r}: {name} gives {co} channels, branch 0 gives {c0}")
@@ -317,16 +298,16 @@ def _conv_shape(n: Node, ins: list[Shape]) -> Shape:
     return outs[0]
 
 
-def _spec_flops(conv: _ConvGeometry, h: int, w: int) -> int:
-    macs = conv.out_channels * (conv.in_channels // conv.groups) * conv.kernel[0] * conv.kernel[1]
-    return (macs + conv.out_channels * conv.bias) * h * w
-
-
 def _conv_flops(n: Node, out: Shape) -> int:
-    # every parallel conv, plus one add per conv or identity summed onto the first
+    # per output pixel: a MAC per weight and an add per bias of each parallel
+    # conv, and one add per conv or identity summed onto the first; a LoRA
+    # delta is one more conv, ungrouped and bias-free, of its spec's geometry
     convs, identity = _parallel_convs(n)
     c, h, w = out
-    return sum(_spec_flops(s, h, w) for s in convs) + (len(convs) - 1 + identity) * c * h * w
+    flops = sum(s.param_count for s in convs) + (len(convs) - 1 + identity) * c
+    if n.lora is not None:
+        flops += c * n.spec.in_channels * n.spec.kernel[0] * n.spec.kernel[1] + c
+    return flops * h * w
 
 
 def _run_conv(n: Node, x: Tensor) -> Tensor:
@@ -449,32 +430,17 @@ def _plane_bytes(
     return peak
 
 
-def _conv_aligned(rows: int, steps: list[Node], shapes: dict[str, Shape]) -> int:
-    """rows rounded down to whole strips of the graph's costliest conv, when
-    that leaves at least 4: conv2d runs a call of h rows in strips of equal
-    height, recomputing the rows its last strip overlaps, so strips of the
-    graph that end off its strip height make it compute up to a tenth more."""
-    convs = [n for n in steps if n.op == "conv"]
-    if not convs:
-        return rows
-    n = max(convs, key=lambda n: _conv_flops(n, shapes[n.name]))
-    step = strip_height(1, n.spec if n.branches is None else n.branches.branches[0], shapes[n.inputs[0]][2])
-    return rows // step * step if rows // step * step >= 4 else rows
-
-
 def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
     """Conv node n as its parallel convs with row padding 0, each with the
     rows it skips at the top and bottom of the node's input window; None is
     the identity branch."""
     top, bottom, _ = _conv_rows(n)
-    specs = [n.spec] if n.branches is None else list(n.branches.branches)
+    convs, identity = _parallel_convs(n)
     cuts = [
         (replace(s, padding=(0, s.padding[1])), top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
-        for s in specs
+        for s in convs
     ]
-    if n.branches is not None and n.branches.include_identity:
-        cuts.append((None, top, bottom))
-    return cuts
+    return cuts + [(None, top, bottom)] * identity
 
 
 def _run_conv_rows(n: Node, x: Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor | Tiles:
@@ -659,7 +625,7 @@ def run_graph(
         # otherwise in strips of rows whose share of it does, at least 4
         shapes = infer_shapes(g, x.h, x.w)
         plane, budget = _plane_bytes(steps, reads, last_use, shapes), _GRAPH_BYTES
-        rows = x.h if plane <= budget else _conv_aligned(max(4, budget * x.h // plane), steps, shapes)
+        rows = x.h if plane <= budget else max(4, budget * x.h // plane)
         return _stream(g, steps, reads, gates, shapes, x, rows, counter)
     env = {steps[0].name: x}
     for i, n in enumerate(steps[1:], 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -43,8 +43,12 @@ class TeamMetrics:
     def __post_init__(self) -> None:
         for metric in METRIC_FIELDS:
             value = getattr(self, metric)
-            if not (value > 0):
-                raise ValueError(f"{self.name}: {metric} must be > 0, got {value}")
+            if not (0 < value < math.inf):
+                raise ValueError(f"{self.name}: {metric} must be finite and > 0, got {value}")
+        for gate in ("psnr_valid", "psnr_test"):
+            value = getattr(self, gate)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.name}: {gate} must be finite, got {value}")
 
 
 def score_metric(team_value: float, baseline_value: float) -> float:
@@ -86,24 +90,11 @@ class TeamScore:
     overall_rank: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "runtime_ms": self.metrics.runtime_ms,
-            "params_m": self.metrics.params_m,
-            "flops_g": self.metrics.flops_g,
-            "psnr_valid": self.metrics.psnr_valid,
-            "psnr_test": self.metrics.psnr_test,
-            "runtime_score": self.runtime_score,
-            "params_score": self.params_score,
-            "flops_score": self.flops_score,
-            "overall_score": self.overall_score,
-            "ranked": self.ranked,
-            "is_baseline": self.is_baseline,
-            "runtime_rank": self.runtime_rank,
-            "params_rank": self.params_rank,
-            "flops_rank": self.flops_rank,
-            "overall_rank": self.overall_rank,
-        }
+        # the name, the metrics' fields but their name, then the scores and ranks
+        row = asdict(self)
+        metrics = row.pop("metrics")
+        del metrics["name"]
+        return {"name": row.pop("name"), **metrics, **row}
 
 
 @dataclass

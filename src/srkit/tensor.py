@@ -217,15 +217,6 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 
-def strip_height(n: int, spec: ConvSpec, w: int) -> int:
-    """Output rows conv2d computes per strip on n images w wide: as many as
-    keep its strip buffers (band, column block, accumulator) within
-    _STRIP_FLOATS."""
-    taps, wp = spec.kernel[0] * spec.kernel[1], w + 2 * spec.padding[1]
-    row = wp * (spec.in_channels * (1 + taps * (taps > 1)) + spec.out_channels)
-    return max(1, _STRIP_FLOATS // (n * row))
-
-
 def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
@@ -254,15 +245,15 @@ def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
     # window runs kw - 1 elements past the band, hence one extra row. One
     # strided copy stacks the windows into a column block, and one GEMM per
     # strip contracts it with the weights, whatever `groups` is. A 1x1 conv's
-    # one window is the whole band, so its GEMM reads the band in place. All
-    # strips have one height, so buffers and views are built once; the last
-    # strip ends at the last row, recomputing a few rows of the one before it.
+    # one window is the whole band, so its GEMM reads the band in place. The
+    # strips are as even as _STRIP_FLOATS allows, and buffers and views are
+    # built once for them; a shorter last strip uses their leading columns,
+    # so no output row is computed twice.
     cin, cout, g = spec.in_channels, spec.out_channels, spec.groups
     cg, taps = cin // g, kh * kw
     wp = w + 2 * pw
-    most = strip_height(n, spec, w)
-    strips = -(-hout // most)
-    rows = -(-hout // strips)
+    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
+    rows = -(-hout // -(-hout // most))
     nb, span = rows + kh - 1 + (kw > 1), rows * wp
     band = np.zeros((n, cin, nb, wp), np.float32)
     interior = band[..., pw : pw + w]
@@ -280,8 +271,9 @@ def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
     acc_valid = acc.reshape(n, cout, rows, wp)[..., :wout]  # junk columns dropped
     bias = 0.0 if spec.bias is None else spec.bias[:, None, None]
     out = np.empty((n, cout, hout, wout), np.float32)
-    for i in range(strips):
-        r0 = min(i * rows, hout - rows)
+    for r0 in range(0, hout, rows):
+        m = min(rows, hout - r0)
+        used = np.s_[..., : m * wp]
         # band row j holds input row r0 - ph + j, zero outside the input; the
         # `a` rows above it still hold zeros, as strips only move down
         a = min(max(ph - r0, 0), nb)
@@ -293,9 +285,9 @@ def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
                 interior[:, c0 : c0 + src.shape[1], j0:j1] = src[:, :, j0 + k : j1 + k]
         interior[:, :, b:] = 0.0
         if cols is not band:
-            np.copyto(cols, windows)
-        np.matmul(weight, gemm_cols, acc)
-        np.add(acc_valid, bias, out[:, :, r0 : r0 + rows])
+            np.copyto(cols[used], windows[used])
+        np.matmul(weight, gemm_cols[used], acc[used])
+        np.add(acc_valid[:, :, :m], bias, out[:, :, r0 : r0 + m])
     return Tensor(out)
 
 

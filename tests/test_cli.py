@@ -228,10 +228,23 @@ class TestVerbs:
                 f'[{{"name": "a", "runtime_ms": 1{"0" * 400}, "params_m": 1, "flops_g": 1}}]',
                 "row 0 field 'runtime_ms' is out of float range",
             ),
+            ("t.csv", "name,runtime_ms,params_m,flops_g,baseline\na,inf,1,1,\nb,1,1,1,true\n", "row 0 a: runtime_ms must be finite"),
+            ("t.csv", "name,runtime_ms,params_m,flops_g,baseline\na,1e400,1,1,\nb,1,1,1,true\n", "row 0 a: runtime_ms must be finite"),
+            (
+                "t.json",
+                '[{"name": "a", "runtime_ms": Infinity, "params_m": 1, "flops_g": 1}]',
+                "row 0 a: runtime_ms must be finite",
+            ),
+            (
+                "t.csv",
+                "name,runtime_ms,params_m,flops_g,psnr_valid,psnr_test,baseline\na,1,1,1,nan,27,\nb,1,1,1,,,true\n",
+                "row 0 a: psnr_valid must be finite",
+            ),
         ],
         ids=[
             "no_flops_g", "csv_no_params_m", "no_teams", "teams_int", "row_int", "list_runtime",
             "deep_json", "long_csv_field", "huge_runtime",
+            "inf_runtime_csv", "overflowing_runtime_csv", "infinite_runtime_json", "nan_psnr_csv",
         ],
     )
     def test_malformed_score_table_diagnostic(self, tmp_path, capsys, name, text, needle):

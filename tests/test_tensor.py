@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestConv2d:
 
     # 1-row strips (with pad 2, the first and last two lie wholly in padding),
     # 2-row strips, which do not divide the 5-row outputs, so the last strip
-    # overlaps the one before it, and one strip for the whole image
+    # is one row, and one strip for the whole image
     @STRIP_ROWS
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
     @CONV_CASES
@@ -226,6 +227,49 @@ class TestConv2d:
         cut = not any(c % cg for c in sizes[split])
         assert isinstance(out, Tiles) == cut and len(Tiles.of(out).tiles) == (len(parts) if cut else 1)
         assert np.array_equal(Tiles.of(out).build().data, whole.data)
+
+    # At the default budget both 32-channel convs run their 61 output rows in
+    # strips of 21, 21 and 19; the small ones run 3-row strips on 7 rows.
+    @pytest.mark.parametrize(
+        "n, cin, cout, kernel, padding, groups, h, w, strip_rows",
+        [
+            (1, 32, 32, (3, 3), (1, 1), 1, 61, 63, None),
+            (1, 32, 32, (3, 3), (1, 1), 32, 61, 63, None),
+            (1, 5, 3, (1, 1), (0, 0), 1, 7, 6, 3),
+            (2, 3, 4, (3, 3), (1, 1), 1, 7, 6, 3),
+        ],
+        ids=["dense32_61x63", "depthwise32_61x63", "pointwise", "batch2"],
+    )
+    def test_computes_each_output_row_once(
+        self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, h, w, strip_rows
+    ):
+        if strip_rows is not None:
+            _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
+        # weights scaled by fan-in keep 288-term float32 sums within the
+        # oracle's tolerance
+        fan_in = cin // groups * kernel[0] * kernel[1]
+        weight = rng.normal(0, fan_in**-0.5, (cout, cin // groups, *kernel)).astype(np.float32)
+        bias = rng.normal(0, 0.5, cout).astype(np.float32)
+        spec = ConvSpec(cin, cout, kernel, padding, weight, bias=bias, groups=groups)
+        x = rand_tensor(rng, n, cin, h, w)
+        columns = []  # per GEMM: the output columns of one group, over the batch
+        matmul = np.matmul
+
+        def counted(a, b, *args, **kwargs):
+            columns.append(b.shape[0] * b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        y = conv2d(x, spec)
+        monkeypatch.setattr(np, "matmul", matmul)
+        hout = h + 2 * padding[0] - kernel[0] + 1
+        assert sum(columns) == n * hout * (w + 2 * padding[1]), columns
+        # The oracle's loops take seconds on all 32 output channels of the
+        # dense 61x63 conv, so an ungrouped conv is checked on two: one GEMM
+        # per strip computes every output channel, so a wrong row shows in each.
+        if groups == 1:
+            spec = replace(spec, out_channels=2, weight=weight[:2], bias=bias[:2])
+        assert_close(y.data[:, : spec.out_channels], brute_conv(x, spec))
 
     def test_peak_memory_is_a_small_multiple_of_input_and_output(self, rng):
         # No im2col-style copy of the input: beyond its output, one 3x3 conv
