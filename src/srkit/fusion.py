@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import _STRIP_FLOATS, ConvSpec, ShapeError, Tensor, add, conv2d, mul
+from .tensor import _STRIP_FLOATS, Band, ConvSpec, ShapeError, Tensor, add, conv2d, mul
 
 
 @dataclass
@@ -98,8 +98,13 @@ def _check_attention_operands(x: Tensor, f3: Tensor, attn: ConvSpec) -> None:
 
 
 def fused_attention(
-    x: Tensor, f3: Tensor, attn: ConvSpec, counter: TrafficCounter | None = None
-) -> Tensor:
+    x: Tensor | Band,
+    f3: Tensor | Band,
+    attn: ConvSpec,
+    counter: TrafficCounter | None = None,
+    out: Band | None = None,
+    ws: np.ndarray | None = None,
+) -> Tensor | Band:
     """Single-pass y = (x + f3) * (b + W f3): no intermediate tensor round-trips.
 
     Plan: per spatial position, the C-vectors of x and f3 are each read once
@@ -107,35 +112,59 @@ def fused_attention(
     O(C^2) weights are cached, not streamed, and are not counted. The plane
     is computed in column strips sized so four C x strip buffers fit the
     conv strip budget: one gate buffer is reused and y is written once, so no
-    plane holds W f3 + b or x + f3.
+    plane holds W f3 + b or x + f3. Given `out`, a Band (f3's own, for an
+    in-place step), x and f3 are Bands and y is written there, in strips of
+    rows whose gathered f3 and gates fit the workspace `ws`.
     """
     _check_attention_operands(x, f3, attn)
     n, c, h, w = x.shape
     weight = attn.weight.reshape(c, c)
     bias = 0.0 if attn.bias is None else attn.bias[:, None]
-    hw = h * w
-    xs, fs = x.data.reshape(n, c, hw), f3.data.reshape(n, c, hw)
-    y = np.empty((n, c, h, w), np.float32)
-    ys = y.reshape(n, c, hw)
     # Strips are `step` columns, a multiple of 64, and the last one also takes
     # the remainder. OpenBLAS rounds the last columns of a narrow product
     # differently from the same columns of a wide one; with no GEMM narrower
     # than `step` (or the plane) the output is bitwise that of one whole-plane
     # product (OpenBLAS 0.3.31, checked in tests/test_fusion.py).
     step = max(64, _STRIP_FLOATS // (4 * n * c) // 64 * 64)
-    edges = [i * step for i in range(max(hw // step, 1))] + [hw]
-    gates = np.empty(n * c * (hw - edges[-2]), np.float32)  # the last strip is the widest
-    for s0, s1 in zip(edges, edges[1:]):
-        gate = gates[: n * c * (s1 - s0)].reshape(n, c, -1)
-        np.matmul(weight, fs[..., s0:s1], out=gate)
-        gate += bias
-        np.add(xs[..., s0:s1], fs[..., s0:s1], out=ys[..., s0:s1])
-        ys[..., s0:s1] *= gate
+    if out is None:
+        hw = h * w
+        xs, fs = x.data.reshape(n, c, hw), f3.data.reshape(n, c, hw)
+        y = np.empty((n, c, h, w), np.float32)
+        ys = y.reshape(n, c, hw)
+        edges = [i * step for i in range(max(hw // step, 1))] + [hw]
+        gates = np.empty(n * c * (hw - edges[-2]), np.float32)  # the last strip is the widest
+        for s0, s1 in zip(edges, edges[1:]):
+            gate = gates[: n * c * (s1 - s0)].reshape(n, c, -1)
+            np.matmul(weight, fs[..., s0:s1], out=gate)
+            gate += bias
+            np.add(xs[..., s0:s1], fs[..., s0:s1], out=ys[..., s0:s1])
+            ys[..., s0:s1] *= gate
+    else:
+        # as many rows of f3 as `ws` holds twice over (the whole plane
+        # without it) are gathered, and their gates made by the same strips,
+        # before y overwrites them
+        rows = h if ws is None else min(h, ws.size // (2 * n * c * w))
+        if rows < 1:
+            rows, ws = h, None
+        if ws is None:
+            ws = np.empty(2 * n * c * rows * w, np.float32)
+        for r0 in range(0, h, rows):
+            m = min(rows, h - r0)
+            fs, gates = ws[: 2 * n * c * m * w].reshape(2, n, c, m * w)
+            fs.reshape(n, c, m, w)[...] = f3.interior[:, :, r0 : r0 + m]
+            edges = [i * step for i in range(max(m * w // step, 1))] + [m * w]
+            for s0, s1 in zip(edges, edges[1:]):
+                gate = gates[..., s0:s1]
+                np.matmul(weight, fs[..., s0:s1], out=gate)
+                gate += bias
+            y = out.interior[:, :, r0 : r0 + m]
+            np.add(x.interior[:, :, r0 : r0 + m], f3.interior[:, :, r0 : r0 + m], out=y)
+            y *= gates.reshape(n, c, m, w)
     if counter is not None:
         numel = x.numel
         counter.read(2 * numel)
         counter.write(numel)
-    return Tensor(y)
+    return Tensor(y) if out is None else out
 
 
 def reference_attention(

@@ -35,8 +35,10 @@ execution are one entry of OPS; adding an op means adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from itertools import accumulate
+from math import prod
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,14 +53,15 @@ from .fusion import (
     reference_attention,
 )
 from .tensor import (
+    Band,
     ConvSpec,
     ShapeError,
     Tensor,
-    Tile,
     Tiles,
     add,
     concat_channels,
     conv2d,
+    conv_floats,
     mul,
     pixel_shuffle,
     relu,
@@ -433,177 +436,452 @@ def _plane_bytes(
 def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
     """Conv node n as its parallel convs with row padding 0, each with the
     rows it skips at the top and bottom of the node's input window; None is
-    the identity branch."""
+    the identity branch. The row-padding-0 specs are kept on their specs."""
     top, bottom, _ = _conv_rows(n)
     convs, identity = _parallel_convs(n)
     cuts = [
-        (replace(s, padding=(0, s.padding[1])), top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
+        (s.variant("rows", padding=(0, s.padding[1])), top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
         for s in convs
     ]
     return cuts + [(None, top, bottom)] * identity
 
 
-def _run_conv_rows(n: Node, x: Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor | Tiles:
-    # a plain conv runs by channel ranges; a branch group's sum is in
-    # branch_forward's order: the convs, then the identity
-    parts = [x if a == b == 0 else _window(x.tiles, a, x.shape[2] - b, x.shape) for _, a, b in cuts]
-    del x  # popped, so each part is freed once its cut has run
-    if n.lora is None and n.branches is None:
-        return _conv_by_channels(parts.pop(0), cuts[0][0])
+def _group_cuts(ranges: list[tuple[int, int]], spec: ConvSpec) -> list[tuple[int, int]] | None:
+    """The input channel ranges a plain conv runs once each on: the ranges
+    of its input's parts when there are several and they fall on spec's
+    group boundaries, else None."""
+    cg = spec.in_channels // spec.groups
+    if len(ranges) == 1 or any(r[1] != q[0] or r[1] % cg for r, q in zip(ranges, ranges[1:])):
+        return None
+    return ranges
+
+
+def _cut_spec(spec: ConvSpec, lo: int, hi: int) -> tuple[ConvSpec, slice]:
+    """The conv of input channels [lo, hi), on spec's group boundaries, and
+    the output channels it makes: their groups' weight and bias rows, so
+    its output is its channel range of the whole conv's."""
+    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
+    rows = slice(lo // cg * og, hi // cg * og)
+    bias = None if spec.bias is None else spec.bias[rows]
+    cut = dict(in_channels=hi - lo, out_channels=rows.stop - rows.start, groups=(hi - lo) // cg)
+    return spec.variant(("cut", lo, hi), weight=spec.weight[rows], bias=bias, **cut), rows
+
+
+def _band_rows(x: Band | Tiles, a: int, b: int) -> Band | Tiles:
+    """Rows [a, h - b) of a window."""
+    n, c, h, w = x.shape
+    if isinstance(x, Band):
+        return Band(x.buf, x.r0 + a, h - a - b, x.pad)
+    return Tiles(tuple((0, c0, t[:, :, a : h - b]) for _, c0, t in x.tiles), (n, c, h - a - b, w))
+
+
+def _tensor(x: Tensor | Tiles | Band) -> Tensor:
+    return x if isinstance(x, Tensor) else x.tensor() if isinstance(x, Band) else x.build()
+
+
+def _run_conv_rows(n: Node, x: Band | Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor:
+    # a training-form conv on its input window: the sum, in branch_forward's
+    # order (the convs, then the identity), of each conv on its own rows
     y = None
-    for spec, _, _ in cuts:
-        part = parts.pop(0)
+    for spec, a, b in cuts:
+        part = _band_rows(x, a, b)
         if spec is None:
-            part = part.build()
+            part = _tensor(part)
         else:
             part = conv2d(part, spec) if n.lora is None else lora_forward(part, spec, n.lora)
         y = part if y is None else add(y, part)
     return y
 
 
-def _conv_by_channels(x: Tiles, spec: ConvSpec) -> Tensor | Tiles:
-    """conv2d(x, spec), run once per channel range of x's tiles when there
-    are several and they fall on spec's group boundaries. Each cut keeps its
-    groups' weight and bias rows, so its output is its channel range of the
-    whole conv's; the outputs are passed on as tiles, and each input range
-    is freed once its cut has run."""
-    n, _, h, w = x.shape
-    ranges = sorted({(c0, c0 + a.shape[1]) for _, c0, a in x.tiles})
-    cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
-    if len(ranges) == 1 or any(r[1] != q[0] or r[1] % cg for r, q in zip(ranges, ranges[1:])):
-        return conv2d(x, spec)
-    parts = [
-        Tiles(tuple((r0, 0, a) for r0, c0, a in x.tiles if c0 == lo), (n, hi - lo, h, w))
-        for lo, hi in ranges
-    ]
-    del x
-    tiles = []
-    for lo, hi in ranges:
-        rows = slice(lo // cg * og, hi // cg * og)
-        bias = None if spec.bias is None else spec.bias[rows]
-        cut = dict(in_channels=hi - lo, out_channels=rows.stop - rows.start, groups=(hi - lo) // cg)
-        y = conv2d(parts.pop(0), replace(spec, weight=spec.weight[rows], bias=bias, **cut))
-        tiles.append((0, rows.start, y.data))
-    return Tiles(tuple(tiles), (n, spec.out_channels, y.h, y.w))
+class _Layout(NamedTuple):
+    """How a fused run holds the values of a schedule (see _layout)."""
+
+    steps: list[Node]
+    ins: list[list[int]]  # each step's inputs, as step indices
+    direct: list[list[int]]  # each step's readers
+    readers: list[list[int]]  # each step's readers, a concat's standing for its own
+    rule: list[tuple[int, int, int]]  # each step's OPS rows rule
+    shape: list[Shape]
+    parts: list[list[tuple[int, int]]]  # each value's (first channel, band); a concat's are its inputs'
+    bands: list[tuple[int, int, int, int]]  # (channels, plane width, height, zero columns a side)
+    chain: list[list[int]]  # each band's writers: its producer, then in-place steps
+    cuts: list  # each conv step's _row_convs
+    split: list  # each plain conv's _group_cuts of its input, or None
+    gates: dict[int, ConvSpec]  # attention steps' gate convs
 
 
-def _window(held: Sequence[Tile], lo: int, hi: int, shape: tuple[int, int, int, int]) -> Tiles:
-    """Rows [lo, hi) of a plane of `shape` held as tiles, as tiles of the
-    window; rows outside the plane are zero, one zero tile per channel range."""
-    n, c, h, w = shape
-    if (lo, hi) == (0, h):  # the whole plane, all of it held: no views to make
-        return Tiles(tuple(held), shape)
-    tiles = [
-        (max(r0, lo) - lo, c0, a[:, :, max(lo - r0, 0) : hi - r0])
-        for r0, c0, a in held
-        if max(r0, lo) < min(r0 + a.shape[2], hi)
-    ]
-    if lo < 0 or hi > h:
-        ranges = {(c0, a.shape[1]) for _, c0, a in held} or {(0, c)}
-        for z0, z1 in ((lo, min(hi, 0)), (max(lo, h), hi)):
-            if z0 < z1:
-                tiles += [(z0 - lo, c0, np.zeros((n, cc, z1 - z0, w), np.float32)) for c0, cc in ranges]
-    return Tiles(tuple(tiles), (n, c, hi - lo, w))
+def _layout(
+    steps: list[Node], reads: dict[str, tuple[str, ...]], gates: dict[str, tuple], shapes: dict[str, Shape]
+) -> _Layout:
+    """Hold each value of the fused schedule in zero-bordered bands.
 
-
-def _drop_rows(tiles: list[Tile], keep: float) -> None:
-    """Drop the rows above row `keep` from tiles, copying out kept tails."""
-    tiles[:] = [
-        (r0, c0, a) if r0 >= keep else (keep, c0, a[:, :, keep - r0 :].copy())
-        for r0, c0, a in tiles
-        if r0 + a.shape[2] > keep
-    ]
-
-
-def _stream(
-    g: ModelGraph,
-    steps: list[Node],
-    reads: dict[str, tuple[str, ...]],
-    gates: dict[str, tuple[ConvSpec, str, str]],
-    shapes: dict[str, Shape],
-    x: Tensor,
-    rows: int,
-    counter: TrafficCounter | None,
-) -> Tensor:
-    """Fused run of x in strips of `rows` input rows, depth-first: each
-    image runs alone, and per strip every step computes the rows its readers
-    need next, once, and each value keeps only the rows its readers will
-    still read, as tiles. A step reads its inputs' rows by its op's rule;
-    a conv reads its input's real neighbour rows with row padding 0
-    (_row_convs), so zero rows appear only at the image border. rows ==
-    x.h is the one-strip case of the same walk.
-
-    What a step holds depends on its op alone: a concat relabels its
-    inputs' tiles and is never built, a plain conv runs per channel range
-    when its input's ranges fall on its group boundaries
-    (_conv_by_channels), and conv2d copies tiles into its band itself.
-    Other ops build the rows they read; the output step builds its rows.
+    A concat is never held: its readers read its inputs' bands. A plain conv
+    whose input's parts fall on its group boundaries runs once per part,
+    into one band each; every other value is one band. A relu, add, mul or
+    attention step that is the only reader of an input band writes its rows
+    in place there, so a conv and its relu, or conv_c and its attention
+    step, share one band. A band that a conv reads has P zero columns on
+    each side, the graph's widest conv column padding, so a conv of column
+    padding P reads its windows in place and one of kernel width 2P + 1
+    writes its rows in place; any other band has its writing conv's
+    (kw - 1) / 2. The output step writes the output plane.
     """
     index = {n.name: j for j, n in enumerate(steps)}
     ins = [[index[r] for r in reads[n.name]] for n in steps]
+    last = len(steps) - 1
+    direct: list[list[int]] = [[] for _ in steps]
+    for j in range(1, last + 1):
+        for r in dict.fromkeys(ins[j]):
+            direct[r].append(j)
+    held = [n.op != "concat" or j == last for j, n in enumerate(steps)]
     readers: list[list[int]] = [[] for _ in steps]
-    for j, n in enumerate(steps):
-        for r in set(ins[j]):
-            readers[r].append(j)
-    last, strips = len(steps) - 1, -(-x.h // rows)
-    rule = [OPS[n.op].rows(n) for n in steps]
-    shape = [(1, *shapes[n.name]) for n in steps]
-    height = [h for _, _, h, _ in shape]
+    for j in range(last, -1, -1):  # readers come later in the schedule
+        readers[j] = [q for p in direct[j] for q in ([p] if held[p] else readers[p])]
     cuts = [_row_convs(n) if n.op == "conv" else None for n in steps]
+    gate = {j: gates[n.name][0] for j, n in enumerate(steps) if n.name in gates}
+    parts: list[list[tuple[int, int]]] = []
+    bands: list[tuple[int, int, int]] = []
+    chain: list[list[int]] = []
+    split: list = [None] * len(steps)
+    for j, n in enumerate(steps):
+        c, h, w = shapes[n.name]
+        if cuts[j] and n.lora is None and n.branches is None:
+            split[j] = _group_cuts([(c0, c0 + bands[b][0]) for c0, b in sorted(parts[ins[j][0]])], cuts[j][0][0])
+        if j == last:
+            parts.append([])
+            continue
+        if not held[j]:
+            offsets = accumulate([0] + [shapes[steps[r].name][0] for r in ins[j]])
+            parts.append([(c0 + o, b) for r, o in zip(ins[j], offsets) for c0, b in parts[r]])
+            continue
+        alias = [
+            r for r in dict.fromkeys(ins[j][::-1] if j in gate else ins[j])
+            if (n.op in ("relu", "add", "mul") or j in gate) and r > 0 and held[r]
+            and readers[r] == [j] and len(parts[r]) == 1
+        ]
+        if alias:
+            parts.append(parts[alias[0]])
+            chain[parts[-1][0][1]].append(j)
+            continue
+        outs = [(0, c)]
+        if split[j]:
+            outs = [(rows.start, rows.stop - rows.start) for rows in (_cut_spec(cuts[j][0][0], *r)[1] for r in split[j])]
+        parts.append([(c0, len(bands) + k) for k, (c0, _) in enumerate(outs)])
+        for _, cc in outs:
+            bands.append((cc, w, h))
+            chain.append([j])
+    pad = max([s.padding[1] for cut in cuts if cut for s, _, _ in cut if s is not None] + [0])
+    for b, members in enumerate(chain):
+        # the widest column padding P when a conv reads the band, else the
+        # writing conv's (kw - 1) / 2, so that it writes its rows in place
+        first = (cuts[members[0]] or [(None, 0, 0)])[0][0]
+        kw = 2 * pad + 1 if first is None else first.kernel[1]
+        bands[b] += (pad if any(cuts[q] for q in readers[members[-1]]) or kw % 2 == 0 else kw // 2,)
+    return _Layout(
+        steps, ins, direct, readers, [OPS[n.op].rows(n) for n in steps], [shapes[n.name] for n in steps],
+        parts, bands, chain, cuts, split, gate,
+    )
 
-    def run(j: int, args: list[Tiles]) -> Tensor | Tiles:
-        n = steps[j]
-        if n.name in gates:
-            return fused_attention(*[a.build() for a in args], gates[n.name][0], counter)
-        if n.op == "concat":
-            return Tiles.concat(args)
-        if cuts[j]:  # popped, so _run_conv_rows frees its input's parts as they run
-            return _run_conv_rows(n, args.pop(), cuts[j])
-        return OPS[n.op].run(n, *[a.build() for a in args])
 
-    # one image in one strip returns its last step's output: no second output plane
-    out = None if x.n == strips == 1 else np.empty((x.n, *shapes[g.output]), np.float32)
-    for i in range(x.n):
-        done = [0] * len(steps)
-        held: list[list[Tile]] = [[] for _ in steps]
-        done[0], held[0] = x.h, [(0, 0, x.data[i : i + 1])]  # steps[0] is the input
+def _progress(lay: _Layout, supply: int, p: list[int]) -> None:
+    """Set p to how far each step's rows run in a strip that ends at input
+    row `supply`: as far as its inputs' rows allow, and no further than its
+    readers will read (a row past a value's last is a zero row)."""
+    last = len(lay.steps) - 1
+    p[0] = supply
+    for j in range(1, last + 1):
+        _, bottom, s = lay.rule[j]
+        p[j] = min(s * (p[r] - bottom) for r in lay.ins[j])
+    for j in range(last - 1, -1, -1):
+        p[j] = min(p[j], max(-(-p[q] // lay.rule[q][2]) + lay.rule[q][1] for q in lay.direct[j]))
 
-        def first_read(q: int) -> float:
-            top, _, s = rule[q]
-            return done[q] // s - top if done[q] < height[q] else np.inf
 
-        for k in range(1, strips + 1):
-            # how far each step must run, from the output back; all of it at the end
-            need = list(height)
-            if k < strips:
-                need = [0] * last + [height[last] * k * rows // x.h]
-                for j in range(last, 0, -1):
-                    _, bottom, s = rule[j]
-                    e = need[j] = min(-(-need[j] // s) * s, height[j])
-                    if e > done[j]:
-                        for r in ins[j]:
-                            need[r] = max(need[r], min(-(-e // s) + bottom, height[r]))
-            for j in range(1, last + 1):
-                d, e = done[j], need[j]
-                if e <= d:
-                    continue
-                top, bottom, s = rule[j]  # output rows [d, e) read input rows [lo, hi)
-                lo, hi = d // s - top, -(-e // s) + bottom
-                args = [_window(held[r], lo, hi, shape[r]) for r in ins[j]]
-                done[j] = e
-                for r in set(ins[j]) - {0}:  # before the kernel; the caller holds the input
-                    _drop_rows(held[r], min(first_read(q) for q in readers[r]))
-                y = run(j, args)
-                if j < last and isinstance(y, Tiles):
-                    held[j] += [(d + r0, c0, a) for r0, c0, a in y.tiles]
-                elif j < last:
-                    held[j].append((d, 0, y.data))
-                elif out is None:
-                    out = Tiles.of(y).build().data
+class _Action(NamedTuple):
+    """One kernel call of a fused run. Band rows count from each band's
+    top, so strips that do the same share their actions (see _plan)."""
+
+    step: int
+    cut: tuple[int, int] | None  # the input channels of a conv run per part
+    takes: tuple  # (band, first arena row) of the bands first used in the strip here
+    copied_in: tuple  # (band, header rows) copied in at their tops
+    zeros: tuple  # (band, first row, end row or None) zeroed
+    args: tuple  # per input, its parts (first channel, band, first row, rows)
+    outs: tuple | None  # (band, first row, rows); None for the output step
+    copied_out: tuple  # (band, first row, header rows) copied out after it
+    gives: tuple  # the bands last used in the strip here
+
+
+class _Plan(NamedTuple):
+    programs: list[list[_Action]]  # the strips' distinct action lists
+    strips: list[tuple[int, tuple[int, int], tuple[int, int]]]  # (program, input rows, output rows)
+    arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
+    caps: list[int]  # each band's height
+    ws_floats: int
+    held_floats: int  # the most floats of bands held at once
+    row_floats: int  # the most floats a row of each arena's bands held at once, summed
+
+
+def _strip_rows(lay: _Layout, h: int, budget: int) -> int:
+    """Input rows per strip of a fused run of an h-row image: all of them
+    when its one-strip run's bands and workspace fit the budget, else as
+    many, at least 4, as let the bands held at once, every band's header
+    between strips and the workspace fit it."""
+    one = _plan(lay, h, h)
+    if 4 * (one.held_floats + one.ws_floats) <= budget:
+        return h
+    p = [0] * len(lay.steps)
+    _progress(lay, 1 << 30, p)  # a strip well inside the image
+    headers = 0
+    for (c, w, _, pad), members in zip(lay.bands, lay.chain):
+        first = [p[q] // lay.rule[q][2] - lay.rule[q][0] for q in lay.readers[members[-1]]]
+        headers += c * (w + 2 * pad) * (p[members[0]] - min(first + [p[members[0]]]))
+    return max(4, (budget - 4 * (headers + one.ws_floats)) // (4 * one.row_floats))
+
+
+def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
+    """The kernel calls of a fused run of an h-row image in strips of `rows`
+    input rows (all of it in one when rows >= h), and the memory they use.
+
+    Per strip, each step's rows run as far as its inputs' rows allow (the
+    input gains `rows` rows a strip, and past its last row its zero rows do
+    the same) and no further than its readers will read this strip, so each
+    row is made once and no value runs ahead of its readers. A band is held
+    from its first use in a strip to its last: there the rows its readers
+    still need, its header, are copied out, and at its first use in the
+    next strip in at its top. Strips that do the same share their actions;
+    once two strips do, the strips up to the next one where a step starts
+    or reaches its last row are not planned one by one.
+    """
+    steps, ins, rule, bands = lay.steps, lay.ins, lay.rule, lay.bands
+    height = [hj for _, hj, _ in lay.shape]
+    last = len(steps) - 1
+    head = [members[0] for members in lay.chain]
+    tops = [max([rule[q][0] for q in lay.readers[m[-1]]] + [0]) for m in lay.chain]
+    origin = [-t for t in tops]  # the value row at each band's row 0
+    header = [0] * len(bands)  # the rows each band keeps from the strip before
+    caps = [0] * len(bands)
+    done, p, step = [0] * len(steps), [0] * len(steps), [0] * len(steps)
+    programs: list[list[_Action]] = []
+    strips: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+    ws_floats = 0
+    _progress(lay, 1 << 30, p)
+    lead = (1 << 30) - p[last] * h // height[last]  # the input rows the output's first rows need
+    while done[last] < height[last]:
+        before = list(p)
+        _progress(lay, (len(strips) + 1) * rows + lead if rows < h else 1 << 30, p)
+        actions: list[list] = []
+        touched: dict[int, int] = {}  # each band used in this strip: its last action
+        io = [(0, 0), (0, 0)]
+
+        def use(b: int, end: int, action: list) -> int:
+            # band b, held in this strip and made to hold value row `end`
+            # and the one after; its origin
+            if b not in touched:
+                action[2].append(b)
+                if header[b]:
+                    action[3].append((b, header[b]))
+                    if done[head[b]] == height[head[b]]:
+                        action[4].append((b, header[b], None))  # the zero rows past the image
+                elif origin[b] == -tops[b]:
+                    action[4].append((b, 0, tops[b]))  # the zero rows above the image
+            caps[b] = max(caps[b], end - origin[b] + 1)
+            touched[b] = len(actions)
+            return origin[b]
+
+        for j, n in enumerate(steps):
+            top, bottom, s = rule[j]
+            d, e = done[j], min(max(p[j], 0), height[j])
+            if e <= d:
+                continue
+            if n.op == "concat" and j < last:
+                done[j] = e  # its readers read its parts
+                continue
+            if j in (0, last):
+                io[j > 0] = (d, e)
+            lo, hi = d // s - top, -(-e // s) + bottom
+            for k, cut in enumerate(lay.split[j] or [None]):
+                action: list = [j, cut, [], [], [], [], None if j == last else [], [], ()]
+                writes = lay.parts[j] if cut is None else lay.parts[j][k : k + 1]
+                for r in ins[j]:
+                    parts = [(c0, b) for c0, b in lay.parts[r] if cut is None or c0 == cut[0]]
+                    action[5].append(tuple((c0, b, lo - use(b, hi, action), hi - lo) for c0, b in parts))
+                if j < last:
+                    action[6] = [(b, d - use(b, e, action), e - d) for _, b in writes]
+                    for b, r0, _ in action[6]:
+                        if head[b] == j and e == height[j]:
+                            action[4].append((b, r0 + e - d, None))  # the zero rows past the image
+                if n.op == "conv" and n.lora is None and n.branches is None:
+                    spec = lay.cuts[j][0][0] if cut is None else _cut_spec(lay.cuts[j][0][0], *cut)[0]
+                    fill = len(action[5][0]) > 1 or bands[action[5][0][0][1]][3] != spec.padding[1]
+                    acc = j == last or 2 * bands[action[6][0][0]][3] != spec.kernel[1] - 1
+                    ws_floats = max(ws_floats, conv_floats(1, e - d, lay.shape[ins[j][0]][2], spec, fill, acc))
+                actions.append(action)
+            done[j] = e
+        for b, a in touched.items():
+            # the rows its readers, and the steps that write it in place
+            # after its producer, have still to read
+            members, made = lay.chain[b], done[head[b]]
+            keep = [done[m] for m in members[1:] if done[m] < height[m]] + [made]
+            keep += [done[q] // rule[q][2] - rule[q][0] for q in lay.readers[members[-1]] if done[q] < height[q]]
+            header[b] = made - min(keep)
+            if header[b]:
+                actions[a][7].append((b, min(keep) - origin[b], header[b]))
+            origin[b] = min(keep)
+        # Slots: a band first used in the strip takes the first free slot
+        # of its row floats, given back after its last use here.
+        gives = {}
+        for b, a in touched.items():
+            gives.setdefault(a, []).append(b)
+        program = [
+            _Action(j, cut, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
+                    None if outs is None else tuple(outs), tuple(copied_out), tuple(gives.get(a, ())))
+            for a, (j, cut, new, copied_in, zeros, args, outs, copied_out, _) in enumerate(actions)
+        ]
+        if not programs or program != programs[strips[-1][0]]:
+            programs.append(program)
+        strips.append((len(programs) - 1, *io))
+        # the same actions twice, by the same strides: they go on to the
+        # strip before a step starts or reaches its last row
+        prev, step = step, [a - b for a, b in zip(p, before)]
+        if len(strips) < 3 or strips[-2][0] != strips[-1][0] or step != prev or min(step) < 1:
+            continue
+        more = min(
+            (height[j] - 1 - p[j]) // step[j] if p[j] > 0 else -p[j] // step[j]
+            for j in range(len(steps)) if p[j] < height[j]
+        )
+        for _ in range(more):
+            k, (d0, e0), (d1, e1) = strips[-1]
+            strips.append((k, (d0 + step[0], e0 + step[0]), (d1 + step[last], e1 + step[last])))
+        origin = [o + more * step[j] if 0 < done[j] < height[j] else o for o, j in zip(origin, head)]
+        done = [x + more * dx if 0 < x < hj else x for x, dx, hj in zip(done, step, height)]
+        p = [x + more * dx for x, dx in zip(p, step)]
+    # Bands of one plane width and zero columns share an arena, counted in
+    # rows: biggest first, a band takes the lowest rows that no band held
+    # with it in its strip has. Rows stay aligned, so every band of an
+    # arena has its zero columns where the others had theirs.
+    arena: dict[tuple[int, int], int] = {}
+    row_floats: dict[tuple[int, int], int] = {}  # the most floats a row of an arena's bands held at once
+    held_floats = 0
+    for program in programs:
+        span: dict[int, list[int]] = {}  # each band's first and last action
+        for a, act in enumerate(program):
+            for b in act.takes:
+                span[b] = [a, a]
+            for b in act.gives:
+                span[b][1] = a
+        placed: list[tuple[tuple[int, int], int, int, int, int]] = []  # (arena, first, last, lo, hi)
+        start: dict[int, int] = {}
+        for b in sorted(span, key=lambda b: -bands[b][0] * caps[b]):
+            (c, w, _, pad), (a0, a1), row = bands[b], span[b], 0
+            for key, b0, b1, lo, hi in sorted(placed, key=lambda x: x[3]):
+                if key == (w, pad) and b0 <= a1 and a0 <= b1 and row + c * caps[b] > lo:
+                    row = max(row, hi)
+            placed.append(((w, pad), a0, a1, row, row + c * caps[b]))
+            start[b] = row
+            arena[w, pad] = max(arena.get((w, pad), 0), row + c * caps[b])
+        for a, act in enumerate(program):
+            live = [b for b, (a0, a1) in span.items() if a0 <= a <= a1]
+            held_floats = max(held_floats, sum(bands[b][0] * caps[b] * (bands[b][1] + 2 * bands[b][3]) for b in live))
+            for key in {bands[b][1::2] for b in live}:
+                row = sum(bands[b][0] * (key[0] + 2 * key[1]) for b in live if bands[b][1::2] == key)
+                row_floats[key] = max(row_floats.get(key, 0), row)
+            program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
+    return _Plan(programs, strips, arena, caps, ws_floats, held_floats, sum(row_floats.values()))
+
+
+def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) -> Tensor:
+    """Fused run of x in strips of `rows` input rows (_plan), each image
+    alone. Every band is a view of its width's arena, allocated once; one
+    workspace serves every conv's column block and accumulator and every
+    attention step's gates."""
+    plan = _plan(lay, x.h, rows)
+    last = len(lay.steps) - 1
+    ws = np.empty(plan.ws_floats, np.float32)
+    # many strips share an arena per width; one strip allocates each band
+    # for its life, so it holds only the values alive
+    arena = {
+        (w, pad): np.zeros(n * (w + 2 * pad), np.float32) for (w, pad), n in plan.arena.items() if len(plan.strips) > 1
+    }
+    shape = [(1, c, cap, w + 2 * pad) for (c, w, _, pad), cap in zip(lay.bands, plan.caps)]
+    buf: list[np.ndarray | None] = [None] * len(lay.bands)
+    carry: list[np.ndarray | None] = [None] * len(lay.bands)  # each band's header between strips
+    out = None
+
+    def band(b: int, r0: int, h: int) -> Band:
+        return Band(buf[b], r0, h, lay.bands[b][3])
+
+    def view(parts: tuple, r: int) -> Band | Tiles:
+        # the window of step r's value: a band, or a concat's bands as tiles
+        if len(parts) == 1:
+            return band(*parts[0][1:])
+        tiles = tuple((0, c0, band(b, r0, h).interior) for c0, b, r0, h in parts)
+        return Tiles(tiles, (1, lay.shape[r][0], parts[0][3], lay.shape[r][2]))
+
+    for image in range(x.n):
+        for program, rows_in, rows_out in plan.strips:
+            for act in plan.programs[program]:
+                for b, start in act.takes:
+                    if arena:
+                        at = start * shape[b][3]
+                        buf[b] = arena[lay.bands[b][1], lay.bands[b][3]][at : at + prod(shape[b])].reshape(shape[b])
+                    else:
+                        buf[b] = np.zeros(shape[b], np.float32)
+                for b, h0 in act.copied_in:
+                    buf[b][:, :, :h0], carry[b] = carry[b], None
+                for b, r0, r1 in act.zeros:
+                    buf[b][:, :, r0:r1] = 0.0
+                xs = [view(parts, r) for parts, r in zip(act.args, lay.ins[act.step])]
+                if act.step == 0:
+                    band(*act.outs[0]).interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
+                elif act.outs is not None:
+                    _step(lay, act, xs, [band(*o) for o in act.outs], ws, counter)
                 else:
-                    out[i : i + 1, :, d:e] = Tiles.of(y).build().data
-                del args, y
+                    d, e = rows_out
+                    y = Tiles.of(_step(lay, act, xs, None, ws, counter)).build().data
+                    if out is None and x.n == 1 and e - d == lay.shape[last][1] and act.cut is None:
+                        out = y if y.flags.owndata else y.copy()  # one image in one strip
+                    else:
+                        if out is None:
+                            out = np.empty((x.n, *lay.shape[last]), np.float32)
+                        cut = slice(None) if act.cut is None else _cut_spec(lay.cuts[last][0][0], *act.cut)[1]
+                        out[image : image + 1, cut, d:e] = y
+                    del y
+                del xs
+                for b, r0, h0 in act.copied_out:
+                    carry[b] = buf[b][:, :, r0 : r0 + h0].copy()
+                if not arena:
+                    for b in act.gives:
+                        buf[b] = None
     return Tensor(out)
+
+
+def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | None, ws: np.ndarray, counter) -> object:
+    """Run one action's kernel on its input windows: into its bands `dst`
+    where the op can write there, else as a plane, copied into dst."""
+    j = act.step
+    n = lay.steps[j]
+    bands = all(isinstance(a, Band) for a in xs)
+    if j in lay.gates:
+        if dst is not None and bands:
+            return fused_attention(*xs, lay.gates[j], counter, dst[0], ws)
+        y = fused_attention(*map(_tensor, xs), lay.gates[j], counter)
+    elif n.op == "conv" and n.lora is None and n.branches is None:
+        spec = lay.cuts[j][0][0] if act.cut is None else _cut_spec(lay.cuts[j][0][0], *act.cut)[0]
+        return conv2d(xs[0], spec, None if dst is None else dst[0], ws)
+    elif n.op == "conv":
+        y = _run_conv_rows(n, xs[0], lay.cuts[j])
+    elif n.op == "concat":  # the output step
+        return Tiles.concat(xs)
+    elif n.op in ("relu", "add", "mul") and dst is not None and bands:
+        return globals()[n.op](*xs, dst[0])  # through the module's globals, like OPS
+    elif n.op == "pixel_shuffle" and bands:
+        y = pixel_shuffle(xs[0], n.upscale)
+    else:
+        y = OPS[n.op].run(n, *map(_tensor, xs))
+    if dst is not None:
+        dst[0].interior[...] = Tiles.of(y).build().data
+        return dst[0]
+    return y
 
 
 def run_graph(
@@ -621,12 +899,8 @@ def run_graph(
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     _check_input(g, steps[0], x)  # steps[0] is the input
     if mode == "fused" and len(steps) > 1:  # an input-only graph has no step to fuse
-        # each image runs as one strip when its whole-plane run fits the budget,
-        # otherwise in strips of rows whose share of it does, at least 4
-        shapes = infer_shapes(g, x.h, x.w)
-        plane, budget = _plane_bytes(steps, reads, last_use, shapes), _GRAPH_BYTES
-        rows = x.h if plane <= budget else max(4, budget * x.h // plane)
-        return _stream(g, steps, reads, gates, shapes, x, rows, counter)
+        lay = _layout(steps, reads, gates, infer_shapes(g, x.h, x.w))
+        return _stream(lay, x, _strip_rows(lay, x.h, _GRAPH_BYTES), counter)
     env = {steps[0].name: x}
     for i, n in enumerate(steps[1:], 1):
         args = [env[r] for r in reads[n.name]]

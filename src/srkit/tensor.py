@@ -8,7 +8,8 @@ exported weights drop in unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
@@ -85,15 +86,50 @@ def tensor(values) -> Tensor:
 Tile = tuple[int, int, np.ndarray]  # (first row, first channel, array)
 
 
+class Band:
+    """Rows [r0, r0 + h) of a zero-bordered float32 buffer of shape
+    (n, c, rows, w + 2 * pad), as an (n, c, h, w) plane.
+
+    Columns [pad, pad + w) of a row hold the plane's row and the `pad`
+    columns on each side are zero, so a conv whose column padding is `pad`
+    reads its tap windows from the buffer in place, and elementwise ops run
+    over whole rows, zeros included. Rows past r0 + h are there for the
+    flat tap windows and writes that run over the last row. The shape,
+    numel and so on are the plane's, never the buffer's.
+    """
+
+    __slots__ = ("buf", "r0", "h", "pad", "c", "w", "shape", "numel")
+
+    def __init__(self, buf: np.ndarray, r0: int, h: int, pad: int) -> None:
+        n, c, _, wb = buf.shape
+        self.buf, self.r0, self.h, self.pad = buf, r0, h, pad
+        self.c, self.w = c, wb - 2 * pad
+        self.shape = (n, c, h, self.w)
+        self.numel = n * c * h * self.w
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The plane's rows, zero columns included."""
+        return self.buf[:, :, self.r0 : self.r0 + self.h]
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The plane itself, a strided view."""
+        return self.rows[..., self.pad : self.buf.shape[3] - self.pad]
+
+    def tensor(self) -> "Tensor":
+        return Tensor(self.interior)
+
+
 @dataclass(frozen=True)
 class Tiles:
     """An (n, c, h, w) plane held as tiles and never built: each tile's
     array holds its rows and channels of the plane, from its first row and
     first channel on. conv2d copies each tile into its own rows and channels
-    of the band it fills anyway, so a concat's channel parts or a streamed
-    value's row chunks cost no plane of their own. Tiles must not overlap;
-    each must have the plane's n and w and lie inside it, and their channel
-    rows must add up to the plane's, so that they cover it."""
+    of the band it fills, so a concat's channel parts cost no plane of their
+    own. Tiles must not overlap; each must have the plane's n and w and lie
+    inside it, and their channel rows must add up to the plane's, so that
+    they cover it."""
 
     tiles: tuple[Tile, ...]
     shape: tuple[int, int, int, int]
@@ -119,8 +155,10 @@ class Tiles:
             raise ShapeError(f"Tiles: tiles cover {area} of the {c * h} channel rows of {self.shape}")
 
     @staticmethod
-    def of(x: Tensor | Tiles) -> Tiles:
-        return x if isinstance(x, Tiles) else Tiles(((0, 0, x.data),), x.shape)
+    def of(x: Tensor | Tiles | Band) -> Tiles:
+        if isinstance(x, Tiles):
+            return x
+        return Tiles(((0, 0, x.interior if isinstance(x, Band) else x.data),), x.shape)
 
     @staticmethod
     def concat(parts: list[Tensor | Tiles]) -> Tiles:
@@ -205,6 +243,15 @@ class ConvSpec:
     def param_count(self) -> int:
         return self.weight.size + (self.bias.size if self.bias is not None else 0)
 
+    def variant(self, key: object, **changes) -> "ConvSpec":
+        """replace(self, **changes), built and validated once per key and
+        kept on this spec, so a run that derives the same conv again (row
+        padding 0, a channel cut) does not re-check its weights."""
+        memo = self.__dict__.setdefault("_variants", {})
+        if key not in memo:
+            memo[key] = replace(self, **changes)
+        return memo[key]
+
     @staticmethod
     def identity(channels: int) -> "ConvSpec":
         w = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
@@ -217,11 +264,37 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 
-def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
+def _conv_strips(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: bool) -> tuple[int, int]:
+    """(strip rows, workspace floats) of a conv2d call making hout rows of
+    an n x w input: the column block, plus the band it fills when it does
+    not read one in place, plus the accumulator when it does not write its
+    rows straight into a band."""
+    (kh, kw), pw = spec.kernel, spec.padding[1]
+    cin, cout, taps, wp = spec.in_channels, spec.out_channels, kh * kw, w + 2 * pw
+    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
+    rows = -(-hout // -(-hout // most))
+    band = fill * cin * (rows + kh - 1 + (kw > 1))
+    fold = taps > 1 and spec.groups == 1 and spec.bias is not None  # conv2d adds the bias in its GEMM
+    cols = (taps > 1) * (cin * taps + fold) * rows
+    return rows, n * wp * (band + cols + acc * cout * rows) + fold * cout * (cin * taps + 1)
+
+
+def conv_floats(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: bool) -> int:
+    """Workspace floats conv2d needs for hout output rows of an n x w input,
+    filling a band or not and writing an accumulator or not."""
+    return _conv_strips(n, hout, w, spec, fill, acc)[1]
+
+
+def conv2d(
+    x: Tensor | Tiles | Band, spec: ConvSpec, out: Band | None = None, ws: np.ndarray | None = None
+) -> Tensor | Band:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
     Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1. x may
-    be a plane held as tiles; the result is the conv of the built plane.
+    be a plane held as tiles or a Band; the result is the conv of the plane.
+    Given `out`, a Band of the output's shape, the rows are written into it
+    and it is returned; `ws` is a float32 workspace of at least conv_floats
+    floats, else conv2d allocates its own.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -237,82 +310,160 @@ def conv2d(x: Tensor | Tiles, spec: ConvSpec) -> Tensor:
             f"conv2d: kernel {spec.kernel} does not fit padded input {h}x{w} "
             f"(pad {spec.padding})"
         )
-    # The output is computed in strips of `rows` output rows. Each strip copies
-    # its rows + kh - 1 input rows into a zero-bordered band; no padded plane
-    # is built. Every tap reads one contiguous window of the flat band: an
-    # output row is computed Wp wide, so its last kw - 1 columns wrap into the
-    # next row and are junk, dropped at write-out. For kw > 1 the last tap's
-    # window runs kw - 1 elements past the band, hence one extra row. One
-    # strided copy stacks the windows into a column block, and one GEMM per
-    # strip contracts it with the weights, whatever `groups` is. A 1x1 conv's
-    # one window is the whole band, so its GEMM reads the band in place. The
-    # strips are as even as _STRIP_FLOATS allows, and buffers and views are
-    # built once for them; a shorter last strip uses their leading columns,
-    # so no output row is computed twice.
     cin, cout, g = spec.in_channels, spec.out_channels, spec.groups
-    cg, taps = cin // g, kh * kw
-    wp = w + 2 * pw
-    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
-    rows = -(-hout // -(-hout // most))
-    nb, span = rows + kh - 1 + (kw > 1), rows * wp
-    band = np.zeros((n, cin, nb, wp), np.float32)
-    interior = band[..., pw : pw + w]
-    tiles = Tiles.of(x).tiles  # each fills its own rows and channels of the band
-    sn, sc, sr, se = band.strides
-    windows = np.ndarray(  # a strided view of the band; as_strided costs 20 us a call
-        (n, g, cg, kh, kw, span), np.float32, band, strides=(sn, cg * sc, sc, sr, se, se)
-    )
-    cols = band if taps == 1 else np.empty((n, g, cg, kh, kw, span), np.float32)
-    gemm_cols = cols.reshape(n, g, cg * taps, span)
+    if out is not None and out.shape != (n, cout, hout, wout):
+        raise ShapeError(f"conv2d: output band {out.shape} != {(n, cout, hout, wout)}")
+    # The output is computed in strips of `rows` output rows, each from a
+    # zero-bordered band of its rows + kh - 1 input rows, Wp = w + 2*pw wide.
+    # Every tap reads one contiguous window of the flat band: an output row
+    # is computed Wp wide, so its last kw - 1 columns wrap into the next row
+    # and are junk. For kw > 1 the last tap's window runs kw - 1 elements
+    # past the band's rows, hence one more row. A Band input with the conv's
+    # column padding and no row padding is that band already and is read in
+    # place; any other input is copied into a band in the workspace, zero
+    # rows for the row padding. One strided copy stacks the windows into a
+    # column block, and one GEMM per strip contracts it with the weights,
+    # whatever `groups` is; an ungrouped kernel of more than one tap with a
+    # bias has it as one more weight column, against a row of ones in the
+    # column block, so the GEMM adds it. A 1x1 conv's one window is the band
+    # itself.
+    # When `out` is a band whose zero columns are the junk columns (kw - 1
+    # = 2 * out.pad, so its rows are Wp wide too), the GEMM writes its rows
+    # there and the junk is re-zeroed; otherwise it writes an accumulator,
+    # and the write-out drops the junk. The strips are as even as
+    # _STRIP_FLOATS allows; a shorter last strip uses the buffers' leading
+    # columns, so no output row is computed twice.
+    cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
+    in_place = type(x) is Band and x.pad == pw and ph == 0
+    direct = out is not None and 2 * out.pad == kw - 1
+    rows, floats = _conv_strips(n, hout, w, spec, not in_place, not direct)
+    if ws is None or ws.size < floats:
+        ws = np.empty(floats, np.float32)
+    span, used = rows * wp, 0
+    fold = taps > 1 and g == 1 and spec.bias is not None
+    bias = None if fold else spec.bias
+
+    def take(*shape: int) -> np.ndarray:
+        nonlocal used
+        used += prod(shape)
+        return ws[used - prod(shape) : used].reshape(shape)
+
+    if in_place:
+        src = x.buf  # a strip's input rows start at buffer row x.r0 + r0
+    else:
+        nb = rows + kh - 1 + (kw > 1)
+        src = take(n, cin, nb, wp)  # refilled per strip
+        src[:] = 0.0
+        interior = src[..., pw : pw + w]
+        tiles = Tiles.of(x).tiles  # each fills its own rows and channels of the band
+    sn, sc, sr, se = src.strides
     # (g, og, cg * kh * kw) against (n, g, cg * kh * kw, span): K is ordered
     # (channel, dy, dx) on both sides
-    weight = spec.weight.reshape(g, cout // g, cg * taps)
-    acc = np.empty((n, g, cout // g, span), np.float32)
-    acc_valid = acc.reshape(n, cout, rows, wp)[..., :wout]  # junk columns dropped
-    bias = 0.0 if spec.bias is None else spec.bias[:, None, None]
-    out = np.empty((n, cout, hout, wout), np.float32)
+    weight = spec.weight.reshape(g, og, cg * taps)
+    if fold:  # the bias as one more column
+        folded = take(1, cout, cg * taps + 1)
+        folded[..., :-1], folded[..., -1] = weight, spec.bias
+        weight = folded
+    if taps > 1:
+        cols = take(n, g, cg * taps + fold, span)
+        cols[:, :, cg * taps :] = 1.0  # the bias's row, if it has one
+        stack = cols[:, :, : cg * taps].reshape(n, g, cg, kh, kw, span)
+    if direct:
+        dst = out.buf.reshape(n, g, og, -1)
+        if bias is not None:
+            bias = bias.reshape(g, og, 1)
+    else:
+        acc = take(n, g, og, span)
+        acc_valid = acc.reshape(n, cout, rows, wp)[..., :wout]  # junk columns dropped
+        bias = 0.0 if bias is None else bias[:, None, None]
+        y = out.interior if out is not None else np.empty((n, cout, hout, wout), np.float32)
     for r0 in range(0, hout, rows):
         m = min(rows, hout - r0)
-        used = np.s_[..., : m * wp]
-        # band row j holds input row r0 - ph + j, zero outside the input; the
-        # `a` rows above it still hold zeros, as strips only move down
-        a = min(max(ph - r0, 0), nb)
-        b = max(min(h + ph - r0, nb), a)
-        for top, c0, src in tiles:  # band row j holds src row j + k
-            k = r0 - ph - top
-            j0, j1 = max(a, -k), min(b, src.shape[2] - k)
-            if j0 < j1:
-                interior[:, c0 : c0 + src.shape[1], j0:j1] = src[:, :, j0 + k : j1 + k]
-        interior[:, :, b:] = 0.0
-        if cols is not band:
-            np.copyto(cols[used], windows[used])
-        np.matmul(weight, gemm_cols[used], acc[used])
-        np.add(acc_valid[:, :, :m], bias, out[:, :, r0 : r0 + m])
-    return Tensor(out)
+        if not in_place:
+            # band row j holds input row r0 - ph + j, zero outside the input;
+            # the `a` rows above it still hold zeros, as strips only move down
+            a = min(max(ph - r0, 0), nb)
+            b = max(min(h + ph - r0, nb), a)
+            for top, c0, tile in tiles:  # band row j holds tile row j + k
+                k = r0 - ph - top
+                j0, j1 = max(a, -k), min(b, tile.shape[2] - k)
+                if j0 < j1:
+                    interior[:, c0 : c0 + tile.shape[1], j0:j1] = tile[:, :, j0 + k : j1 + k]
+            interior[:, :, b:] = 0.0
+        base = (x.r0 + r0) * wp if in_place else 0
+        if taps == 1:
+            gemm_cols = src.reshape(n, g, cg, -1)[..., base : base + m * wp]
+        else:
+            windows = np.ndarray(  # a strided view; as_strided costs 20 us a call
+                (n, g, cg, kh, kw, m * wp), np.float32, src, base * se,
+                (sn, cg * sc, sc, sr, se, se),
+            )
+            np.copyto(stack[..., : m * wp], windows)
+            gemm_cols = cols[..., : m * wp]
+        if direct:
+            start = (out.r0 + r0) * wp + out.pad
+            rows_out = dst[..., start : start + m * wp]
+            np.matmul(weight, gemm_cols, rows_out)
+            if bias is not None:
+                rows_out += bias
+            # each row's junk is the right zero columns of its own row and
+            # the left ones of the next
+            rows_out.reshape(n, cout, m, wp)[..., wout:] = 0.0
+        else:
+            np.matmul(weight, gemm_cols, acc[..., : m * wp])
+            np.add(acc_valid[:, :, :m], bias, y[:, :, r0 : r0 + m])
+    return out if out is not None else Tensor(y)
 
 
-def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0.0))
+def _operands(out: Band, *xs: Band) -> list[np.ndarray]:
+    """What an elementwise op on bands writes and reads: whole rows when
+    every operand has out's columns, so zero columns stay zero, else the
+    planes alone."""
+    for x in xs:
+        if x.shape != out.shape:
+            raise ShapeError(f"shape mismatch {x.shape} vs {out.shape}")
+    if all(x.pad == out.pad for x in xs):
+        return [b.rows for b in (out, *xs)]
+    return [b.interior for b in (out, *xs)]
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def relu(x: Tensor | Band, out: Band | None = None) -> Tensor | Band:
+    """max(x, 0); given `out`, a Band (x's own for an in-place relu), x is a
+    Band and the result is written there."""
+    if out is None:
+        return Tensor(np.maximum(x.data, 0.0))
+    o, a = _operands(out, x)
+    np.maximum(a, 0.0, out=o)
+    return out
+
+
+def add(a: Tensor | Band, b: Tensor | Band, out: Band | None = None) -> Tensor | Band:
     if a.shape != b.shape:
         raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return Tensor(a.data + b.data)
+    if out is None:
+        return Tensor(a.data + b.data)
+    o, p, q = _operands(out, a, b)
+    np.add(p, q, out=o)
+    return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: Tensor | Band, b: Tensor | Band, out: Band | None = None) -> Tensor | Band:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return Tensor(a.data * b.data)
+    if out is None:
+        return Tensor(a.data * b.data)
+    o, p, q = _operands(out, a, b)
+    np.multiply(p, q, out=o)
+    return out
 
 
-def pixel_shuffle(x: Tensor, s: int) -> Tensor:
+def pixel_shuffle(x: Tensor | Band, s: int) -> Tensor | Band:
     """Rearrange s*s channel groups into s x s spatial blocks (depth-to-space).
 
     Channel c*s*s + k lands at offset (k // s, k % s) inside each block; this
     ordering is what makes a center-tap depthwise kernel followed by the
-    shuffle reproduce nearest-neighbor upsampling exactly.
+    shuffle reproduce nearest-neighbor upsampling exactly. A Band is read in
+    place.
     """
     if s < 1:
         raise ShapeError(f"pixel_shuffle: upscale factor must be >= 1, got {s}")
@@ -322,7 +473,7 @@ def pixel_shuffle(x: Tensor, s: int) -> Tensor:
     if c % (s * s):
         raise ShapeError(f"pixel_shuffle: {c} channels not divisible by s^2={s * s}")
     co = c // (s * s)
-    d = x.data.reshape(n, co, s, s, h, w)
+    d = (x.interior if isinstance(x, Band) else x.data).reshape(n, co, s, s, h, w)
     out = d.transpose(0, 1, 4, 2, 5, 3).reshape(n, co, h * s, w * s)
     return Tensor(out)
 

@@ -300,7 +300,7 @@ def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
     used = _record_strip_rows(monkeypatch)
     pads = []
     conv = graph.conv2d
-    monkeypatch.setattr(graph, "conv2d", lambda a, spec: pads.append(spec.padding[0]) or conv(a, spec))
+    monkeypatch.setattr(graph, "conv2d", lambda a, spec, *rest: pads.append(spec.padding[0]) or conv(a, spec, *rest))
     assert np.array_equal(run_graph(g, x, "fused").data, unfused.data) and used == [h]
     assert pads and set(pads) <= {0}
 
@@ -396,12 +396,12 @@ def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rn
     g = _graph(nodes)
     seen = []
     conv = graph.conv2d
-    monkeypatch.setattr(graph, "conv2d", lambda x, spec: seen.append(x) or conv(x, spec))
+    monkeypatch.setattr(graph, "conv2d", lambda x, spec, *rest: seen.append(x) or conv(x, spec, *rest))
     x = rand_tensor(rng, 1, 3, 5, 7)
     fused = run_graph(g, x, mode="fused")
     assert len(seen) == 2 + calls + (tail == "pw")  # a and b, the grouped conv's calls, pw
     if tail == "pw":
-        assert isinstance(seen[-1], Tiles) and len(seen[-1].tiles) == calls  # pw reads one tile per call
+        assert len(Tiles.of(seen[-1]).tiles) == calls  # pw reads one band per call
     assert np.array_equal(fused.data, run_graph(g, x, mode="unfused").data)
 
 
@@ -442,13 +442,9 @@ def _record_strip_rows(monkeypatch):
 
 
 def _stream_in_strips(monkeypatch, g, x, rows):
-    """Set the fused-run byte budget so x streams in strips of `rows` input
-    rows (4 at the least), and record the strip height each run_graph uses."""
-    steps, reads = _steps(g)
-    last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
-    plane = graph._plane_bytes(steps, reads, last_use, infer_shapes(g, x.h, x.w))
-    budget = min(-(-rows * plane // x.h), plane - 1)  # the image must not fit
-    monkeypatch.setattr(graph, "_GRAPH_BYTES", budget)
+    """Make fused runs stream in strips of `rows` input rows, and record the
+    strip height each run_graph uses."""
+    monkeypatch.setattr(graph, "_strip_rows", lambda lay, h, budget: rows)
     return _record_strip_rows(monkeypatch)
 
 
@@ -509,7 +505,7 @@ def test_streamed_fused_matches_unfused_and_the_one_strip_run(monkeypatch, rng, 
     used = _stream_in_strips(monkeypatch, g, x, rows)
     pads = []
     conv = graph.conv2d
-    monkeypatch.setattr(graph, "conv2d", lambda a, spec: pads.append(spec.padding[0]) or conv(a, spec))
+    monkeypatch.setattr(graph, "conv2d", lambda a, spec, *rest: pads.append(spec.padding[0]) or conv(a, spec, *rest))
     streamed = run_graph(g, x, "fused")
     assert used == [rows] and set(pads) <= {0}
     # Strips change GEMM widths and so roundings, which untrained SPAN's

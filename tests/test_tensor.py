@@ -1,11 +1,12 @@
 import importlib
 import tracemalloc
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from srkit.graph import _conv_by_channels
+from srkit.graph import _cut_spec, _group_cuts
 from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
     ConvSpec,
@@ -214,19 +215,21 @@ class TestConv2d:
     def test_grouped_conv_maps_parts_to_parts(
         self, rng, n, cin, cout, kernel, padding, groups, split
     ):
-        # Cut on group boundaries, each channel part's conv gives its channels
-        # of the whole conv, passed on as one tile per part; 1-channel parts
-        # split groups2's groups, and a cut off the boundaries (possible only
-        # where groups have 2 channels) runs one conv2d on the tiles.
+        # Cut on group boundaries, each channel part's conv (_cut_spec) gives
+        # its channels of the whole conv; 1-channel parts split groups2's
+        # groups, and parts off the boundaries (possible only where groups
+        # have 2 channels) are not cut: one conv2d reads them all.
         cg = cin // groups
         sizes = {"first_group": [cg, cin - cg], "ones": [1] * cin, "off_groups": [1, cin - 1]}
         parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes[split]]
         spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
         whole = conv2d(concat_channels(parts), spec)
-        out = _conv_by_channels(Tiles.concat(parts), spec)
+        cuts = _group_cuts(list(zip(accumulate([0] + sizes[split]), accumulate(sizes[split]))), spec)
         cut = not any(c % cg for c in sizes[split])
-        assert isinstance(out, Tiles) == cut and len(Tiles.of(out).tiles) == (len(parts) if cut else 1)
-        assert np.array_equal(Tiles.of(out).build().data, whole.data)
+        assert (cuts is not None) == cut
+        for part, (lo, hi) in zip(parts, cuts or []):
+            conv, rows = _cut_spec(spec, lo, hi)
+            assert np.array_equal(conv2d(part, conv).data, whole.data[:, rows])
 
     # At the default budget both 32-channel convs run their 61 output rows in
     # strips of 21, 21 and 19; the small ones run 3-row strips on 7 rows.
