@@ -617,18 +617,14 @@ class _Plan(NamedTuple):
     arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
     caps: list[int]  # each band's height
     ws_floats: int
-    held_floats: int  # the most floats of bands held at once
     row_floats: int  # the most floats a row of each arena's bands held at once, summed
 
 
 def _strip_rows(lay: _Layout, h: int, budget: int) -> int:
-    """Input rows per strip of a fused run of an h-row image: all of them
-    when its one-strip run's bands and workspace fit the budget, else as
-    many, at least 4, as let the bands held at once, every band's header
-    between strips and the workspace fit it."""
+    """Input rows per strip of a fused run of an h-row image too big for
+    one strip: as many, at least 4, as let the bands held at once, every
+    band's header between strips and the workspace fit the budget."""
     one = _plan(lay, h, h)
-    if 4 * (one.held_floats + one.ws_floats) <= budget:
-        return h
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
@@ -761,7 +757,6 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     # arena has its zero columns where the others had theirs.
     arena: dict[tuple[int, int], int] = {}
     row_floats: dict[tuple[int, int], int] = {}  # the most floats a row of an arena's bands held at once
-    held_floats = 0
     for program in programs:
         span: dict[int, list[int]] = {}  # each band's first and last action
         for a, act in enumerate(program):
@@ -779,14 +774,16 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             placed.append(((w, pad), a0, a1, row, row + c * caps[b]))
             start[b] = row
             arena[w, pad] = max(arena.get((w, pad), 0), row + c * caps[b])
+        held: dict[tuple[int, int], int] = {}  # the floats a row of each arena's bands held
         for a, act in enumerate(program):
-            live = [b for b, (a0, a1) in span.items() if a0 <= a <= a1]
-            held_floats = max(held_floats, sum(bands[b][0] * caps[b] * (bands[b][1] + 2 * bands[b][3]) for b in live))
-            for key in {bands[b][1::2] for b in live}:
-                row = sum(bands[b][0] * (key[0] + 2 * key[1]) for b in live if bands[b][1::2] == key)
+            for b in act.takes:
+                held[bands[b][1::2]] = held.get(bands[b][1::2], 0) + bands[b][0] * (bands[b][1] + 2 * bands[b][3])
+            for key, row in held.items():
                 row_floats[key] = max(row_floats.get(key, 0), row)
+            for b in act.gives:
+                held[bands[b][1::2]] -= bands[b][0] * (bands[b][1] + 2 * bands[b][3])
             program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
-    return _Plan(programs, strips, arena, caps, ws_floats, held_floats, sum(row_floats.values()))
+    return _Plan(programs, strips, arena, caps, ws_floats, sum(row_floats.values()))
 
 
 def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) -> Tensor:
@@ -835,17 +832,17 @@ def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) 
                     band(*act.outs[0]).interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
                 elif act.outs is not None:
                     _step(lay, act, xs, [band(*o) for o in act.outs], ws, counter)
-                else:
+                else:  # the output step: into the output plane, or as it
                     d, e = rows_out
-                    y = Tiles.of(_step(lay, act, xs, None, ws, counter)).build().data
-                    if out is None and x.n == 1 and e - d == lay.shape[last][1] and act.cut is None:
-                        out = y if y.flags.owndata else y.copy()  # one image in one strip
+                    whole = x.n == 1 and e - d == lay.shape[last][1] and act.cut is None
+                    if out is None and not (whole and lay.steps[last].op != "pixel_shuffle"):
+                        out = np.empty((x.n, *lay.shape[last]), np.float32)
+                    if out is None:  # one image in one strip: its output, no second plane
+                        out = Tiles.of(_step(lay, act, xs, None, ws, counter)).build().data
+                        out = out if out.flags.owndata else out.copy()
                     else:
-                        if out is None:
-                            out = np.empty((x.n, *lay.shape[last]), np.float32)
                         cut = slice(None) if act.cut is None else _cut_spec(lay.cuts[last][0][0], *act.cut)[1]
-                        out[image : image + 1, cut, d:e] = y
-                    del y
+                        _step(lay, act, xs, out[image : image + 1, cut, d:e], ws, counter)
                 del xs
                 for b, r0, h0 in act.copied_out:
                     carry[b] = buf[b][:, :, r0 : r0 + h0].copy()
@@ -855,33 +852,36 @@ def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) 
     return Tensor(out)
 
 
-def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | None, ws: np.ndarray, counter) -> object:
-    """Run one action's kernel on its input windows: into its bands `dst`
-    where the op can write there, else as a plane, copied into dst."""
-    j = act.step
-    n = lay.steps[j]
+def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray | None, ws: np.ndarray, counter) -> object:
+    """Run one action's kernel on its input windows into `dst`: its bands,
+    or for the output step rows of the output plane (None: return the
+    output). An op that cannot write there makes a plane, copied in."""
+    j, n = act.step, lay.steps[act.step]
+    band = dst[0] if isinstance(dst, list) else None
     bands = all(isinstance(a, Band) for a in xs)
     if j in lay.gates:
-        if dst is not None and bands:
-            return fused_attention(*xs, lay.gates[j], counter, dst[0], ws)
+        if band is not None and bands:
+            return fused_attention(*xs, lay.gates[j], counter, band, ws)
         y = fused_attention(*map(_tensor, xs), lay.gates[j], counter)
     elif n.op == "conv" and n.lora is None and n.branches is None:
         spec = lay.cuts[j][0][0] if act.cut is None else _cut_spec(lay.cuts[j][0][0], *act.cut)[0]
-        return conv2d(xs[0], spec, None if dst is None else dst[0], ws)
+        y = conv2d(xs[0], spec, band, ws)
+        if band is not None:
+            return band
     elif n.op == "conv":
         y = _run_conv_rows(n, xs[0], lay.cuts[j])
     elif n.op == "concat":  # the output step
-        return Tiles.concat(xs)
-    elif n.op in ("relu", "add", "mul") and dst is not None and bands:
-        return globals()[n.op](*xs, dst[0])  # through the module's globals, like OPS
-    elif n.op == "pixel_shuffle" and bands:
-        y = pixel_shuffle(xs[0], n.upscale)
+        y = Tiles.concat(xs)
+    elif n.op in ("relu", "add", "mul") and band is not None and bands:
+        return globals()[n.op](*xs, band)  # through the module's globals, like OPS
+    elif n.op == "pixel_shuffle" and bands and isinstance(dst, np.ndarray):
+        return pixel_shuffle(xs[0], n.upscale, dst)
     else:
         y = OPS[n.op].run(n, *map(_tensor, xs))
-    if dst is not None:
-        dst[0].interior[...] = Tiles.of(y).build().data
-        return dst[0]
-    return y
+    if dst is None:
+        return y
+    (dst if band is None else band.interior)[...] = Tiles.of(y).build().data
+    return dst
 
 
 def run_graph(
@@ -899,8 +899,12 @@ def run_graph(
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     _check_input(g, steps[0], x)  # steps[0] is the input
     if mode == "fused" and len(steps) > 1:  # an input-only graph has no step to fuse
-        lay = _layout(steps, reads, gates, infer_shapes(g, x.h, x.w))
-        return _stream(lay, x, _strip_rows(lay, x.h, _GRAPH_BYTES), counter)
+        # each image runs as one strip when its whole-plane run fits the budget,
+        # otherwise in strips whose bands, headers and workspace do
+        shapes = infer_shapes(g, x.h, x.w)
+        lay = _layout(steps, reads, gates, shapes)
+        fits = _plane_bytes(steps, reads, last_use, shapes) <= _GRAPH_BYTES
+        return _stream(lay, x, x.h if fits else _strip_rows(lay, x.h, _GRAPH_BYTES), counter)
     env = {steps[0].name: x}
     for i, n in enumerate(steps[1:], 1):
         args = [env[r] for r in reads[n.name]]

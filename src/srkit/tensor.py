@@ -457,13 +457,14 @@ def mul(a: Tensor | Band, b: Tensor | Band, out: Band | None = None) -> Tensor |
     return out
 
 
-def pixel_shuffle(x: Tensor | Band, s: int) -> Tensor | Band:
+def pixel_shuffle(x: Tensor | Band, s: int, out: np.ndarray | None = None) -> Tensor | Band | np.ndarray:
     """Rearrange s*s channel groups into s x s spatial blocks (depth-to-space).
 
     Channel c*s*s + k lands at offset (k // s, k % s) inside each block; this
     ordering is what makes a center-tap depthwise kernel followed by the
     shuffle reproduce nearest-neighbor upsampling exactly. A Band is read in
-    place.
+    place; given `out`, an (n, c / s^2, h * s, w * s) array (a view of a
+    bigger plane's rows, say), the result is written there and out returned.
     """
     if s < 1:
         raise ShapeError(f"pixel_shuffle: upscale factor must be >= 1, got {s}")
@@ -473,9 +474,11 @@ def pixel_shuffle(x: Tensor | Band, s: int) -> Tensor | Band:
     if c % (s * s):
         raise ShapeError(f"pixel_shuffle: {c} channels not divisible by s^2={s * s}")
     co = c // (s * s)
-    d = (x.interior if isinstance(x, Band) else x.data).reshape(n, co, s, s, h, w)
-    out = d.transpose(0, 1, 4, 2, 5, 3).reshape(n, co, h * s, w * s)
-    return Tensor(out)
+    d = (x.interior if isinstance(x, Band) else x.data).reshape(n, co, s, s, h, w).transpose(0, 1, 4, 2, 5, 3)
+    if out is None:
+        return Tensor(d.reshape(n, co, h * s, w * s))
+    out.reshape(n, co, h, s, w, s)[...] = d
+    return out
 
 
 def space_to_depth(x: Tensor, s: int) -> Tensor:

@@ -444,6 +444,7 @@ def _record_strip_rows(monkeypatch):
 def _stream_in_strips(monkeypatch, g, x, rows):
     """Make fused runs stream in strips of `rows` input rows, and record the
     strip height each run_graph uses."""
+    monkeypatch.setattr(graph, "_GRAPH_BYTES", 0)  # no image fits one strip
     monkeypatch.setattr(graph, "_strip_rows", lambda lay, h, budget: rows)
     return _record_strip_rows(monkeypatch)
 
