@@ -16,18 +16,20 @@ attention triple (plain 1x1 conv, add, mul) registered as a fusion group as
 one single-pass step on the residual and f3, where "unfused" runs the
 three-op reference; both accept a traffic counter.
 
-"fused" streams each image alone: the schedule runs once per strip of input
-rows, and each step computes, once, the rows its readers need next. Each
-value keeps only the rows its readers will still read (a conv reader's halo,
-a skip reader's lag), as tensor.Tiles. An image whose whole-plane run fits
-_GRAPH_BYTES is one strip; a larger one runs in strips sized to the budget,
-so memory grows with its width, not its height. A conv reads its input's
-real neighbour rows with row padding 0, so zero rows appear only at the
-image border. How a value is held depends on its op alone: a concat is never
-built, its tiles are its inputs', and a plain conv whose input's channel
-ranges fall on its group boundaries runs once per range and passes its
-outputs on as tiles. A conv copies the tiles it reads into its strip bands;
-an op that needs a plane builds the rows it reads.
+"fused" streams each image alone: a plan made once per call lists, for
+every strip of input rows, the kernel calls that make the rows each step's
+inputs allow and its readers will read, so each row is made once. Each
+value is held in zero-bordered row bands (tensor.Band): a conv reads its
+tap windows from its input's band in place and writes its GEMM rows
+straight into its reader's band; relu, add, mul and the attention step
+write in place into the band of an input they alone read; a concat is
+never held, its readers read its inputs' bands. A band's header, the rows
+its readers still need, is copied from one strip's band to the next, so a
+lagging read is one view. A conv reads its input's real neighbour rows
+with row padding 0, so zero rows appear only at the image border. An image
+whose whole-plane run fits _GRAPH_BYTES is one strip; a larger one runs in
+strips whose bands fit the budget, so memory grows with its width, not its
+height.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -226,8 +228,10 @@ class Op(NamedTuple):
     flops(node, output shape) -> FLOPs for one batch item, one per MAC plus
     one per bias add and elementwise op; data movement is free.
     run(node, *input tensors) -> output tensor; the input node receives the
-    graph input. Rules call the kernels through this module's globals at call
-    time, so rebinding e.g. `graph.conv2d` reaches every execution.
+    graph input. Rules, and the fused stream's band calls (which pass a
+    destination band and a workspace positionally), call the kernels through
+    this module's globals at call time, so rebinding e.g. `graph.conv2d`
+    reaches every execution.
     arity: the number of inputs a node takes; None means one or more.
     rows(node) -> (top, bottom, scale): output rows [d, e) read input rows
     [d // scale - top, ceil(e / scale) + bottom); rows outside the input are
@@ -540,7 +544,7 @@ def _layout(
     cuts = [_row_convs(n) if n.op == "conv" else None for n in steps]
     gate = {j: gates[n.name][0] for j, n in enumerate(steps) if n.name in gates}
     parts: list[list[tuple[int, int]]] = []
-    bands: list[tuple[int, int, int]] = []
+    bands: list[tuple] = []  # (channels, plane width, height), then its zero columns
     chain: list[list[int]] = []
     split: list = [None] * len(steps)
     for j, n in enumerate(steps):
@@ -723,9 +727,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             if header[b]:
                 actions[a][7].append((b, min(keep) - origin[b], header[b]))
             origin[b] = min(keep)
-        # Slots: a band first used in the strip takes the first free slot
-        # of its row floats, given back after its last use here.
-        gives = {}
+        # every band used in the strip is given back after its last use here
+        gives: dict[int, list[int]] = {}
         for b, a in touched.items():
             gives.setdefault(a, []).append(b)
         program = [
@@ -788,14 +791,13 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
 
 def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) -> Tensor:
     """Fused run of x in strips of `rows` input rows (_plan), each image
-    alone. Every band is a view of its width's arena, allocated once; one
-    workspace serves every conv's column block and accumulator and every
-    attention step's gates."""
+    alone. With many strips every band is a view of its arena, allocated
+    once per call; one strip allocates each band for its life, so it holds
+    only the values alive. One workspace serves every conv's column block
+    and accumulator and every attention step's gates."""
     plan = _plan(lay, x.h, rows)
     last = len(lay.steps) - 1
     ws = np.empty(plan.ws_floats, np.float32)
-    # many strips share an arena per width; one strip allocates each band
-    # for its life, so it holds only the values alive
     arena = {
         (w, pad): np.zeros(n * (w + 2 * pad), np.float32) for (w, pad), n in plan.arena.items() if len(plan.strips) > 1
     }

@@ -12,7 +12,7 @@ from srkit.metrics import count_flops
 from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.rewrites import decorate_for_reparam
 from srkit.selftest import assert_close, rand_tensor
-from srkit.tensor import ShapeError, Tensor, Tiles
+from srkit.tensor import ConvSpec, ShapeError, Tensor, Tiles
 
 
 def _conv(cin, cout, k=3, groups=1):
@@ -538,21 +538,47 @@ KERNEL_FLOPS = {
 }
 
 
+def _count_kernel_flops(monkeypatch):
+    """Count each kernel call's FLOPs from its arguments and result, with
+    wrappers that forward *args, **kwargs as perfbench's tracer does; and
+    record each conv call's input and output extents. Returns both lists,
+    which fill as the kernels run."""
+    flops, convs = [], []
+    for name, count in KERNEL_FLOPS.items():
+        def counting(*args, fn=getattr(graph, name), name=name, count=count, **kwargs):
+            out = fn(*args, **kwargs)
+            flops.append(count(args, out))
+            if name == "conv2d":
+                convs.append((args[0].shape, args[1], out.shape))
+            return out
+
+        monkeypatch.setattr(graph, name, counting)
+    return flops, convs
+
+
 @pytest.mark.parametrize("g", STREAMED, ids=STREAMED_IDS)
 def test_streamed_kernel_flops_sum_to_count_flops(monkeypatch, rng, g):
     # a row computed twice, or one never computed, moves the sum
     x = rand_tensor(rng, 2, g.nodes[0].channels, 37, 21)
     used = _stream_in_strips(monkeypatch, g, x, 4)
-    flops = []
-    for name, count in KERNEL_FLOPS.items():
-        def counting(*args, fn=getattr(graph, name), count=count):
-            out = fn(*args)
-            flops.append(count(args, out))
-            return out
-
-        monkeypatch.setattr(graph, name, counting)
+    flops, _ = _count_kernel_flops(monkeypatch)
     run_graph(g, x, "fused")
     assert used == [4] and sum(flops) == 2 * count_flops(g, 37, 21)
+
+
+@pytest.mark.parametrize("h, w", [(61, 63), (256, 256)], ids=["61x63", "256x256"])
+@pytest.mark.parametrize("g", [build_spanv2(seed=0), build_span_baseline(seed=0)], ids=["spanv2", "span"])
+def test_kernel_flops_sum_to_count_flops_in_the_engines_strips(monkeypatch, rng, g, h, w):
+    # One strip at 61x63 and the engine's own strips at 256^2, as perfbench
+    # traces them: the kernels' FLOPs add up to count_flops, and each conv
+    # reports its plane's extents, never its band's.
+    used = _record_strip_rows(monkeypatch)
+    flops, convs = _count_kernel_flops(monkeypatch)
+    run_graph(g, rand_tensor(rng, 1, 3, h, w), "fused")
+    assert (used == [h]) == (h == 61) and sum(flops) == count_flops(g, h, w)
+    for (n, _, hin, win), spec, out in convs:
+        (kh, kw), (ph, pw) = spec.kernel, spec.padding
+        assert out == (n, spec.out_channels, hin + 2 * ph - kh + 1, win + 2 * pw - kw + 1) and win == w
 
 
 def test_fused_memory_beyond_the_output_is_flat_in_height(rng):
@@ -561,3 +587,36 @@ def test_fused_memory_beyond_the_output_is_flat_in_height(rng):
     for g in (build_spanv2(seed=0), build_span_baseline(seed=0)):
         held = [_held_mib(g, rand_tensor(rng, 1, 3, h, 256), "fused") for h in (64, 256, 512)]
         assert max(held) - min(held) <= 0.5 and max(held) <= 12, (g.name, held)
+
+
+def test_reused_bands_do_not_leak_between_runs(rng):
+    # One process, runs of every shape in turn: stale header rows or zero
+    # columns left in a buffer by an earlier run or image would show. A
+    # one-strip run is bitwise unfused; a streamed one within 1e-5 / 1e-6.
+    g = build_spanv2(seed=0)
+    runs = [(g, 1, 256, 256), (g, 1, 17, 19), (g, 1, 96, 256), (g, 1, 1, 9), (g, 1, 9, 1),
+            (g, 2, 61, 63), (g, 1, 256, 256), (decorate_for_reparam(build_spanv2(seed=3)), 1, 96, 256)]
+    for model, n, h, w in runs:
+        x = rand_tensor(rng, n, 3, h, w)
+        fused, unfused = run_graph(model, x, "fused"), run_graph(model, x, "unfused")
+        steps, reads = _steps(model)
+        last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
+        if graph._plane_bytes(steps, reads, last_use, infer_shapes(model, h, w)) <= graph._GRAPH_BYTES:
+            assert np.array_equal(fused.data, unfused.data), (n, h, w)
+        else:
+            assert_close(fused, unfused, msg=f"{n}x{h}x{w}")
+
+
+@pytest.mark.parametrize("h", [61, 256], ids=["one_strip", "streamed"])
+def test_a_second_fused_run_builds_no_conv_spec(monkeypatch, rng, h):
+    # The row-padding-0 and per-part convs a fused run derives are built and
+    # checked once, then kept on their specs: a second run validates no
+    # weights.
+    g = build_spanv2(seed=0)
+    x = rand_tensor(rng, 1, 3, h, h)
+    run_graph(g, x, "fused")
+    built = []
+    check = ConvSpec.__post_init__
+    monkeypatch.setattr(ConvSpec, "__post_init__", lambda spec: built.append(1) or check(spec))
+    run_graph(g, x, "fused")
+    assert built == []
