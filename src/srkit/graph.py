@@ -63,7 +63,7 @@ from .tensor import (
     add,
     concat_channels,
     conv2d,
-    conv_floats,
+    conv_strips,
     mul,
     pixel_shuffle,
     relu,
@@ -444,7 +444,8 @@ def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
     top, bottom, _ = _conv_rows(n)
     convs, identity = _parallel_convs(n)
     cuts = [
-        (s.variant("rows", padding=(0, s.padding[1])), top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
+        (s if not s.padding[0] else s.variant("rows", padding=(0, s.padding[1])),
+         top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
         for s in convs
     ]
     return cuts + [(None, top, bottom)] * identity
@@ -714,7 +715,7 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                     spec = lay.cuts[j][0][0] if cut is None else _cut_spec(lay.cuts[j][0][0], *cut)[0]
                     fill = len(action[5][0]) > 1 or bands[action[5][0][0][1]][3] != spec.padding[1]
                     acc = j == last or 2 * bands[action[6][0][0]][3] != spec.kernel[1] - 1
-                    ws_floats = max(ws_floats, conv_floats(1, e - d, lay.shape[ins[j][0]][2], spec, fill, acc))
+                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, fill, acc)[1])
                 actions.append(action)
             done[j] = e
         for b, a in touched.items():

@@ -264,7 +264,7 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 
-def _conv_strips(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: bool) -> tuple[int, int]:
+def conv_strips(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: bool) -> tuple[int, int]:
     """(strip rows, workspace floats) of a conv2d call making hout rows of
     an n x w input: the column block, plus the band it fills when it does
     not read one in place, plus the accumulator when it does not write its
@@ -279,12 +279,6 @@ def _conv_strips(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: boo
     return rows, n * wp * (band + cols + acc * cout * rows) + fold * cout * (cin * taps + 1)
 
 
-def conv_floats(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: bool) -> int:
-    """Workspace floats conv2d needs for hout output rows of an n x w input,
-    filling a band or not and writing an accumulator or not."""
-    return _conv_strips(n, hout, w, spec, fill, acc)[1]
-
-
 def conv2d(
     x: Tensor | Tiles | Band, spec: ConvSpec, out: Band | None = None, ws: np.ndarray | None = None
 ) -> Tensor | Band:
@@ -293,7 +287,7 @@ def conv2d(
     Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1. x may
     be a plane held as tiles or a Band; the result is the conv of the plane.
     Given `out`, a Band of the output's shape, the rows are written into it
-    and it is returned; `ws` is a float32 workspace of at least conv_floats
+    and it is returned; `ws` is a float32 workspace of at least conv_strips'
     floats, else conv2d allocates its own.
     """
     if x.c != spec.in_channels:
@@ -336,7 +330,7 @@ def conv2d(
     cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
     in_place = type(x) is Band and x.pad == pw and ph == 0
     direct = out is not None and 2 * out.pad == kw - 1
-    rows, floats = _conv_strips(n, hout, w, spec, not in_place, not direct)
+    rows, floats = conv_strips(n, hout, w, spec, not in_place, not direct)
     if ws is None or ws.size < floats:
         ws = np.empty(floats, np.float32)
     span, used = rows * wp, 0

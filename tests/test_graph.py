@@ -600,7 +600,7 @@ def test_reused_bands_do_not_leak_between_runs(rng):
         x = rand_tensor(rng, n, 3, h, w)
         fused, unfused = run_graph(model, x, "fused"), run_graph(model, x, "unfused")
         steps, reads = _steps(model)
-        last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
+        last_use = {r: i for i, node in enumerate(steps) for r in reads[node.name]}
         if graph._plane_bytes(steps, reads, last_use, infer_shapes(model, h, w)) <= graph._GRAPH_BYTES:
             assert np.array_equal(fused.data, unfused.data), (n, h, w)
         else:
