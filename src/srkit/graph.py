@@ -617,6 +617,8 @@ class _Action(NamedTuple):
 
 
 class _Plan(NamedTuple):
+    """A fused run's strips and the memory they take (see _plan)."""
+
     programs: list[list[_Action]]  # the strips' distinct action lists
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]]  # (program, input rows, output rows)
     arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
