@@ -588,6 +588,29 @@ def _layout(
     )
 
 
+def _conv_spec(lay: _Layout, j: int, cut: tuple[int, int] | None) -> ConvSpec:
+    """The spec plain conv step j runs on its input channels `cut` (None:
+    all of them)."""
+    return lay.cuts[j][0][0] if cut is None else _cut_spec(lay.cuts[j][0][0], *cut)[0]
+
+
+def _calls(lay: _Layout, j: int) -> Iterator[tuple]:
+    """Step j's kernel calls, one per input channel cut (one when its input
+    is not cut): (the cut or None, each input's parts it reads as (first
+    channel, band), the bands it writes, and for a plain conv the spec and
+    the zero columns of the band it reads and writes, None where that is not
+    one band)."""
+    n = lay.steps[j]
+    for k, cut in enumerate(lay.split[j] or [None]):
+        reads = [[(c0, b) for c0, b in lay.parts[r] if cut is None or c0 == cut[0]] for r in lay.ins[j]]
+        writes = [b for _, b in (lay.parts[j] if cut is None else lay.parts[j][k : k + 1])]
+        conv = None
+        if n.op == "conv" and n.lora is None and n.branches is None:
+            src = lay.bands[reads[0][0][1]][3] if len(reads[0]) == 1 else None
+            conv = _conv_spec(lay, j, cut), src, lay.bands[writes[0]][3] if writes else None
+        yield cut, reads, writes, conv
+
+
 def _progress(lay: _Layout, supply: int, p: list[int]) -> None:
     """Set p to how far each step's rows run in a strip that ends at input
     row `supply`: as far as its inputs' rows allow, and no further than its
@@ -624,21 +647,41 @@ class _Plan(NamedTuple):
     arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
     caps: list[int]  # each band's height
     ws_floats: int
-    row_floats: int  # the most floats a row of each arena's bands held at once, summed
 
 
-def _strip_rows(lay: _Layout, h: int, budget: int) -> int:
-    """Input rows per strip of a fused run of an h-row image too big for
-    one strip: as many, at least 4, as let the bands held at once, every
-    band's header between strips and the workspace fit the budget."""
-    one = _plan(lay, h, h)
+def _strip_rows(lay: _Layout, budget: int) -> int:
+    """Input rows per strip of a fused run of an image too big for one
+    strip: as many, at least 4, as let the bands held at once, every
+    band's header between strips and the workspace of a one-strip run fit
+    the budget. A band is held from the first kernel call that uses it to
+    the last, and the bands of one plane width and zero columns share an
+    arena sized for the most it holds at once (see _plan)."""
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
     for (c, w, _, pad), members in zip(lay.bands, lay.chain):
         first = [p[q] // lay.rule[q][2] - lay.rule[q][0] for q in lay.readers[members[-1]]]
         headers += c * (w + 2 * pad) * (p[members[0]] - min(first + [p[members[0]]]))
-    return max(4, (budget - 4 * (headers + one.ws_floats)) // (4 * one.row_floats))
+    span: dict[int, list[int]] = {}  # each band's first and last call
+    ws = 0
+    calls = [
+        (j, call) for j, n in enumerate(lay.steps) if n.op != "concat" or j == len(lay.steps) - 1
+        for call in _calls(lay, j)
+    ]
+    for a, (j, (_, reads, writes, conv)) in enumerate(calls):
+        for b in [b for parts in reads for _, b in parts] + writes:
+            span.setdefault(b, [a, a])[1] = a
+        if conv is not None:
+            ws = max(ws, conv_strips(1, lay.shape[j][1], lay.shape[lay.ins[j][0]][2], *conv)[1])
+    held: dict[tuple[int, int], int] = {}  # the most floats a row of each arena's bands held at once
+    for a in range(len(calls)):
+        now: dict[tuple[int, int], int] = {}
+        for b, (a0, a1) in span.items():
+            c, w, _, pad = lay.bands[b]
+            if a0 <= a <= a1:
+                now[w, pad] = now.get((w, pad), 0) + c * (w + 2 * pad)
+        held.update((key, max(held.get(key, 0), f)) for key, f in now.items())
+    return max(4, (budget - 4 * (headers + ws)) // (4 * sum(held.values())))
 
 
 def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
@@ -702,22 +745,17 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             if j in (0, last):
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
-            for k, cut in enumerate(lay.split[j] or [None]):
+            for cut, reads, writes, conv in _calls(lay, j):
                 action: list = [j, cut, [], [], [], [], None if j == last else [], [], ()]
-                writes = lay.parts[j] if cut is None else lay.parts[j][k : k + 1]
-                for r in ins[j]:
-                    parts = [(c0, b) for c0, b in lay.parts[r] if cut is None or c0 == cut[0]]
+                for parts in reads:
                     action[5].append(tuple((c0, b, lo - use(b, hi, action), hi - lo) for c0, b in parts))
                 if j < last:
-                    action[6] = [(b, d - use(b, e, action), e - d) for _, b in writes]
+                    action[6] = [(b, d - use(b, e, action), e - d) for b in writes]
                     for b, r0, _ in action[6]:
                         if head[b] == j and e == height[j]:
                             action[4].append((b, r0 + e - d, None))  # the zero rows past the image
-                if n.op == "conv" and n.lora is None and n.branches is None:
-                    spec = lay.cuts[j][0][0] if cut is None else _cut_spec(lay.cuts[j][0][0], *cut)[0]
-                    fill = len(action[5][0]) > 1 or bands[action[5][0][0][1]][3] != spec.padding[1]
-                    acc = j == last or 2 * bands[action[6][0][0]][3] != spec.kernel[1] - 1
-                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, fill, acc)[1])
+                if conv is not None:
+                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)[1])
                 actions.append(action)
             done[j] = e
         for b, a in touched.items():
@@ -762,7 +800,6 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     # with it in its strip has. Rows stay aligned, so every band of an
     # arena has its zero columns where the others had theirs.
     arena: dict[tuple[int, int], int] = {}
-    row_floats: dict[tuple[int, int], int] = {}  # the most floats a row of an arena's bands held at once
     for program in programs:
         span: dict[int, list[int]] = {}  # each band's first and last action
         for a, act in enumerate(program):
@@ -780,16 +817,9 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             placed.append(((w, pad), a0, a1, row, row + c * caps[b]))
             start[b] = row
             arena[w, pad] = max(arena.get((w, pad), 0), row + c * caps[b])
-        held: dict[tuple[int, int], int] = {}  # the floats a row of each arena's bands held
         for a, act in enumerate(program):
-            for b in act.takes:
-                held[bands[b][1::2]] = held.get(bands[b][1::2], 0) + bands[b][0] * (bands[b][1] + 2 * bands[b][3])
-            for key, row in held.items():
-                row_floats[key] = max(row_floats.get(key, 0), row)
-            for b in act.gives:
-                held[bands[b][1::2]] -= bands[b][0] * (bands[b][1] + 2 * bands[b][3])
             program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
-    return _Plan(programs, strips, arena, caps, ws_floats, sum(row_floats.values()))
+    return _Plan(programs, strips, arena, caps, ws_floats)
 
 
 def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) -> Tensor:
@@ -869,8 +899,7 @@ def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray | N
             return fused_attention(*xs, lay.gates[j], counter, band, ws)
         y = fused_attention(*map(_tensor, xs), lay.gates[j], counter)
     elif n.op == "conv" and n.lora is None and n.branches is None:
-        spec = lay.cuts[j][0][0] if act.cut is None else _cut_spec(lay.cuts[j][0][0], *act.cut)[0]
-        y = conv2d(xs[0], spec, band, ws)
+        y = conv2d(xs[0], _conv_spec(lay, j, act.cut), band, ws)
         if band is not None:
             return band
     elif n.op == "conv":
@@ -909,7 +938,7 @@ def run_graph(
         shapes = infer_shapes(g, x.h, x.w)
         lay = _layout(steps, reads, gates, shapes)
         fits = _plane_bytes(steps, reads, last_use, shapes) <= _GRAPH_BYTES
-        return _stream(lay, x, x.h if fits else _strip_rows(lay, x.h, _GRAPH_BYTES), counter)
+        return _stream(lay, x, x.h if fits else _strip_rows(lay, _GRAPH_BYTES), counter)
     env = {steps[0].name: x}
     for i, n in enumerate(steps[1:], 1):
         args = [env[r] for r in reads[n.name]]

@@ -264,19 +264,29 @@ class ConvSpec:
 _STRIP_FLOATS = 1 << 19
 
 
-def conv_strips(n: int, hout: int, w: int, spec: ConvSpec, fill: bool, acc: bool) -> tuple[int, int]:
-    """(strip rows, workspace floats) of a conv2d call making hout rows of
-    an n x w input: the column block, plus the band it fills when it does
-    not read one in place, plus the accumulator when it does not write its
-    rows straight into a band."""
-    (kh, kw), pw = spec.kernel, spec.padding[1]
+def conv_strips(
+    n: int, hout: int, w: int, spec: ConvSpec, src_pad: int | None, dst_pad: int | None
+) -> tuple[int, int, bool, bool, bool]:
+    """How a conv2d call making hout rows of an n x w input runs, when its
+    input is a band of src_pad zero columns a side and its output one of
+    dst_pad (None: not one band): (strip rows, workspace floats, whether it
+    reads its tap windows from the input band in place, whether it writes
+    its rows straight into the output band, whether its GEMM adds the
+    bias). The workspace is the column block, plus the band it fills when
+    it does not read one in place, plus the accumulator when it does not
+    write into a band, plus the weights with their bias column."""
+    (kh, kw), (ph, pw) = spec.kernel, spec.padding
     cin, cout, taps, wp = spec.in_channels, spec.out_channels, kh * kw, w + 2 * pw
     most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
     rows = -(-hout // -(-hout // most))
-    band = fill * cin * (rows + kh - 1 + (kw > 1))
-    fold = taps > 1 and spec.groups == 1 and spec.bias is not None  # conv2d adds the bias in its GEMM
+    # in place when the band's zero columns are the column padding and
+    # there is no row padding; direct when its zero columns take the junk
+    in_place, direct = src_pad == pw and ph == 0, dst_pad is not None and 2 * dst_pad == kw - 1
+    fold = taps > 1 and spec.groups == 1 and spec.bias is not None
+    band = (not in_place) * cin * (rows + kh - 1 + (kw > 1))
     cols = (taps > 1) * (cin * taps + fold) * rows
-    return rows, n * wp * (band + cols + acc * cout * rows) + fold * cout * (cin * taps + 1)
+    floats = n * wp * (band + cols + (not direct) * cout * rows) + fold * cout * (cin * taps + 1)
+    return rows, floats, in_place, direct, fold
 
 
 def conv2d(
@@ -319,8 +329,8 @@ def conv2d(
     # column block, and one GEMM per strip contracts it with the weights,
     # whatever `groups` is; an ungrouped kernel of more than one tap with a
     # bias has it as one more weight column, against a row of ones in the
-    # column block, so the GEMM adds it. A 1x1 conv's one window is the band
-    # itself.
+    # column block, so the GEMM adds it and its rows need no second pass. A
+    # 1x1 conv's one window is the band itself.
     # When `out` is a band whose zero columns are the junk columns (kw - 1
     # = 2 * out.pad, so its rows are Wp wide too), the GEMM writes its rows
     # there and the junk is re-zeroed; otherwise it writes an accumulator,
@@ -328,13 +338,11 @@ def conv2d(
     # _STRIP_FLOATS allows; a shorter last strip uses the buffers' leading
     # columns, so no output row is computed twice.
     cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
-    in_place = type(x) is Band and x.pad == pw and ph == 0
-    direct = out is not None and 2 * out.pad == kw - 1
-    rows, floats = conv_strips(n, hout, w, spec, not in_place, not direct)
+    src_pad = x.pad if type(x) is Band else None
+    rows, floats, in_place, direct, fold = conv_strips(n, hout, w, spec, src_pad, None if out is None else out.pad)
     if ws is None or ws.size < floats:
         ws = np.empty(floats, np.float32)
     span, used = rows * wp, 0
-    fold = taps > 1 and g == 1 and spec.bias is not None
     bias = None if fold else spec.bias
 
     def take(*shape: int) -> np.ndarray:
