@@ -16,16 +16,19 @@ attention triple (plain 1x1 conv, add, mul) registered as a fusion group as
 one single-pass step on the residual and f3, where "unfused" runs the
 three-op reference; both accept a traffic counter.
 
-"fused" streams each image alone: a plan made once per call lists, for
-every strip of input rows, the kernel calls that make the rows each step's
-inputs allow and its readers will read, so each row is made once. Each
-value is held in zero-bordered row bands (tensor.Band): a conv reads its
-tap windows from its input's band in place and writes its GEMM rows
-straight into its reader's band; relu, add, mul and the attention step
-write in place into the band of an input they alone read; a concat is
-never held, its readers read its inputs' bands. A band's header, the rows
-its readers still need, is copied from one strip's band to the next, so a
-lagging read is one view. A conv reads its input's real neighbour rows
+"fused" streams each image alone by a plan compiled once per graph and
+image size and kept on the graph (_compiled). It lists, for every strip of
+input rows, the kernel calls that make the rows each step's inputs allow
+and its readers will read, so each row is made once, each call with its
+resolved conv spec, its conv2d strips and its kernel; a call of run_graph
+only allocates its buffers and runs the kernels. Each value is held in
+zero-bordered row bands (tensor.Band): a conv reads its tap windows from
+its input's band in place and writes its GEMM rows straight into its
+reader's band; relu, add, mul and the attention step write in place into
+the band of an input they alone read; a concat is never held, its readers
+read its inputs' bands. A band's header, the rows its readers still need,
+is copied from one strip's band to the next, so a lagging read is one
+view. A conv reads its input's real neighbour rows
 with row padding 0, so zero rows appear only at the image border. An image
 whose whole-plane run fits _GRAPH_BYTES is one strip; a larger one runs in
 strips whose bands fit the budget, so memory grows with its width, not its
@@ -38,12 +41,14 @@ execution are one entry of OPS; adding an op means adding one entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
+from operator import is_
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import tensor
 from .fusion import (
     BranchGroup,
     LoraFactors,
@@ -76,6 +81,12 @@ MODES = ("unfused", "fused")
 # fused run streams in alone: one strip when the image's whole-plane run
 # fits, so memory is bounded by its width, not its height.
 _GRAPH_BYTES = 6 << 20
+
+# Image sizes a graph keeps its compiled fused run for (see _compiled); the
+# oldest goes first. One plan held 29-94 KiB (tracemalloc) for SPANV2, its
+# training form and SPAN from 17x19 to 256x512, so at the cap a graph holds
+# about 1.5 MiB of them.
+_RUNS_KEPT = 16
 
 
 @dataclass
@@ -637,6 +648,9 @@ class _Action(NamedTuple):
     outs: tuple | None  # (band, first row, rows); None for the output step
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
+    kernel: str | None  # what writes its band: conv2d, fused_attention, relu, add or mul; else _step
+    spec: ConvSpec | None  # a plain conv's spec (its cut's) or an attention step's gate conv
+    strips: tuple | None  # a plain conv's conv_strips
 
 
 class _Plan(NamedTuple):
@@ -645,7 +659,8 @@ class _Plan(NamedTuple):
     programs: list[list[_Action]]  # the strips' distinct action lists
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]]  # (program, input rows, output rows)
     arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
-    caps: list[int]  # each band's height
+    shapes: list[tuple[int, int, int, int]]  # each band's buffer
+    carry: list[int]  # the most header rows each band keeps between strips
     ws_floats: int
 
 
@@ -746,7 +761,16 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
             for cut, reads, writes, conv in _calls(lay, j):
-                action: list = [j, cut, [], [], [], [], None if j == last else [], [], ()]
+                # what the call runs: a plain conv's strips, and the kernel
+                # that writes its band when its reads are bands
+                strip = None if conv is None else conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)
+                kernel = None  # the input step, the output step, or one _step runs
+                if 0 < j < last and conv:
+                    kernel = "conv2d"
+                elif 0 < j < last and all(len(parts) == 1 for parts in reads):
+                    kernel = "fused_attention" if j in lay.gates else n.op if n.op in ("relu", "add", "mul") else None
+                spec = conv[0] if conv else lay.gates.get(j)
+                action: list = [j, cut, [], [], [], [], None if j == last else [], [], (), kernel, spec, strip]
                 for parts in reads:
                     action[5].append(tuple((c0, b, lo - use(b, hi, action), hi - lo) for c0, b in parts))
                 if j < last:
@@ -754,8 +778,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                     for b, r0, _ in action[6]:
                         if head[b] == j and e == height[j]:
                             action[4].append((b, r0 + e - d, None))  # the zero rows past the image
-                if conv is not None:
-                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)[1])
+                if strip is not None:
+                    ws_floats = max(ws_floats, strip[1])
                 actions.append(action)
             done[j] = e
         for b, a in touched.items():
@@ -774,8 +798,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             gives.setdefault(a, []).append(b)
         program = [
             _Action(j, cut, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
-                    None if outs is None else tuple(outs), tuple(copied_out), tuple(gives.get(a, ())))
-            for a, (j, cut, new, copied_in, zeros, args, outs, copied_out, _) in enumerate(actions)
+                    None if outs is None else tuple(outs), tuple(copied_out), tuple(gives.get(a, ())), *run)
+            for a, (j, cut, new, copied_in, zeros, args, outs, copied_out, _, *run) in enumerate(actions)
         ]
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
@@ -798,9 +822,14 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     # Bands of one plane width and zero columns share an arena, counted in
     # rows: biggest first, a band takes the lowest rows that no band held
     # with it in its strip has. Rows stay aligned, so every band of an
-    # arena has its zero columns where the others had theirs.
+    # arena has its zero columns where the others had theirs. Each band's
+    # header keeps its own rows of one carry area between strips.
     arena: dict[tuple[int, int], int] = {}
+    carry = [0] * len(bands)
     for program in programs:
+        for act in program:
+            for b, _, h0 in act.copied_out:
+                carry[b] = max(carry[b], h0)
         span: dict[int, list[int]] = {}  # each band's first and last action
         for a, act in enumerate(program):
             for b in act.takes:
@@ -819,54 +848,66 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             arena[w, pad] = max(arena.get((w, pad), 0), row + c * caps[b])
         for a, act in enumerate(program):
             program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
-    return _Plan(programs, strips, arena, caps, ws_floats)
+    shapes = [(1, c, cap, w + 2 * pad) for (c, w, _, pad), cap in zip(bands, caps)]
+    return _Plan(programs, strips, arena, shapes, carry, ws_floats)
 
 
-def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) -> Tensor:
-    """Fused run of x in strips of `rows` input rows (_plan), each image
-    alone. With many strips every band is a view of its arena, allocated
-    once per call; one strip allocates each band for its life, so it holds
-    only the values alive. One workspace serves every conv's column block
-    and accumulator and every attention step's gates."""
-    plan = _plan(lay, x.h, rows)
+def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
+    """Fused run of x by its compiled plan, each image alone. With many
+    strips every band is a view of its arena and every header is kept in
+    its band's rows of one carry area, both allocated once per call; one
+    strip allocates each band for its life, so it holds only the values
+    alive. One workspace serves every conv's column block and accumulator
+    and every attention step's gates. Buffers are per call: calls share
+    only the plan."""
+    lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1
     ws = np.empty(plan.ws_floats, np.float32)
-    arena = {
-        (w, pad): np.zeros(n * (w + 2 * pad), np.float32) for (w, pad), n in plan.arena.items() if len(plan.strips) > 1
-    }
-    shape = [(1, c, cap, w + 2 * pad) for (c, w, _, pad), cap in zip(lay.bands, plan.caps)]
+    arena, carry = {}, []
+    if len(plan.strips) > 1:
+        arena = {(w, pad): np.zeros(n * (w + 2 * pad), np.float32) for (w, pad), n in plan.arena.items()}
+        held = [(1, c, k, wb) for (_, c, _, wb), k in zip(plan.shapes, plan.carry)]
+        area = np.empty(sum(map(prod, held)), np.float32)
+        carry = [area[o : o + prod(s)].reshape(s) for o, s in zip(accumulate(map(prod, held), initial=0), held)]
+    pads = [pad for *_, pad in lay.bands]
     buf: list[np.ndarray | None] = [None] * len(lay.bands)
-    carry: list[np.ndarray | None] = [None] * len(lay.bands)  # each band's header between strips
     out = None
-
-    def band(b: int, r0: int, h: int) -> Band:
-        return Band(buf[b], r0, h, lay.bands[b][3])
 
     def view(parts: tuple, r: int) -> Band | Tiles:
         # the window of step r's value: a band, or a concat's bands as tiles
         if len(parts) == 1:
-            return band(*parts[0][1:])
-        tiles = tuple((0, c0, band(b, r0, h).interior) for c0, b, r0, h in parts)
+            _, b, r0, h = parts[0]
+            return Band(buf[b], r0, h, pads[b])
+        tiles = tuple((0, c0, Band(buf[b], r0, h, pads[b]).interior) for c0, b, r0, h in parts)
         return Tiles(tiles, (1, lay.shape[r][0], parts[0][3], lay.shape[r][2]))
 
     for image in range(x.n):
         for program, rows_in, rows_out in plan.strips:
             for act in plan.programs[program]:
                 for b, start in act.takes:
+                    shape = plan.shapes[b]
                     if arena:
-                        at = start * shape[b][3]
-                        buf[b] = arena[lay.bands[b][1], lay.bands[b][3]][at : at + prod(shape[b])].reshape(shape[b])
+                        at = start * shape[3]
+                        buf[b] = arena[lay.bands[b][1], pads[b]][at : at + prod(shape)].reshape(shape)
                     else:
-                        buf[b] = np.zeros(shape[b], np.float32)
+                        buf[b] = np.zeros(shape, np.float32)
                 for b, h0 in act.copied_in:
-                    buf[b][:, :, :h0], carry[b] = carry[b], None
+                    buf[b][:, :, :h0] = carry[b][:, :, :h0]
                 for b, r0, r1 in act.zeros:
                     buf[b][:, :, r0:r1] = 0.0
                 xs = [view(parts, r) for parts, r in zip(act.args, lay.ins[act.step])]
-                if act.step == 0:
-                    band(*act.outs[0]).interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
-                elif act.outs is not None:
-                    _step(lay, act, xs, [band(*o) for o in act.outs], ws, counter)
+                dst = act.outs and [Band(buf[b], r0, h, pads[b]) for b, r0, h in act.outs]
+                kernel = act.kernel  # each through the module's globals, like OPS
+                if kernel == "conv2d":
+                    conv2d(xs[0], act.spec, dst[0], ws, act.strips)
+                elif kernel == "fused_attention":
+                    fused_attention(*xs, act.spec, counter, dst[0], ws)
+                elif kernel is not None:
+                    globals()[kernel](*xs, dst[0])
+                elif act.step == 0:
+                    dst[0].interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
+                elif dst is not None:
+                    _step(lay, act, xs, dst, ws, counter)
                 else:  # the output step: into the output plane, or as it
                     d, e = rows_out
                     whole = x.n == 1 and e - d == lay.shape[last][1] and act.cut is None
@@ -878,9 +919,9 @@ def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) 
                     else:
                         cut = slice(None) if act.cut is None else _cut_spec(lay.cuts[last][0][0], *act.cut)[1]
                         _step(lay, act, xs, out[image : image + 1, cut, d:e], ws, counter)
-                del xs
+                del xs, dst
                 for b, r0, h0 in act.copied_out:
-                    carry[b] = buf[b][:, :, r0 : r0 + h0].copy()
+                    carry[b][:, :, :h0] = buf[b][:, :, r0 : r0 + h0]
                 if not arena:
                     for b in act.gives:
                         buf[b] = None
@@ -888,34 +929,84 @@ def _stream(lay: _Layout, x: Tensor, rows: int, counter: TrafficCounter | None) 
 
 
 def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray | None, ws: np.ndarray, counter) -> object:
-    """Run one action's kernel on its input windows into `dst`: its bands,
-    or for the output step rows of the output plane (None: return the
-    output). An op that cannot write there makes a plane, copied in."""
+    """Run an action whose kernel does not write its band itself (a read
+    that is not one band, a training-form conv, the output step) into
+    `dst`: its band, or for the output step rows of the output plane (None:
+    return the output). An op that cannot write there makes a plane, copied
+    in."""
     j, n = act.step, lay.steps[act.step]
-    band = dst[0] if isinstance(dst, list) else None
-    bands = all(isinstance(a, Band) for a in xs)
     if j in lay.gates:
-        if band is not None and bands:
-            return fused_attention(*xs, lay.gates[j], counter, band, ws)
-        y = fused_attention(*map(_tensor, xs), lay.gates[j], counter)
-    elif n.op == "conv" and n.lora is None and n.branches is None:
-        y = conv2d(xs[0], _conv_spec(lay, j, act.cut), band, ws)
-        if band is not None:
-            return band
+        y = fused_attention(*map(_tensor, xs), act.spec, counter)
+    elif act.strips is not None:  # a plain conv that is the output step
+        y = conv2d(xs[0], act.spec, None, ws, act.strips)
     elif n.op == "conv":
         y = _run_conv_rows(n, xs[0], lay.cuts[j])
     elif n.op == "concat":  # the output step
         y = Tiles.concat(xs)
-    elif n.op in ("relu", "add", "mul") and band is not None and bands:
-        return globals()[n.op](*xs, band)  # through the module's globals, like OPS
-    elif n.op == "pixel_shuffle" and bands and isinstance(dst, np.ndarray):
+    elif n.op == "pixel_shuffle" and isinstance(dst, np.ndarray) and all(isinstance(a, Band) for a in xs):
         return pixel_shuffle(xs[0], n.upscale, dst)
     else:
         y = OPS[n.op].run(n, *map(_tensor, xs))
     if dst is None:
         return y
-    (dst if band is None else band.interior)[...] = Tiles.of(y).build().data
+    (dst if isinstance(dst, np.ndarray) else dst[0].interior)[...] = Tiles.of(y).build().data
     return dst
+
+
+class _Run(NamedTuple):
+    """Fused run_graph compiled for one graph and image size (_compile)."""
+
+    steps: list[Node]  # the schedule; steps[0] is the input
+    rows: int  # input rows per strip
+    lay: _Layout | None  # None when the graph is its input alone
+    plan: _Plan | None
+
+
+def _reads(g: ModelGraph, gates: dict[str, tuple]) -> dict[str, tuple[str, ...]]:
+    """What each node reads: a fusion group's mul its res and f3."""
+    return {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
+
+
+def _compile(g: ModelGraph, h: int, w: int) -> _Run:
+    """Fused run_graph of g on h x w images: the gates and schedule, then
+    each image in one strip when its whole-plane run fits _GRAPH_BYTES,
+    otherwise in strips whose bands, headers and workspace do."""
+    gates = _fusion_gates(g)
+    reads = _reads(g, gates)
+    steps = _schedule(g, reads)  # a group's conv and add are not in it
+    if len(steps) == 1:  # an input-only graph has no step to fuse
+        return _Run(steps, h, None, None)
+    shapes = infer_shapes(g, h, w)
+    lay = _layout(steps, reads, gates, shapes)
+    last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
+    fits = _plane_bytes(steps, reads, last_use, shapes) <= _GRAPH_BYTES
+    rows = h if fits else _strip_rows(lay, _GRAPH_BYTES)
+    return _Run(steps, rows, lay, _plan(lay, h, rows))
+
+
+def _compiled(g: ModelGraph, h: int, w: int) -> _Run:
+    """g's fused run on h x w images, compiled once and kept on g.
+
+    g keeps the runs of its last _RUNS_KEPT sizes, keyed by the size and
+    the budgets the plan reads, with a stamp of what they read of g: the
+    output, the fusion groups' names, and every node and each of its
+    fields, by identity. A graph changed in place no longer matches the
+    stamp, so its runs are dropped and it runs as changed. The kept runs
+    are replaced whole, never changed, so concurrent calls share them."""
+    names = [a for fg in g.fusion_groups for a in (fg.conv, fg.add, fg.mul)]
+    stamp = (g.output, *names, *g.nodes, *chain.from_iterable(map(dict.values, map(vars, g.nodes))))
+    key = (h, w, _GRAPH_BYTES, tensor._STRIP_FLOATS)
+    kept, runs = vars(g).get("_runs", ((), {}))
+    if len(kept) != len(stamp) or not all(map(is_, kept, stamp)):
+        runs = {}
+    run = runs.get(key)
+    if run is None:
+        run = _compile(g, h, w)
+        runs = {**runs, key: run}
+        while len(runs) > _RUNS_KEPT:
+            del runs[next(iter(runs))]
+        vars(g)["_runs"] = stamp, runs
+    return run
 
 
 def run_graph(
@@ -927,18 +1018,15 @@ def run_graph(
     """Execute the graph on x. mode selects the execution plan (module docstring)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "fused":
+        run = _compiled(g, x.h, x.w)
+        _check_input(g, run.steps[0], x)
+        return x if run.plan is None else _stream(run, x, counter)
     gates = _fusion_gates(g)
-    reads = {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
+    reads = _reads(g, gates)
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
     _check_input(g, steps[0], x)  # steps[0] is the input
-    if mode == "fused" and len(steps) > 1:  # an input-only graph has no step to fuse
-        # each image runs as one strip when its whole-plane run fits the budget,
-        # otherwise in strips whose bands, headers and workspace do
-        shapes = infer_shapes(g, x.h, x.w)
-        lay = _layout(steps, reads, gates, shapes)
-        fits = _plane_bytes(steps, reads, last_use, shapes) <= _GRAPH_BYTES
-        return _stream(lay, x, x.h if fits else _strip_rows(lay, _GRAPH_BYTES), counter)
     env = {steps[0].name: x}
     for i, n in enumerate(steps[1:], 1):
         args = [env[r] for r in reads[n.name]]

@@ -290,7 +290,11 @@ def conv_strips(
 
 
 def conv2d(
-    x: Tensor | Tiles | Band, spec: ConvSpec, out: Band | None = None, ws: np.ndarray | None = None
+    x: Tensor | Tiles | Band,
+    spec: ConvSpec,
+    out: Band | None = None,
+    ws: np.ndarray | None = None,
+    strips: tuple | None = None,
 ) -> Tensor | Band:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
@@ -298,7 +302,8 @@ def conv2d(
     be a plane held as tiles or a Band; the result is the conv of the plane.
     Given `out`, a Band of the output's shape, the rows are written into it
     and it is returned; `ws` is a float32 workspace of at least conv_strips'
-    floats, else conv2d allocates its own.
+    floats, else conv2d allocates its own. `strips` is conv_strips' result
+    for this call, when the caller has it already (a compiled fused run).
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -339,7 +344,9 @@ def conv2d(
     # columns, so no output row is computed twice.
     cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
     src_pad = x.pad if type(x) is Band else None
-    rows, floats, in_place, direct, fold = conv_strips(n, hout, w, spec, src_pad, None if out is None else out.pad)
+    rows, floats, in_place, direct, fold = strips or conv_strips(
+        n, hout, w, spec, src_pad, None if out is None else out.pad
+    )
     if ws is None or ws.size < floats:
         ws = np.empty(floats, np.float32)
     span, used = rows * wp, 0

@@ -430,12 +430,12 @@ def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):
 # -- strip streaming ---------------------------------------------------------
 
 def _record_strip_rows(monkeypatch):
-    """The strip height each fused run_graph passes its executor, as a list
-    that fills as they run."""
+    """The strip height of the compiled run each fused run_graph passes its
+    executor, as a list that fills as they run."""
     used, stream = [], graph._stream
 
     def recording(*args, **kwargs):
-        used.append(inspect.signature(stream).bind(*args, **kwargs).arguments["rows"])
+        used.append(inspect.signature(stream).bind(*args, **kwargs).arguments["run"].rows)
         return stream(*args, **kwargs)
 
     monkeypatch.setattr(graph, "_stream", recording)
@@ -444,9 +444,11 @@ def _record_strip_rows(monkeypatch):
 
 def _stream_in_strips(monkeypatch, g, x, rows):
     """Make fused runs stream in strips of `rows` input rows, and record the
-    strip height each run_graph uses."""
+    strip height each run_graph uses. No compiled run is kept, so a run
+    kept from an earlier forced height cannot stand in for this one."""
     monkeypatch.setattr(graph, "_GRAPH_BYTES", 0)  # no image fits one strip
     monkeypatch.setattr(graph, "_strip_rows", lambda lay, budget: rows)
+    monkeypatch.setattr(graph, "_RUNS_KEPT", 0)
     return _record_strip_rows(monkeypatch)
 
 
@@ -621,3 +623,81 @@ def test_a_second_fused_run_builds_no_conv_spec(monkeypatch, rng, h):
     monkeypatch.setattr(ConvSpec, "__post_init__", lambda spec: built.append(1) or check(spec))
     run_graph(g, x, "fused")
     assert built == []
+
+
+# -- compiled runs -----------------------------------------------------------
+
+PLANNERS = ("_compile", "_fusion_gates", "_schedule", "infer_shapes", "_layout", "_plane_bytes", "_strip_rows", "_plan")
+
+
+def _count_planner_calls(monkeypatch):
+    """Count the calls of every function that plans a fused run, in a dict
+    that fills as runs plan."""
+    calls = dict.fromkeys(PLANNERS, 0)
+    for name in PLANNERS:
+        def counting(*args, fn=getattr(graph, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(graph, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("budget, rows", [(graph._GRAPH_BYTES, 37), (0, 4)], ids=["one_strip", "streamed"])
+def test_a_second_fused_run_at_one_size_builds_no_plan(monkeypatch, rng, budget, rows):
+    # The first run at a size compiles it and keeps it on the graph; the
+    # second only binds its buffers and runs the kernels, to the same bits.
+    monkeypatch.setattr(graph, "_GRAPH_BYTES", budget)  # 0: every image streams, in 4-row strips
+    g = build_spanv2(seed=0)
+    x = rand_tensor(rng, 1, 3, 37, 21)
+    used = _record_strip_rows(monkeypatch)
+    first = run_graph(g, x, "fused")
+    calls = _count_planner_calls(monkeypatch)
+    second = run_graph(g, x, "fused")
+    assert calls == dict.fromkeys(PLANNERS, 0) and used == [rows, rows]
+    assert np.array_equal(second.data, first.data)
+
+
+def _replace_node(g):
+    i = [n.name for n in g.nodes].index("b1.conv_b")
+    g.nodes[i] = replace(g.nodes[i], spec=replace(g.nodes[i].spec, weight=-g.nodes[i].spec.weight))
+
+
+def _assign_spec(g):
+    g.node("b2.conv_a").spec = _conv(8, 8, k=1)
+
+
+def _drop_group(g):
+    g.fusion_groups.pop()
+
+
+@pytest.mark.parametrize("change, groups", [(_replace_node, 2), (_assign_spec, 2), (_drop_group, 1)],
+                         ids=["replace_node", "assign_spec", "drop_group"])
+def test_kept_runs_follow_in_place_changes(monkeypatch, rng, change, groups):
+    # A graph changed in place after a fused run runs as changed: a run kept
+    # from before would give the old conv's rows, or run the dropped group's
+    # attention step where the changed graph has its conv, add and mul.
+    g = build_spanv2(c=8, blocks=2, seed=0)
+    x = rand_tensor(rng, 1, 3, 13, 11)
+    run_graph(g, x, "fused")
+    change(g)
+    validate_graph(g)
+    calls = []
+    attention = graph.fused_attention
+    monkeypatch.setattr(graph, "fused_attention", lambda *args: calls.append(1) or attention(*args))
+    assert np.array_equal(run_graph(g, x, "fused").data, run_graph(g, x, "unfused").data)
+    assert len(calls) == groups
+
+
+def test_a_graph_keeps_the_runs_of_its_last_sizes(monkeypatch, rng):
+    # _RUNS_KEPT + 1 sizes: the last _RUNS_KEPT are kept, the first is not.
+    g = build_spanv2(c=4, blocks=1, seed=0)
+    xs = [rand_tensor(rng, 1, 3, 3, 3 + i) for i in range(graph._RUNS_KEPT + 1)]
+    for x in xs:
+        run_graph(g, x, "fused")
+    calls = _count_planner_calls(monkeypatch)
+    for x in xs[1:]:
+        run_graph(g, x, "fused")
+    assert calls["_compile"] == 0
+    run_graph(g, xs[0], "fused")
+    assert calls["_compile"] == 1
