@@ -648,7 +648,7 @@ class _Action(NamedTuple):
     outs: tuple | None  # (band, first row, rows); None for the output step
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
-    kernel: str | None  # what writes its band: conv2d, fused_attention, relu, add or mul; else _step
+    kernel: str | None  # conv2d, fused_attention, relu, add or mul into its band; None: input, output or _step
     spec: ConvSpec | None  # a plain conv's spec (its cut's) or an attention step's gate conv
     strips: tuple | None  # a plain conv's conv_strips
 
