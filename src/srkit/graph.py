@@ -4,9 +4,10 @@ A ModelGraph is an ordered list of named nodes wired by name: one input, one
 output, skip/concat fan-in allowed. A conv node sums parallel convs: its
 spec, its spec and a LoRA delta, or a non-empty branch group with an optional
 identity. `_parallel_convs` lists the node's specs once (a LoRA delta's
-factors are checked, not multiplied); shapes, FLOPs and the fused row cuts
-read that list, the executor runs the decorations live and the fuse
-rewrites fold them away. No other op carries conv weights.
+factors are checked, not multiplied); shapes and FLOPs read that list,
+"unfused" runs the decorations live, "fused" lowers them to plain convs and
+adds, and the fuse rewrites fold them away. No other op carries conv
+weights.
 
 `run_graph` runs the nodes the output needs in one schedule, whatever the
 mode: a depth-first walk from the output that runs each node's deeper input
@@ -17,7 +18,9 @@ one single-pass step on the residual and f3, where "unfused" runs the
 three-op reference; both accept a traffic counter.
 
 "fused" streams each image alone by a plan compiled once per graph and
-image size and kept on the graph (_compiled). It lists, for every strip of
+image size and kept on the graph (_compiled), after each LoRA or branch
+group conv is lowered to plain convs and adds (_lowered), so the plan sees
+only plain convs. It lists, for every strip of
 input rows, the kernel calls that make the rows each step's inputs allow
 and its readers will read, so each row is made once, each call with its
 resolved conv spec, its conv2d strips and its kernel; a call of run_graph
@@ -28,11 +31,11 @@ reader's band; relu, add, mul and the attention step write in place into
 the band of an input they alone read; a concat is never held, its readers
 read its inputs' bands. A band's header, the rows its readers still need,
 is copied from one strip's band to the next, so a lagging read is one
-view. A conv reads its input's real neighbour rows
-with row padding 0, so zero rows appear only at the image border. An image
-whose whole-plane run fits _GRAPH_BYTES is one strip; a larger one runs in
-strips whose bands fit the budget, so memory grows with its width, not its
-height.
+view. A conv reads its input's real neighbour rows with row padding 0, so
+zero rows appear only at the image border. An image runs in strips of as
+many rows as let its bands, headers and workspace fit _GRAPH_BYTES
+(_strip_rows), one strip when that is all its rows, so memory grows with
+its width, not its height.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -40,7 +43,7 @@ execution are one entry of OPS; adding an op means adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from math import prod
 from operator import is_
@@ -56,6 +59,7 @@ from .fusion import (
     branch_forward,
     check_lora_factors,
     fused_attention,
+    lora_delta_spec,
     lora_forward,
     reference_attention,
 )
@@ -77,9 +81,10 @@ from .tensor import (
 MODES = ("unfused", "fused")
 
 # Bytes of activations one fused run_graph image aims to hold beyond its
-# output. It sets the height of the strips of input rows each image of a
-# fused run streams in alone: one strip when the image's whole-plane run
-# fits, so memory is bounded by its width, not its height.
+# output: its bands, their headers and the workspace. It sets the height of
+# the strips of input rows each image of a fused run streams in alone (one
+# strip when all its rows fit), so memory is bounded by its width, not its
+# height.
 _GRAPH_BYTES = 6 << 20
 
 # Image sizes a graph keeps its compiled fused run for (see _compiled); the
@@ -138,9 +143,6 @@ class ModelGraph:
             if n.name == name:
                 return n
         raise KeyError(f"no node named {name!r}")
-
-    def conv_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.op == "conv"]
 
     def validate(self) -> None:
         validate_graph(self)
@@ -246,7 +248,8 @@ class Op(NamedTuple):
     arity: the number of inputs a node takes; None means one or more.
     rows(node) -> (top, bottom, scale): output rows [d, e) read input rows
     [d // scale - top, ceil(e / scale) + bottom); rows outside the input are
-    zero. A node with scale s computes its rows s at a time.
+    zero. A node with scale s computes its rows s at a time. The fused plan
+    alone reads it, so a conv's rows are its plain spec's.
     """
 
     shape: Callable[[Node, list[Shape]], Shape]
@@ -337,11 +340,8 @@ def _run_conv(n: Node, x: Tensor) -> Tensor:
 
 
 def _conv_rows(n: Node) -> tuple[int, int, int]:
-    # the rows every parallel conv reads, and the identity's own rows
-    convs, identity = _parallel_convs(n)
-    top = max([s.padding[0] for s in convs] + [0] * identity)
-    bottom = max([s.kernel[0] - 1 - s.padding[0] for s in convs] + [0] * identity)
-    return top, bottom, 1
+    (kh, _), (ph, _) = n.spec.kernel, n.spec.padding
+    return ph, kh - 1 - ph, 1
 
 
 def _same_width_shape(n: Node, ins: list[Shape]) -> Shape:
@@ -430,38 +430,6 @@ def _check_input(g: ModelGraph, n: Node, x: Tensor) -> None:
         raise ValueError(f"graph {g.name!r}: input contains non-finite values")
 
 
-def _plane_bytes(
-    steps: list[Node],
-    reads: dict[str, tuple[str, ...]],
-    last_use: dict[str, int],
-    shapes: dict[str, Shape],
-) -> int:
-    """Bytes one image's whole-plane run holds beyond its input and output:
-    the values alive at its widest step."""
-    size = {name: 4 * c * h * w for name, (c, h, w) in shapes.items()}
-    size[steps[0].name] = 0  # the schedule's one leaf is the input, which the caller holds
-    held = peak = 0
-    for i, n in enumerate(steps[:-1]):
-        held += size[n.name]
-        peak = max(peak, held)
-        held -= sum(size[r] for r in set(reads[n.name]) if last_use[r] == i)
-    return peak
-
-
-def _row_convs(n: Node) -> list[tuple[ConvSpec | None, int, int]]:
-    """Conv node n as its parallel convs with row padding 0, each with the
-    rows it skips at the top and bottom of the node's input window; None is
-    the identity branch. The row-padding-0 specs are kept on their specs."""
-    top, bottom, _ = _conv_rows(n)
-    convs, identity = _parallel_convs(n)
-    cuts = [
-        (s if not s.padding[0] else s.variant("rows", padding=(0, s.padding[1])),
-         top - s.padding[0], bottom + 1 + s.padding[0] - s.kernel[0])
-        for s in convs
-    ]
-    return cuts + [(None, top, bottom)] * identity
-
-
 def _group_cuts(ranges: list[tuple[int, int]], spec: ConvSpec) -> list[tuple[int, int]] | None:
     """The input channel ranges a plain conv runs once each on: the ranges
     of its input's parts when there are several and they fall on spec's
@@ -480,33 +448,11 @@ def _cut_spec(spec: ConvSpec, lo: int, hi: int) -> tuple[ConvSpec, slice]:
     rows = slice(lo // cg * og, hi // cg * og)
     bias = None if spec.bias is None else spec.bias[rows]
     cut = dict(in_channels=hi - lo, out_channels=rows.stop - rows.start, groups=(hi - lo) // cg)
-    return spec.variant(("cut", lo, hi), weight=spec.weight[rows], bias=bias, **cut), rows
-
-
-def _band_rows(x: Band | Tiles, a: int, b: int) -> Band | Tiles:
-    """Rows [a, h - b) of a window."""
-    n, c, h, w = x.shape
-    if isinstance(x, Band):
-        return Band(x.buf, x.r0 + a, h - a - b, x.pad)
-    return Tiles(tuple((0, c0, t[:, :, a : h - b]) for _, c0, t in x.tiles), (n, c, h - a - b, w))
+    return replace(spec, weight=spec.weight[rows], bias=bias, **cut), rows
 
 
 def _tensor(x: Tensor | Tiles | Band) -> Tensor:
     return x if isinstance(x, Tensor) else x.tensor() if isinstance(x, Band) else x.build()
-
-
-def _run_conv_rows(n: Node, x: Band | Tiles, cuts: list[tuple[ConvSpec | None, int, int]]) -> Tensor:
-    # a training-form conv on its input window: the sum, in branch_forward's
-    # order (the convs, then the identity), of each conv on its own rows
-    y = None
-    for spec, a, b in cuts:
-        part = _band_rows(x, a, b)
-        if spec is None:
-            part = _tensor(part)
-        else:
-            part = conv2d(part, spec) if n.lora is None else lora_forward(part, spec, n.lora)
-        y = part if y is None else add(y, part)
-    return y
 
 
 class _Layout(NamedTuple):
@@ -521,8 +467,7 @@ class _Layout(NamedTuple):
     parts: list[list[tuple[int, int]]]  # each value's (first channel, band); a concat's are its inputs'
     bands: list[tuple[int, int, int, int]]  # (channels, plane width, height, zero columns a side)
     chain: list[list[int]]  # each band's writers: its producer, then in-place steps
-    cuts: list  # each conv step's _row_convs
-    split: list  # each plain conv's _group_cuts of its input, or None
+    cuts: list[list[tuple]]  # each step's calls: (input channels or None: all, conv spec or None, output channels)
     gates: dict[int, ConvSpec]  # attention steps' gate convs
 
 
@@ -531,16 +476,17 @@ def _layout(
 ) -> _Layout:
     """Hold each value of the fused schedule in zero-bordered bands.
 
-    A concat is never held: its readers read its inputs' bands. A plain conv
-    whose input's parts fall on its group boundaries runs once per part,
-    into one band each; every other value is one band. A relu, add, mul or
-    attention step that is the only reader of an input band writes its rows
-    in place there, so a conv and its relu, or conv_c and its attention
-    step, share one band. A band that a conv reads has P zero columns on
-    each side, the graph's widest conv column padding, so a conv of column
-    padding P reads its windows in place and one of kernel width 2P + 1
-    writes its rows in place; any other band has its writing conv's
-    (kw - 1) / 2. The output step writes the output plane.
+    Every conv runs with row padding 0. A concat is never held: its readers
+    read its inputs' bands. A conv whose input's parts fall on its group
+    boundaries runs once per part (_cut_spec), into one band each; every
+    other value is one band. A relu, add, mul or attention step that is the
+    only reader of an input band writes its rows in place there, so a conv
+    and its relu, or conv_c and its attention step, share one band. A band
+    that a conv reads has P zero columns on each side, the graph's widest
+    conv column padding, so a conv of column padding P reads its windows in
+    place and one of kernel width 2P + 1 writes its rows in place; any other
+    band has its writing conv's (kw - 1) / 2. The output step writes the
+    output plane.
     """
     index = {n.name: j for j, n in enumerate(steps)}
     ins = [[index[r] for r in reads[n.name]] for n in steps]
@@ -553,16 +499,18 @@ def _layout(
     readers: list[list[int]] = [[] for _ in steps]
     for j in range(last, -1, -1):  # readers come later in the schedule
         readers[j] = [q for p in direct[j] for q in ([p] if held[p] else readers[p])]
-    cuts = [_row_convs(n) if n.op == "conv" else None for n in steps]
     gate = {j: gates[n.name][0] for j, n in enumerate(steps) if n.name in gates}
     parts: list[list[tuple[int, int]]] = []
     bands: list[tuple] = []  # (channels, plane width, height), then its zero columns
     chain: list[list[int]] = []
-    split: list = [None] * len(steps)
+    cuts: list[list[tuple]] = []
     for j, n in enumerate(steps):
         c, h, w = shapes[n.name]
-        if cuts[j] and n.lora is None and n.branches is None:
-            split[j] = _group_cuts([(c0, c0 + bands[b][0]) for c0, b in sorted(parts[ins[j][0]])], cuts[j][0][0])
+        cuts.append([(None, None, slice(0, c))])
+        if n.op == "conv":
+            spec = replace(n.spec, padding=(0, n.spec.padding[1])) if n.spec.padding[0] else n.spec
+            split = _group_cuts([(c0, c0 + bands[b][0]) for c0, b in sorted(parts[ins[j][0]])], spec)
+            cuts[j] = [(cut, *_cut_spec(spec, *cut)) for cut in split] if split else [(None, spec, slice(0, c))]
         if j == last:
             parts.append([])
             continue
@@ -579,47 +527,37 @@ def _layout(
             parts.append(parts[alias[0]])
             chain[parts[-1][0][1]].append(j)
             continue
-        outs = [(0, c)]
-        if split[j]:
-            outs = [(rows.start, rows.stop - rows.start) for rows in (_cut_spec(cuts[j][0][0], *r)[1] for r in split[j])]
-        parts.append([(c0, len(bands) + k) for k, (c0, _) in enumerate(outs)])
-        for _, cc in outs:
-            bands.append((cc, w, h))
+        parts.append([(out.start, len(bands) + k) for k, (_, _, out) in enumerate(cuts[j])])
+        for _, _, out in cuts[j]:
+            bands.append((out.stop - out.start, w, h))
             chain.append([j])
-    pad = max([s.padding[1] for cut in cuts if cut for s, _, _ in cut if s is not None] + [0])
+    pad = max([spec.padding[1] for calls in cuts for _, spec, _ in calls if spec] + [0])
     for b, members in enumerate(chain):
         # the widest column padding P when a conv reads the band, else the
         # writing conv's (kw - 1) / 2, so that it writes its rows in place
-        first = (cuts[members[0]] or [(None, 0, 0)])[0][0]
+        first = cuts[members[0]][0][1]
         kw = 2 * pad + 1 if first is None else first.kernel[1]
-        bands[b] += (pad if any(cuts[q] for q in readers[members[-1]]) or kw % 2 == 0 else kw // 2,)
+        bands[b] += (pad if any(steps[q].op == "conv" for q in readers[members[-1]]) or kw % 2 == 0 else kw // 2,)
     return _Layout(
         steps, ins, direct, readers, [OPS[n.op].rows(n) for n in steps], [shapes[n.name] for n in steps],
-        parts, bands, chain, cuts, split, gate,
+        parts, bands, chain, cuts, gate,
     )
-
-
-def _conv_spec(lay: _Layout, j: int, cut: tuple[int, int] | None) -> ConvSpec:
-    """The spec plain conv step j runs on its input channels `cut` (None:
-    all of them)."""
-    return lay.cuts[j][0][0] if cut is None else _cut_spec(lay.cuts[j][0][0], *cut)[0]
 
 
 def _calls(lay: _Layout, j: int) -> Iterator[tuple]:
     """Step j's kernel calls, one per input channel cut (one when its input
-    is not cut): (the cut or None, each input's parts it reads as (first
-    channel, band), the bands it writes, and for a plain conv the spec and
-    the zero columns of the band it reads and writes, None where that is not
-    one band)."""
-    n = lay.steps[j]
-    for k, cut in enumerate(lay.split[j] or [None]):
+    is not cut): (the output channels it makes, each input's parts it reads
+    as (first channel, band), the bands it writes, and for a conv the spec
+    and the zero columns of the band it reads and writes, None where that is
+    not one band)."""
+    for k, (cut, spec, out) in enumerate(lay.cuts[j]):
         reads = [[(c0, b) for c0, b in lay.parts[r] if cut is None or c0 == cut[0]] for r in lay.ins[j]]
         writes = [b for _, b in (lay.parts[j] if cut is None else lay.parts[j][k : k + 1])]
         conv = None
-        if n.op == "conv" and n.lora is None and n.branches is None:
+        if spec is not None:
             src = lay.bands[reads[0][0][1]][3] if len(reads[0]) == 1 else None
-            conv = _conv_spec(lay, j, cut), src, lay.bands[writes[0]][3] if writes else None
-        yield cut, reads, writes, conv
+            conv = spec, src, lay.bands[writes[0]][3] if writes else None
+        yield out, reads, writes, conv
 
 
 def _progress(lay: _Layout, supply: int, p: list[int]) -> None:
@@ -640,17 +578,17 @@ class _Action(NamedTuple):
     top, so strips that do the same share their actions (see _plan)."""
 
     step: int
-    cut: tuple[int, int] | None  # the input channels of a conv run per part
+    channels: slice  # the output channels it makes
     takes: tuple  # (band, first arena row) of the bands first used in the strip here
     copied_in: tuple  # (band, header rows) copied in at their tops
     zeros: tuple  # (band, first row, end row or None) zeroed
-    args: tuple  # per input, its parts (first channel, band, first row, rows)
+    args: tuple  # per input, its parts in channel order (band, first row, rows)
     outs: tuple | None  # (band, first row, rows); None for the output step
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
     kernel: str | None  # conv2d, fused_attention, relu, add or mul into its band; None: input, output or _step
-    spec: ConvSpec | None  # a plain conv's spec (its cut's) or an attention step's gate conv
-    strips: tuple | None  # a plain conv's conv_strips
+    spec: ConvSpec | None  # a conv's spec (its cut's) or an attention step's gate conv
+    strips: tuple | None  # a conv's conv_strips
 
 
 class _Plan(NamedTuple):
@@ -665,12 +603,13 @@ class _Plan(NamedTuple):
 
 
 def _strip_rows(lay: _Layout, budget: int) -> int:
-    """Input rows per strip of a fused run of an image too big for one
-    strip: as many, at least 4, as let the bands held at once, every
-    band's header between strips and the workspace of a one-strip run fit
-    the budget. A band is held from the first kernel call that uses it to
-    the last, and the bands of one plane width and zero columns share an
-    arena sized for the most it holds at once (see _plan)."""
+    """Input rows per strip of a fused run: as many, at least 4, as let the
+    bands held at once, every band's header between strips and the
+    workspace of a one-strip run fit the budget. A band is held from the
+    first kernel call that uses it to the last, and the bands of one plane
+    width and zero columns share an arena sized for the most it holds at
+    once (see _plan). Capped at the image's height, which runs as one
+    strip."""
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
@@ -696,7 +635,7 @@ def _strip_rows(lay: _Layout, budget: int) -> int:
             if a0 <= a <= a1:
                 now[w, pad] = now.get((w, pad), 0) + c * (w + 2 * pad)
         held.update((key, max(held.get(key, 0), f)) for key, f in now.items())
-    return max(4, (budget - 4 * (headers + ws)) // (4 * sum(held.values())))
+    return min(lay.shape[0][1], max(4, (budget - 4 * (headers + ws)) // (4 * sum(held.values()))))
 
 
 def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
@@ -760,8 +699,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             if j in (0, last):
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
-            for cut, reads, writes, conv in _calls(lay, j):
-                # what the call runs: a plain conv's strips, and the kernel
+            for channels, reads, writes, conv in _calls(lay, j):
+                # what the call runs: a conv's strips, and the kernel
                 # that writes its band when its reads are bands
                 strip = None if conv is None else conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)
                 kernel = None  # the input step, the output step, or one _step runs
@@ -770,9 +709,9 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                 elif 0 < j < last and all(len(parts) == 1 for parts in reads):
                     kernel = "fused_attention" if j in lay.gates else n.op if n.op in ("relu", "add", "mul") else None
                 spec = conv[0] if conv else lay.gates.get(j)
-                action: list = [j, cut, [], [], [], [], None if j == last else [], [], (), kernel, spec, strip]
+                action: list = [j, channels, [], [], [], [], None if j == last else [], [], (), kernel, spec, strip]
                 for parts in reads:
-                    action[5].append(tuple((c0, b, lo - use(b, hi, action), hi - lo) for c0, b in parts))
+                    action[5].append(tuple((b, lo - use(b, hi, action), hi - lo) for _, b in parts))
                 if j < last:
                     action[6] = [(b, d - use(b, e, action), e - d) for b in writes]
                     for b, r0, _ in action[6]:
@@ -797,9 +736,9 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         for b, a in touched.items():
             gives.setdefault(a, []).append(b)
         program = [
-            _Action(j, cut, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
+            _Action(j, channels, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
                     None if outs is None else tuple(outs), tuple(copied_out), tuple(gives.get(a, ())), *run)
-            for a, (j, cut, new, copied_in, zeros, args, outs, copied_out, _, *run) in enumerate(actions)
+            for a, (j, channels, new, copied_in, zeros, args, outs, copied_out, _, *run) in enumerate(actions)
         ]
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
@@ -874,12 +813,11 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     out = None
 
     def view(parts: tuple, r: int) -> Band | Tiles:
-        # the window of step r's value: a band, or a concat's bands as tiles
-        if len(parts) == 1:
-            _, b, r0, h = parts[0]
-            return Band(buf[b], r0, h, pads[b])
-        tiles = tuple((0, c0, Band(buf[b], r0, h, pads[b]).interior) for c0, b, r0, h in parts)
-        return Tiles(tiles, (1, lay.shape[r][0], parts[0][3], lay.shape[r][2]))
+        # the window of step r's value: a band, or a concat's bands as parts
+        bands = [Band(buf[b], r0, h, pads[b]) for b, r0, h in parts]
+        if len(bands) == 1:
+            return bands[0]
+        return Tiles(tuple(a.interior for a in bands), (1, lay.shape[r][0], bands[0].h, lay.shape[r][2]))
 
     for image in range(x.n):
         for program, rows_in, rows_out in plan.strips:
@@ -908,17 +846,11 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
                     dst[0].interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
                 elif dst is not None:
                     _step(lay, act, xs, dst, ws, counter)
-                else:  # the output step: into the output plane, or as it
-                    d, e = rows_out
-                    whole = x.n == 1 and e - d == lay.shape[last][1] and act.cut is None
-                    if out is None and not (whole and lay.steps[last].op != "pixel_shuffle"):
+                else:  # the output step, into its rows of the output plane
+                    if out is None:
                         out = np.empty((x.n, *lay.shape[last]), np.float32)
-                    if out is None:  # one image in one strip: its output, no second plane
-                        out = Tiles.of(_step(lay, act, xs, None, ws, counter)).build().data
-                        out = out if out.flags.owndata else out.copy()
-                    else:
-                        cut = slice(None) if act.cut is None else _cut_spec(lay.cuts[last][0][0], *act.cut)[1]
-                        _step(lay, act, xs, out[image : image + 1, cut, d:e], ws, counter)
+                    d, e = rows_out
+                    _step(lay, act, xs, out[image : image + 1, act.channels, d:e], ws, counter)
                 del xs, dst
                 for b, r0, h0 in act.copied_out:
                     carry[b][:, :, :h0] = buf[b][:, :, r0 : r0 + h0]
@@ -928,29 +860,24 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     return Tensor(out)
 
 
-def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray | None, ws: np.ndarray, counter) -> object:
+def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray, ws: np.ndarray, counter) -> None:
     """Run an action whose kernel does not write its band itself (a read
-    that is not one band, a training-form conv, the output step) into
-    `dst`: its band, or for the output step rows of the output plane (None:
-    return the output). An op that cannot write there makes a plane, copied
-    in."""
+    that is not one band, the output step) into `dst`: its band, or for the
+    output step its rows of the output plane. An op that cannot write there
+    makes a plane, copied in."""
     j, n = act.step, lay.steps[act.step]
     if j in lay.gates:
         y = fused_attention(*map(_tensor, xs), act.spec, counter)
-    elif act.strips is not None:  # a plain conv that is the output step
+    elif act.strips is not None:  # a conv that is the output step
         y = conv2d(xs[0], act.spec, None, ws, act.strips)
-    elif n.op == "conv":
-        y = _run_conv_rows(n, xs[0], lay.cuts[j])
     elif n.op == "concat":  # the output step
         y = Tiles.concat(xs)
     elif n.op == "pixel_shuffle" and isinstance(dst, np.ndarray) and all(isinstance(a, Band) for a in xs):
-        return pixel_shuffle(xs[0], n.upscale, dst)
+        pixel_shuffle(xs[0], n.upscale, dst)
+        return
     else:
         y = OPS[n.op].run(n, *map(_tensor, xs))
-    if dst is None:
-        return y
-    (dst if isinstance(dst, np.ndarray) else dst[0].interior)[...] = Tiles.of(y).build().data
-    return dst
+    np.concatenate(Tiles.of(y).tiles, 1, out=dst if isinstance(dst, np.ndarray) else dst[0].interior)
 
 
 class _Run(NamedTuple):
@@ -967,20 +894,50 @@ def _reads(g: ModelGraph, gates: dict[str, tuple]) -> dict[str, tuple[str, ...]]
     return {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
 
 
+def _lowered(g: ModelGraph) -> ModelGraph:
+    """g with each training-form conv as plain convs and adds, in
+    branch_forward's order: the convs, then the identity. The last add
+    keeps the node's name, the others take names no node has; a LoRA delta
+    is one bias-free conv."""
+    taken = {n.name for n in g.nodes}
+
+    def fresh(name: str) -> str:
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        return name
+
+    nodes = []
+    for n in g.nodes:
+        if n.op != "conv" or n.lora is None and n.branches is None:
+            nodes.append(n)
+            continue
+        convs, identity = _parallel_convs(n)
+        if n.lora is not None:
+            convs.append(lora_delta_spec(n.spec, n.lora))
+        terms = [fresh(f"{n.name}.branch{i}") for i in range(len(convs))] if len(convs) + identity > 1 else [n.name]
+        nodes += [Node(t, "conv", n.inputs, spec=spec) for t, spec in zip(terms, convs)]
+        terms += [n.inputs[0]] * identity
+        total = terms[0]
+        for k, t in enumerate(terms[1:], 2):
+            nodes.append(Node(n.name if k == len(terms) else fresh(f"{n.name}.sum{k}"), "add", (total, t)))
+            total = nodes[-1].name
+    return replace(g, nodes=nodes)
+
+
 def _compile(g: ModelGraph, h: int, w: int) -> _Run:
-    """Fused run_graph of g on h x w images: the gates and schedule, then
-    each image in one strip when its whole-plane run fits _GRAPH_BYTES,
-    otherwise in strips whose bands, headers and workspace do."""
+    """Fused run_graph of g on h x w images: the gates, then the schedule
+    and layout of g with its training-form convs lowered (_lowered), each
+    image in strips of the rows whose bands, headers and workspace fit
+    _GRAPH_BYTES (_strip_rows), one strip when that is all its rows."""
     gates = _fusion_gates(g)
+    g = _lowered(g)
     reads = _reads(g, gates)
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     if len(steps) == 1:  # an input-only graph has no step to fuse
         return _Run(steps, h, None, None)
-    shapes = infer_shapes(g, h, w)
-    lay = _layout(steps, reads, gates, shapes)
-    last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
-    fits = _plane_bytes(steps, reads, last_use, shapes) <= _GRAPH_BYTES
-    rows = h if fits else _strip_rows(lay, _GRAPH_BYTES)
+    lay = _layout(steps, reads, gates, infer_shapes(g, h, w))
+    rows = _strip_rows(lay, _GRAPH_BYTES)
     return _Run(steps, rows, lay, _plan(lay, h, rows))
 
 

@@ -8,7 +8,7 @@ exported weights drop in unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -83,9 +83,6 @@ def tensor(values) -> Tensor:
     return Tensor(np.array(values, dtype=np.float32))
 
 
-Tile = tuple[int, int, np.ndarray]  # (first row, first channel, array)
-
-
 class Band:
     """Rows [r0, r0 + h) of a zero-bordered float32 buffer of shape
     (n, c, rows, w + 2 * pad), as an (n, c, h, w) plane.
@@ -123,59 +120,44 @@ class Band:
 
 @dataclass(frozen=True)
 class Tiles:
-    """An (n, c, h, w) plane held as tiles and never built: each tile's
-    array holds its rows and channels of the plane, from its first row and
-    first channel on. conv2d copies each tile into its own rows and channels
-    of the band it fills, so a concat's channel parts cost no plane of their
-    own. Tiles must not overlap; each must have the plane's n and w and lie
-    inside it, and their channel rows must add up to the plane's, so that
-    they cover it."""
+    """An (n, c, h, w) plane held as its channel parts, in channel order,
+    and never built. conv2d copies each part into its own channels of the
+    band it fills, so a concat's parts cost no plane of their own. Each part
+    must have the plane's n, h and w, and their channels must add up to the
+    plane's."""
 
-    tiles: tuple[Tile, ...]
+    tiles: tuple[np.ndarray, ...]
     shape: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
         n, c, h, w = self.shape
-        area, boxes = 0, []
-        for i, (r0, c0, a) in enumerate(self.tiles):
-            fits = a.ndim == 4 and (a.shape[0], a.shape[3]) == (n, w)
-            if not (fits and 0 <= r0 <= h - a.shape[2] and 0 <= c0 <= c - a.shape[1]):
-                where = f"tile {i} {a.shape} at row {r0}, channel {c0}"
-                raise ShapeError(f"Tiles: {where} is outside {self.shape}")
-            area += a.shape[1] * a.shape[2]
-            r1, c1 = r0 + a.shape[2], c0 + a.shape[1]
-            for j, (q0, q1, d0, d1) in enumerate(boxes):  # none for the first tile
-                if max(r0, q0) < min(r1, q1) and max(c0, d0) < min(c1, d1):
-                    raise ShapeError(
-                        f"Tiles: tile {j} (rows {q0}:{q1}, channels {d0}:{d1}) overlaps "
-                        f"tile {i} (rows {r0}:{r1}, channels {c0}:{c1})"
-                    )
-            boxes.append((r0, r1, c0, c1))
-        if area != c * h:
-            raise ShapeError(f"Tiles: tiles cover {area} of the {c * h} channel rows of {self.shape}")
+        for i, a in enumerate(self.tiles):
+            if a.ndim != 4 or (a.shape[0], *a.shape[2:]) != (n, h, w):
+                raise ShapeError(f"Tiles: part {i} {a.shape} does not have the (n, h, w) of {self.shape}")
+        held = sum(a.shape[1] for a in self.tiles)
+        if held != c:
+            raise ShapeError(f"Tiles: parts hold {held} of the {c} channels of {self.shape}")
 
     @staticmethod
     def of(x: Tensor | Tiles | Band) -> Tiles:
         if isinstance(x, Tiles):
             return x
-        return Tiles(((0, 0, x.interior if isinstance(x, Band) else x.data),), x.shape)
+        return Tiles((x.interior if isinstance(x, Band) else x.data,), x.shape)
 
     @staticmethod
     def concat(parts: list[Tensor | Tiles]) -> Tiles:
-        """The channel concat of parts, as their tiles relabelled; the parts
+        """The channel concat of parts, as their parts in turn; the parts
         must agree in (n, h, w)."""
         if not parts:
             raise ShapeError("concat_channels: need at least one tensor")
         n, _, h, w = parts[0].shape
-        tiles, c = [], 0
         for i, p in enumerate(parts):
-            pn, pc, ph, pw = p.shape
+            pn, _, ph, pw = p.shape
             if (pn, ph, pw) != (n, h, w):
                 got = f"({pn},{ph},{pw}), expected ({n},{h},{w})"
                 raise ShapeError(f"concat_channels: part {i} has (n,h,w)={got}")
-            tiles += [(r0, c + c0, a) for r0, c0, a in Tiles.of(p).tiles]
-            c += pc
-        return Tiles(tuple(tiles), (n, c, h, w))
+        tiles = tuple(a for p in parts for a in Tiles.of(p).tiles)
+        return Tiles(tiles, (n, sum(p.c for p in parts), h, w))
 
     @property
     def c(self) -> int:
@@ -183,16 +165,11 @@ class Tiles:
 
     @property
     def numel(self) -> int:
-        return sum(a.size for _, _, a in self.tiles)
+        return sum(a.size for a in self.tiles)
 
     def build(self) -> Tensor:
-        """The plane as one Tensor; a single tile is passed on as it is."""
-        if len(self.tiles) == 1:
-            return Tensor(self.tiles[0][2])
-        out = np.empty(self.shape, np.float32)
-        for r0, c0, a in self.tiles:
-            out[:, c0 : c0 + a.shape[1], r0 : r0 + a.shape[2]] = a
-        return Tensor(out)
+        """The plane as one Tensor; a single part is passed on as it is."""
+        return Tensor(self.tiles[0] if len(self.tiles) == 1 else np.concatenate(self.tiles, axis=1))
 
 
 @dataclass(frozen=True)
@@ -243,15 +220,6 @@ class ConvSpec:
     def param_count(self) -> int:
         return self.weight.size + (self.bias.size if self.bias is not None else 0)
 
-    def variant(self, key: object, **changes) -> "ConvSpec":
-        """replace(self, **changes), built and validated once per key and
-        kept on this spec, so a run that derives the same conv again (row
-        padding 0, a channel cut) does not re-check its weights."""
-        memo = self.__dict__.setdefault("_variants", {})
-        if key not in memo:
-            memo[key] = replace(self, **changes)
-        return memo[key]
-
     @staticmethod
     def identity(channels: int) -> "ConvSpec":
         w = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
@@ -299,7 +267,8 @@ def conv2d(
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
     Output spatial extents are h + 2*ph - kh + 1 by w + 2*pw - kw + 1. x may
-    be a plane held as tiles or a Band; the result is the conv of the plane.
+    be a plane held as channel parts (Tiles) or a Band; the result is the
+    conv of the plane.
     Given `out`, a Band of the output's shape, the rows are written into it
     and it is returned; `ws` is a float32 workspace of at least conv_strips'
     floats, else conv2d allocates its own. `strips` is conv_strips' result
@@ -364,7 +333,10 @@ def conv2d(
         src = take(n, cin, nb, wp)  # refilled per strip
         src[:] = 0.0
         interior = src[..., pw : pw + w]
-        tiles = Tiles.of(x).tiles  # each fills its own rows and channels of the band
+        parts, c0 = [], 0  # each part, and its channels of the band
+        for part in Tiles.of(x).tiles:
+            parts.append((interior[:, c0 : c0 + part.shape[1]], part))
+            c0 += part.shape[1]
     sn, sc, sr, se = src.strides
     # (g, og, cg * kh * kw) against (n, g, cg * kh * kw, span): K is ordered
     # (channel, dy, dx) on both sides
@@ -393,11 +365,8 @@ def conv2d(
             # the `a` rows above it still hold zeros, as strips only move down
             a = min(max(ph - r0, 0), nb)
             b = max(min(h + ph - r0, nb), a)
-            for top, c0, tile in tiles:  # band row j holds tile row j + k
-                k = r0 - ph - top
-                j0, j1 = max(a, -k), min(b, tile.shape[2] - k)
-                if j0 < j1:
-                    interior[:, c0 : c0 + tile.shape[1], j0:j1] = tile[:, :, j0 + k : j1 + k]
+            for channels, part in parts:
+                channels[:, :, a:b] = part[:, :, r0 - ph + a : r0 - ph + b]
             interior[:, :, b:] = 0.0
         base = (x.r0 + r0) * wp if in_place else 0
         if taps == 1:

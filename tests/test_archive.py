@@ -26,7 +26,7 @@ from srkit.selftest import rand_tensor
 
 def _tensors_of(g):
     out = {}
-    for n in g.conv_nodes():
+    for n in [m for m in g.nodes if m.op == "conv"]:
         if n.spec is not None:
             out[f"{n.name}.weight"] = n.spec.weight
             if n.spec.bias is not None:

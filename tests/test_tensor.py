@@ -9,6 +9,7 @@ import pytest
 from srkit.graph import _cut_spec, _group_cuts
 from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
+    Band,
     ConvSpec,
     ShapeError,
     Tensor,
@@ -64,6 +65,16 @@ def _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias
 
 
 STRIP_ROWS = pytest.mark.parametrize("strip_rows", [1, 2, None], ids=["strip1", "strip2", "whole"])
+
+
+def _band(data, r0, pad):
+    """data as rows [r0, r0 + h) of a band with `pad` zero columns a side;
+    the buffer's rows above and below hold junk."""
+    n, c, h, w = data.shape
+    buf = np.full((n, c, r0 + h + 2, w + 2 * pad), 9.0, np.float32)
+    buf[:, :, r0 : r0 + h] = 0.0
+    buf[:, :, r0 : r0 + h, pad : pad + w] = data
+    return Band(buf, r0, h, pad)
 
 
 def _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows):
@@ -178,9 +189,11 @@ class TestConv2d:
         _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
         _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias)
 
-    # Each strip height with three tilings of the 5-row input: channel
-    # parts; row parts cut at row 3, so 2-row strips end inside a tile; and a
-    # grid, each channel part cut at its own row.
+    # Each strip height with three holders of the 5-row input: channel
+    # parts; the plane as rows 3-7 of one band (read in place when its zero
+    # columns are the conv's column padding and there is no row padding);
+    # and each channel part rows of a band of its own, from its own row and
+    # with its own zero columns, as the fused stream passes a concat's parts.
     @pytest.mark.parametrize(
         "strip_rows, tiling",
         [(rows, tiling) for tiling in ("channels", "rows", "grid") for rows in (1, 2, None)],
@@ -199,15 +212,14 @@ class TestConv2d:
         # channel, and groups2's first group straddles parts 0 and 1.
         sizes = [c for c in (1, (cin - 1) // 2, cin - 1 - (cin - 1) // 2) if c]
         parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes]
-        tiles, c0 = [], 0
-        for i, p in enumerate(parts if tiling != "rows" else [concat_channels(parts)]):
-            cuts = {"channels": (0, 5), "rows": (0, 3, 5), "grid": (0, 1 + i, 5)}[tiling]
-            tiles += [(r0, c0, p.data[:, :, r0:r1].copy()) for r0, r1 in zip(cuts, cuts[1:])]
-            c0 += p.c
         spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
         _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
         whole = conv2d(concat_channels(parts), spec)
-        held = Tiles(tuple(tiles), (n, cin, 5, 6))
+        if tiling == "rows":
+            held = _band(concat_channels(parts).data, 3, 1)
+        else:
+            arrays = (p.data if tiling == "channels" else _band(p.data, 1 + i, i).interior for i, p in enumerate(parts))
+            held = Tiles(tuple(arrays), (n, cin, 5, 6))
         assert np.array_equal(conv2d(held, spec).data, whole.data)
 
     @GROUPED_CASES
@@ -363,8 +375,8 @@ class TestConcat:
 
     @pytest.mark.parametrize("odd", [(2, 1, 2, 3), (1, 2, 3, 3), (1, 1, 2, 4)], ids=["n", "h", "w"])
     def test_parts_raise_the_concat_error(self, odd):
-        # an unbuilt concat (channel tiles) checks (n, h, w) as concat does,
-        # and so does a tile that does not fit the plane it is said to hold
+        # an unbuilt concat (channel parts) checks (n, h, w) as concat does,
+        # and so does a part that does not fit the plane it is said to hold
         parts = [Tensor.zeros(1, 2, 2, 3), Tensor.zeros(*odd)]
         with pytest.raises(ShapeError) as built:
             concat_channels(parts)
@@ -372,22 +384,20 @@ class TestConcat:
         with pytest.raises(ShapeError) as unbuilt:
             Tiles.concat(parts)
         assert str(unbuilt.value) == str(built.value)
-        with pytest.raises(ShapeError, match="Tiles: tile 1 .* is outside"):
-            Tiles(((0, 0, parts[0].data), (0, 2, parts[1].data)), (1, 2 + parts[1].c, 2, 3))
+        with pytest.raises(ShapeError, match=r"Tiles: part 1 .* does not have the \(n, h, w\) of"):
+            Tiles((parts[0].data, parts[1].data), (1, 2 + parts[1].c, 2, 3))
 
     def test_parts_describe_their_concat(self, rng):
         # shape, c and numel are what a tracer or a shape check reads of an
-        # input, here one part held as two row tiles; a missing tile, or two
-        # overlapping ones that leave rows uncovered, is rejected
+        # input, here held as its two channel parts; a missing part, or one
+        # too many, is rejected
         parts = [rand_tensor(rng, 2, 1, 3, 4), rand_tensor(rng, 2, 5, 3, 4)]
         built = concat_channels(parts)
-        top, rest = parts[0].data[:, :, :1], parts[0].data[:, :, 1:]
-        tiles = ((0, 0, top), (1, 0, rest), (0, 1, parts[1].data))
+        tiles = (parts[0].data, parts[1].data)
         held = Tiles(tiles, built.shape)
         assert (held.shape, held.c, held.numel) == (built.shape, built.c, built.numel)
         assert np.array_equal(held.build().data, built.data)
-        with pytest.raises(ShapeError, match="Tiles: tiles cover 17 of the 18 channel rows"):
+        with pytest.raises(ShapeError, match=r"Tiles: parts hold 5 of the 6 channels of \(2, 6, 3, 4\)"):
             Tiles(tiles[1:], built.shape)
-        a = parts[1].data[:1, :2, :2]
-        with pytest.raises(ShapeError, match=r"tile 0 \(rows 0:2, channels 0:2\) overlaps tile 1"):
-            Tiles(((0, 0, a), (0, 0, a)), (1, 2, 4, 4))
+        with pytest.raises(ShapeError, match="Tiles: parts hold 7 of the 6 channels"):
+            Tiles(tiles + tiles[:1], built.shape)
