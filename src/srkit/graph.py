@@ -20,16 +20,17 @@ three-op reference; both accept a traffic counter.
 "fused" streams each image alone by a plan compiled once per graph and
 image size and kept on the graph (_compiled), after each LoRA or branch
 group conv is lowered to plain convs and adds (_lowered), so the plan sees
-only plain convs. It lists, for every strip of
-input rows, the kernel calls that make the rows each step's inputs allow
-and its readers will read, so each row is made once, each call with its
-resolved conv spec, its conv2d strips and its kernel; a call of run_graph
-only allocates its buffers and runs the kernels. Each value is held in
-zero-bordered row bands (tensor.Band): a conv reads its tap windows from
-its input's band in place and writes its GEMM rows straight into its
-reader's band; relu, add, mul and the attention step write in place into
-the band of an input they alone read; a concat is never held, its readers
-read its inputs' bands. A band's header, the rows its readers still need,
+only plain convs. Each strip ends at an output row, a strip's worth of
+input rows times the output's scale further on than the last; the plan
+lists, for every strip, the kernel calls that make the rows each step's
+readers read to reach it (_progress), so each row is made once, each call
+with its resolved conv spec, its conv2d strips and its kernel; a call of
+run_graph only allocates its buffers and runs the kernels. Each value is
+held in zero-bordered row bands (tensor.Band): a conv reads its tap
+windows from its input's band in place and writes its GEMM rows straight
+into its reader's band; relu, add, mul and the attention step write in
+place into the band of an input they alone read; a concat is never held,
+its readers read its inputs' bands. A band's header, the rows its readers still need,
 is copied from one strip's band to the next, so a lagging read is one
 view. A conv reads its input's real neighbour rows with row padding 0, so
 zero rows appear only at the image border. An image runs in strips of as
@@ -460,9 +461,9 @@ class _Layout(NamedTuple):
 
     steps: list[Node]
     ins: list[list[int]]  # each step's inputs, as step indices
-    direct: list[list[int]]  # each step's readers
     readers: list[list[int]]  # each step's readers, a concat's standing for its own
     rule: list[tuple[int, int, int]]  # each step's OPS rows rule
+    scale: list[int]  # each step's rows per input row: its inputs' scale times its rule's
     shape: list[Shape]
     parts: list[list[tuple[int, int]]]  # each value's (first channel, band); a concat's are its inputs'
     bands: list[tuple[int, int, int, int]]  # (channels, plane width, height, zero columns a side)
@@ -538,10 +539,11 @@ def _layout(
         first = cuts[members[0]][0][1]
         kw = 2 * pad + 1 if first is None else first.kernel[1]
         bands[b] += (pad if any(steps[q].op == "conv" for q in readers[members[-1]]) or kw % 2 == 0 else kw // 2,)
-    return _Layout(
-        steps, ins, direct, readers, [OPS[n.op].rows(n) for n in steps], [shapes[n.name] for n in steps],
-        parts, bands, chain, cuts, gate,
-    )
+    rule = [OPS[n.op].rows(n) for n in steps]
+    scale: list[int] = []
+    for j in range(last + 1):
+        scale.append(rule[j][2] * max([scale[r] for r in ins[j]], default=1))
+    return _Layout(steps, ins, readers, rule, scale, [shapes[n.name] for n in steps], parts, bands, chain, cuts, gate)
 
 
 def _calls(lay: _Layout, j: int) -> Iterator[tuple]:
@@ -560,17 +562,17 @@ def _calls(lay: _Layout, j: int) -> Iterator[tuple]:
         yield out, reads, writes, conv
 
 
-def _progress(lay: _Layout, supply: int, p: list[int]) -> None:
-    """Set p to how far each step's rows run in a strip that ends at input
-    row `supply`: as far as its inputs' rows allow, and no further than its
-    readers will read (a row past a value's last is a zero row)."""
+def _progress(lay: _Layout, target: int, p: list[int]) -> None:
+    """Set p to how far each step's rows run in a strip that ends at output
+    row `target`: every other step as far as its readers read, in whole
+    multiples of its own scale, from the output back (a row past a value's
+    last is a zero row)."""
     last = len(lay.steps) - 1
-    p[0] = supply
-    for j in range(1, last + 1):
-        _, bottom, s = lay.rule[j]
-        p[j] = min(s * (p[r] - bottom) for r in lay.ins[j])
+    p[last] = target
     for j in range(last - 1, -1, -1):
-        p[j] = min(p[j], max(-(-p[q] // lay.rule[q][2]) + lay.rule[q][1] for q in lay.direct[j]))
+        read = max(-(-p[q] // lay.rule[q][2]) + lay.rule[q][1] for q in lay.readers[j])
+        s = lay.rule[j][2]
+        p[j] = -(-read // s) * s
 
 
 class _Action(NamedTuple):
@@ -605,7 +607,8 @@ class _Plan(NamedTuple):
 def _strip_rows(lay: _Layout, budget: int) -> int:
     """Input rows per strip of a fused run: as many, at least 4, as let the
     bands held at once, every band's header between strips and the
-    workspace of a one-strip run fit the budget. A band is held from the
+    workspace of a one-strip run fit the budget. A band holds its value's
+    scale of rows per input row (see _Layout). A band is held from the
     first kernel call that uses it to the last, and the bands of one plane
     width and zero columns share an arena sized for the most it holds at
     once (see _plan). Capped at the image's height, which runs as one
@@ -633,7 +636,7 @@ def _strip_rows(lay: _Layout, budget: int) -> int:
         for b, (a0, a1) in span.items():
             c, w, _, pad = lay.bands[b]
             if a0 <= a <= a1:
-                now[w, pad] = now.get((w, pad), 0) + c * (w + 2 * pad)
+                now[w, pad] = now.get((w, pad), 0) + c * (w + 2 * pad) * lay.scale[lay.chain[b][0]]
         held.update((key, max(held.get(key, 0), f)) for key, f in now.items())
     return min(lay.shape[0][1], max(4, (budget - 4 * (headers + ws)) // (4 * sum(held.values()))))
 
@@ -642,15 +645,15 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     """The kernel calls of a fused run of an h-row image in strips of `rows`
     input rows (all of it in one when rows >= h), and the memory they use.
 
-    Per strip, each step's rows run as far as its inputs' rows allow (the
-    input gains `rows` rows a strip, and past its last row its zero rows do
-    the same) and no further than its readers will read this strip, so each
-    row is made once and no value runs ahead of its readers. A band is held
+    Strip k ends at output row (k + 1) * rows times the output's scale, and
+    each step's rows run as far as its readers read to reach it (_progress),
+    so each row is made once, no value runs ahead of its readers and every
+    step makes `rows` times its scale rows a strip. A band is held
     from its first use in a strip to its last: there the rows its readers
     still need, its header, are copied out, and at its first use in the
     next strip in at its top. Strips that do the same share their actions;
-    once two strips do, the strips up to the next one where a step starts
-    or reaches its last row are not planned one by one.
+    once two strips in a row do, the strips up to the next one where a step
+    starts or reaches its last row are not planned one by one.
     """
     steps, ins, rule, bands = lay.steps, lay.ins, lay.rule, lay.bands
     height = [hj for _, hj, _ in lay.shape]
@@ -660,15 +663,13 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     origin = [-t for t in tops]  # the value row at each band's row 0
     header = [0] * len(bands)  # the rows each band keeps from the strip before
     caps = [0] * len(bands)
-    done, p, step = [0] * len(steps), [0] * len(steps), [0] * len(steps)
+    done, p = [0] * len(steps), [0] * len(steps)
     programs: list[list[_Action]] = []
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     ws_floats = 0
-    _progress(lay, 1 << 30, p)
-    lead = (1 << 30) - p[last] * h // height[last]  # the input rows the output's first rows need
+    stride = [rows * s for s in lay.scale]  # the rows each step makes a strip
     while done[last] < height[last]:
-        before = list(p)
-        _progress(lay, (len(strips) + 1) * rows + lead if rows < h else 1 << 30, p)
+        _progress(lay, (len(strips) + 1) * stride[last] if rows < h else 1 << 30, p)
         actions: list[list] = []
         touched: dict[int, int] = {}  # each band used in this strip: its last action
         io = [(0, 0), (0, 0)]
@@ -680,10 +681,10 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                 action[2].append(b)
                 if header[b]:
                     action[3].append((b, header[b]))
-                    if done[head[b]] == height[head[b]]:
-                        action[4].append((b, header[b], None))  # the zero rows past the image
                 elif origin[b] == -tops[b]:
                     action[4].append((b, 0, tops[b]))  # the zero rows above the image
+                if done[head[b]] == height[head[b]]:
+                    action[4].append((b, header[b], None))  # the zero rows past the image
             caps[b] = max(caps[b], end - origin[b] + 1)
             touched[b] = len(actions)
             return origin[b]
@@ -743,21 +744,19 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
         strips.append((len(programs) - 1, *io))
-        # the same actions twice, by the same strides: they go on to the
-        # strip before a step starts or reaches its last row
-        prev, step = step, [a - b for a, b in zip(p, before)]
-        if len(strips) < 3 or strips[-2][0] != strips[-1][0] or step != prev or min(step) < 1:
+        # the same actions twice: they go on to the strip before a step
+        # starts or reaches its last row
+        if len(strips) < 2 or strips[-2][0] != strips[-1][0]:
             continue
         more = min(
-            (height[j] - 1 - p[j]) // step[j] if p[j] > 0 else -p[j] // step[j]
+            (height[j] - 1 - p[j]) // stride[j] if p[j] > 0 else -p[j] // stride[j]
             for j in range(len(steps)) if p[j] < height[j]
         )
         for _ in range(more):
             k, (d0, e0), (d1, e1) = strips[-1]
-            strips.append((k, (d0 + step[0], e0 + step[0]), (d1 + step[last], e1 + step[last])))
-        origin = [o + more * step[j] if 0 < done[j] < height[j] else o for o, j in zip(origin, head)]
-        done = [x + more * dx if 0 < x < hj else x for x, dx, hj in zip(done, step, height)]
-        p = [x + more * dx for x, dx in zip(p, step)]
+            strips.append((k, (d0 + rows, e0 + rows), (d1 + stride[last], e1 + stride[last])))
+        origin = [o + more * stride[j] if 0 < done[j] < height[j] else o for o, j in zip(origin, head)]
+        done = [x + more * dx if 0 < x < hj else x for x, dx, hj in zip(done, stride, height)]
     # Bands of one plane width and zero columns share an arena, counted in
     # rows: biggest first, a band takes the lowest rows that no band held
     # with it in its strip has. Rows stay aligned, so every band of an

@@ -4,8 +4,9 @@ Conventions pinned here:
 * PSNR runs on 8-bit RGB after rounding/clamping, discards a fixed border on
   every side, and caps identical images at 100 dB.
 * FLOPs count one per multiply-accumulate, plus one per bias add and one per
-  elementwise op (the flops rules of graph.OPS); this is the convention
-  under which the reference models' published G-counts reproduce.
+  elementwise op (the flops rules of graph.OPS). The demo models' counts
+  under it are within 2% of the published G-counts they mimic, not equal
+  (README states the gaps).
 * Runtime numbers are machine-relative and never part of hard acceptance.
 """
 

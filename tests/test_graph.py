@@ -313,11 +313,11 @@ def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
     # the attention step's pass is bitwise the triple's.
     x = rand_tensor(rng, n, 3, h, w)
     unfused = run_graph(g, x, "unfused")
-    used = _record_strip_rows(monkeypatch)
+    runs = _record_runs(monkeypatch)
     pads = []
     conv = graph.conv2d
     monkeypatch.setattr(graph, "conv2d", lambda a, spec, *rest: pads.append(spec.padding[0]) or conv(a, spec, *rest))
-    assert np.array_equal(run_graph(g, x, "fused").data, unfused.data) and used == [h]
+    assert np.array_equal(run_graph(g, x, "fused").data, unfused.data) and [r.rows for r in runs] == [h]
     assert pads and set(pads) <= {0}
 
 
@@ -452,27 +452,27 @@ def test_shape_and_flop_queries_never_form_a_lora_product(monkeypatch):
 
 # -- strip streaming ---------------------------------------------------------
 
-def _record_strip_rows(monkeypatch):
-    """The strip height of the compiled run each fused run_graph passes its
-    executor, as a list that fills as they run."""
-    used, stream = [], graph._stream
+def _record_runs(monkeypatch):
+    """The compiled run each fused run_graph passes its executor, as a list
+    that fills as they run."""
+    runs, stream = [], graph._stream
 
     def recording(*args, **kwargs):
-        used.append(inspect.signature(stream).bind(*args, **kwargs).arguments["run"].rows)
+        runs.append(inspect.signature(stream).bind(*args, **kwargs).arguments["run"])
         return stream(*args, **kwargs)
 
     monkeypatch.setattr(graph, "_stream", recording)
-    return used
+    return runs
 
 
 def _stream_in_strips(monkeypatch, g, x, rows):
     """Make fused runs stream in strips of `rows` input rows, and record the
-    strip height each run_graph uses. No compiled run is kept, so a run
+    compiled run each run_graph uses. No compiled run is kept, so a run
     kept from an earlier forced height cannot stand in for this one."""
     monkeypatch.setattr(graph, "_GRAPH_BYTES", 0)  # no image fits one strip
     monkeypatch.setattr(graph, "_strip_rows", lambda lay, budget: rows)
     monkeypatch.setattr(graph, "_RUNS_KEPT", 0)
-    return _record_strip_rows(monkeypatch)
+    return _record_runs(monkeypatch)
 
 
 def _odd_geometry():
@@ -529,18 +529,158 @@ def test_streamed_fused_matches_unfused_and_the_one_strip_run(monkeypatch, rng, 
     n, h, w = shape
     x = rand_tensor(rng, n, g.nodes[0].channels, h, w)
     whole, unfused = run_graph(g, x, "fused"), run_graph(g, x, "unfused")
-    used = _stream_in_strips(monkeypatch, g, x, rows)
+    runs = _stream_in_strips(monkeypatch, g, x, rows)
     pads = []
     conv = graph.conv2d
     monkeypatch.setattr(graph, "conv2d", lambda a, spec, *rest: pads.append(spec.padding[0]) or conv(a, spec, *rest))
     streamed = run_graph(g, x, "fused")
-    assert used == [rows] and set(pads) <= {0}
+    assert [r.rows for r in runs] == [rows] and set(pads) <= {0}
+    # a run of fewer rows a strip than the image has streams, whatever
+    # height its output has
+    assert (len(runs[0].plan.strips) > 1) == (rows < h)
     # Strips change GEMM widths and so roundings, which untrained SPAN's
     # products of activations grow with its outputs (to 1e6 and beyond):
     # the absolute tolerance is taken relative to the output's peak.
     atol = 1e-6 * max(1.0, float(np.abs(unfused.data).max()))
     assert_close(streamed, unfused, atol=atol)
     assert_close(streamed, whole, atol=atol)
+
+
+def _close_to_unfused(fused, unfused, msg=""):
+    atol = 1e-6 * max(1.0, float(np.abs(unfused.data).max()))
+    assert_close(fused, unfused, atol=atol, msg=msg)
+
+
+def test_a_valid_conv_streams_in_the_strips_its_input_rows_make(rng):
+    # An unpadded conv makes its output 2 rows shorter than the input, so a
+    # plan that counted the output's rows from the input's planned 13,243
+    # strips at 512x256, of which 2 did any work.
+    g = _graph([
+        _inp(),
+        Node("valid", "conv", ("input",), spec=replace(_conv(3, 12), padding=(0, 1))),
+        Node("up", "pixel_shuffle", ("valid",), upscale=2),
+    ])
+    x = rand_tensor(rng, 1, 3, 512, 256)
+    fused = run_graph(g, x, "fused")
+    run = graph._compiled(g, 512, 256)
+    assert run.rows < 512 and len(run.plan.strips) <= -(-512 // run.rows) + 1
+    _close_to_unfused(fused, run_graph(g, x, "unfused"))
+
+
+def test_a_mid_graph_shuffle_behind_a_sibling_path_streams(monkeypatch, rng):
+    # `up_a` is read by a conv that lags `up_b`'s path, which the concat
+    # reads alongside it: a shuffle must still make whole multiples of its
+    # scale a strip, where it once made an odd row count and failed.
+    g = _graph([
+        _inp(4),
+        Node("r", "relu", ("input",)),
+        Node("up_a", "pixel_shuffle", ("r",), upscale=2),
+        Node("conv", "conv", ("up_a",), spec=_conv(1, 2)),
+        Node("m", "mul", ("r", "input")),
+        Node("up_b", "pixel_shuffle", ("m",), upscale=2),
+        Node("cat", "concat", ("conv", "up_b")),
+    ])
+    x = rand_tensor(rng, 1, 4, 16, 17)
+    unfused = run_graph(g, x, "unfused")
+    runs = _stream_in_strips(monkeypatch, g, x, 4)
+    _close_to_unfused(run_graph(g, x, "fused"), unfused)
+    assert [r.rows for r in runs] == [4] and len(runs[0].plan.strips) > 1
+
+
+def _random_graph(rng):
+    """A small valid graph of random wiring, and its input channels.
+
+    It is a chain of steps on the current value: convs of kernel 1, 3 or 5
+    with row padding 0, k // 2 or more (some grouped); relu; an add, mul or
+    concat with an earlier value of the same extents; an attention fusion
+    group; and a fork into two paths that meet in a concat or add after
+    each changes the extents alike: a pixel_shuffle (at most one in the
+    graph) or a conv of one kernel and padding. Every value is read.
+    """
+    nodes, groups = [_inp(int(rng.choice([2, 4, 8])))], []
+    c = {"input": nodes[0].channels}  # each value's channels
+    same = ["input"]  # the values of the current value's extents
+    shuffled = False
+
+    def add(op, inputs, channels, **kw):
+        name = f"n{len(nodes)}"
+        nodes.append(Node(name, op, tuple(inputs), **kw))
+        c[name] = channels
+        return name
+
+    def conv(src, cout, k, padding):
+        cin = c[src]
+        grouped = cin % 2 == 0 and cout % 2 == 0 and rng.random() < 0.3
+        spec = replace(_conv(cin, cout, k=k, groups=2 if grouped else 1), padding=padding)
+        return add("conv", [src], cout, spec=spec)
+
+    def keeps_extents(src, widths=(2, 4, 8)):
+        if rng.random() < 0.5:
+            return add("relu", [src], c[src])
+        k = int(rng.choice([1, 3, 5]))
+        return conv(src, int(rng.choice(widths)), k, (k // 2, k // 2))
+
+    cur = "input"
+    for _ in range(rng.integers(2, 7)):
+        kind = rng.choice(["conv", "relu", "join", "attention", "fork"])
+        if kind == "conv":
+            k = int(rng.choice([1, 3, 5]))
+            padding = (int(rng.choice([0, k // 2, k // 2 + 1, k // 2 + 2])), int(rng.choice([0, k // 2, k // 2 + 1])))
+            cur = conv(cur, int(rng.choice([2, 4, 8])), k, padding)
+            same = [cur] if padding != (k // 2, k // 2) else same + [cur]
+        elif kind == "relu" or (kind == "join" and len(same) < 2):
+            cur = add("relu", [cur], c[cur])
+            same.append(cur)
+        elif kind == "join":
+            y = same[rng.integers(len(same) - 1)]
+            op = rng.choice(["add", "mul", "concat"]) if c[y] == c[cur] else "concat"
+            cur = add(op, [cur, y][:: rng.choice([1, -1])], c[cur] + c[y] if op == "concat" else c[cur])
+            same.append(cur)
+        elif kind == "attention":
+            res = add("relu", [cur], c[cur])
+            gate = add("conv", [cur], c[cur], spec=_conv(c[cur], c[cur], k=1))
+            total = add("add", [res, cur][:: rng.choice([1, -1])], c[cur])
+            cur = add("mul", [gate, total][:: rng.choice([1, -1])], c[cur])
+            groups.append(FusionGroup(gate, total, cur))
+            same.append(cur)
+        else:
+            shuffle = not shuffled and c[cur] % 4 == 0 and rng.random() < 0.7
+            k = int(rng.choice([1, 3, 5]))
+            padding = (int(rng.choice([0, k // 2 + 1])), k // 2)
+            ends = []
+            for _ in range(2):  # a path, and its sibling
+                v = keeps_extents(cur, (4, 8)) if rng.random() < 0.5 else cur
+                v = add("pixel_shuffle", [v], c[v] // 4, upscale=2) if shuffle else conv(v, 4, k, padding)
+                ends.append(keeps_extents(v) if rng.random() < 0.5 else v)
+            a, b = ends
+            cur = add("add", ends, c[a]) if c[a] == c[b] and rng.random() < 0.5 else add("concat", ends, c[a] + c[b])
+            shuffled |= shuffle
+            same = [cur]
+    return _graph(nodes, groups=groups), nodes[0].channels
+
+
+def test_random_graphs_fused_match_unfused(monkeypatch):
+    # Seeded random graphs, fused in one strip and in 4-row strips, against
+    # unfused: unpadded convs, padded ones that grow the image, shuffles
+    # mid-graph and lagging skips, where plans have hung, taken memory
+    # without bound or failed.
+    rng = np.random.default_rng(2026)
+    for i in range(150):
+        while True:
+            g, channels = _random_graph(rng)
+            n, h, w = int(rng.integers(1, 3)), int(rng.integers(5, 41)), int(rng.integers(5, 41))
+            if min(min(shape) for shape in infer_shapes(g, h, w).values()) >= 1:
+                break
+        validate_graph(g)
+        x = rand_tensor(rng, n, channels, h, w)
+        unfused = run_graph(g, x, "unfused")
+        _close_to_unfused(run_graph(g, x, "fused"), unfused, msg=f"graph {i}, one strip")
+        with monkeypatch.context() as m:
+            runs = _stream_in_strips(m, g, x, 4)
+            _close_to_unfused(run_graph(g, x, "fused"), unfused, msg=f"graph {i}, 4-row strips")
+        # each strip ends 4 input rows' worth of output rows further on
+        up = 2 if any(node.op == "pixel_shuffle" for node in g.nodes) else 1
+        assert len(runs[0].plan.strips) == -(-infer_shapes(g, h, w)[g.output][1] // (4 * up)), i
 
 
 def _conv_flops(spec, out, bias=True, groups=None):
@@ -586,10 +726,10 @@ def _count_kernel_flops(monkeypatch):
 def test_streamed_kernel_flops_sum_to_count_flops(monkeypatch, rng, g):
     # a row computed twice, or one never computed, moves the sum
     x = rand_tensor(rng, 2, g.nodes[0].channels, 37, 21)
-    used = _stream_in_strips(monkeypatch, g, x, 4)
+    runs = _stream_in_strips(monkeypatch, g, x, 4)
     flops, _ = _count_kernel_flops(monkeypatch)
     run_graph(g, x, "fused")
-    assert used == [4] and sum(flops) == 2 * count_flops(g, 37, 21)
+    assert [r.rows for r in runs] == [4] and sum(flops) == 2 * count_flops(g, 37, 21)
 
 
 @pytest.mark.parametrize("h, w", [(61, 63), (256, 256)], ids=["61x63", "256x256"])
@@ -598,10 +738,10 @@ def test_kernel_flops_sum_to_count_flops_in_the_engines_strips(monkeypatch, rng,
     # One strip at 61x63 and the engine's own strips at 256^2, as perfbench
     # traces them: the kernels' FLOPs add up to count_flops, and each conv
     # reports its plane's extents, never its band's.
-    used = _record_strip_rows(monkeypatch)
+    runs = _record_runs(monkeypatch)
     flops, convs = _count_kernel_flops(monkeypatch)
     run_graph(g, rand_tensor(rng, 1, 3, h, w), "fused")
-    assert (used == [h]) == (h == 61) and sum(flops) == count_flops(g, h, w)
+    assert ([r.rows for r in runs] == [h]) == (h == 61) and sum(flops) == count_flops(g, h, w)
     for (n, _, hin, win), spec, out in convs:
         (kh, kw), (ph, pw) = spec.kernel, spec.padding
         assert out == (n, spec.out_channels, hin + 2 * ph - kh + 1, win + 2 * pw - kw + 1) and win == w
@@ -613,6 +753,30 @@ def test_fused_memory_beyond_the_output_is_flat_in_height(rng):
     for g in (build_spanv2(seed=0), build_span_baseline(seed=0)):
         held = [_held_mib(g, rand_tensor(rng, 1, 3, h, 256), "fused") for h in (64, 256, 512)]
         assert max(held) - min(held) <= 0.5 and max(held) <= 12, (g.name, held)
+
+
+def test_a_growing_graph_streams_in_memory_flat_in_height(rng):
+    # _odd_geometry's output is 2 rows taller than twice its input. Planned
+    # from the input's rows, its first strip was the whole image: 12.1 MiB
+    # held at 512 rows and 22.2 at 1024.
+    held = [_held_mib(_odd_geometry(), rand_tensor(rng, 1, 3, h, 256), "fused") for h in (512, 1024)]
+    assert held[1] <= held[0] + 0.5, held
+
+
+def test_strip_rows_count_a_band_after_a_mid_graph_shuffle_at_its_scale(rng):
+    # The bands after the shuffle hold 4 rows per input row. Counted as
+    # one, the strips were 4 times too tall: 16.2 MiB held against the 6 MiB
+    # budget, at both heights.
+    g = _graph([
+        _inp(),
+        Node("wide", "conv", ("input",), spec=_conv(3, 48)),
+        Node("up", "pixel_shuffle", ("wide",), upscale=4),
+        Node("a", "conv", ("up",), spec=_conv(3, 8)),
+        Node("r", "relu", ("a",)),
+        Node("out", "conv", ("r",), spec=_conv(8, 3)),
+    ])
+    held = [_held_mib(g, rand_tensor(rng, 1, 3, h, 256), "fused") for h in (256, 512)]
+    assert max(held) <= 10 and max(held) - min(held) <= 0.5, held
 
 
 def test_reused_bands_do_not_leak_between_runs(rng):
@@ -675,11 +839,11 @@ def test_a_second_fused_run_at_one_size_builds_no_plan(monkeypatch, rng, budget,
     monkeypatch.setattr(graph, "_GRAPH_BYTES", budget)  # 0: every image streams, in 4-row strips
     g = build_spanv2(seed=0)
     x = rand_tensor(rng, 1, 3, 37, 21)
-    used = _record_strip_rows(monkeypatch)
+    runs = _record_runs(monkeypatch)
     first = run_graph(g, x, "fused")
     calls = _count_planner_calls(monkeypatch)
     second = run_graph(g, x, "fused")
-    assert calls == dict.fromkeys(PLANNERS, 0) and used == [rows, rows]
+    assert calls == dict.fromkeys(PLANNERS, 0) and [r.rows for r in runs] == [rows, rows]
     assert np.array_equal(second.data, first.data)
 
 
