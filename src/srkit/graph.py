@@ -57,6 +57,7 @@ from .fusion import (
     BranchGroup,
     LoraFactors,
     TrafficCounter,
+    attention_floats,
     branch_forward,
     check_lora_factors,
     fused_attention,
@@ -180,7 +181,10 @@ def validate_graph(g: ModelGraph) -> None:
     ]
     if dangling:
         raise ShapeError(f"dangling nodes (no consumer): {dangling}")
-    infer_shapes(g, 1, 1)  # raises on width mismatches; extents are not checked
+    # raises on mismatched widths or extents; every extent is affine in the
+    # input's, so two that agree at two input sizes agree at all
+    for size in (1, 2):
+        infer_shapes(g, size, size)
     _fusion_gates(g)
 
 
@@ -345,15 +349,23 @@ def _conv_rows(n: Node) -> tuple[int, int, int]:
     return ph, kh - 1 - ph, 1
 
 
-def _same_width_shape(n: Node, ins: list[Shape]) -> Shape:
-    (a, h, w), (b, _, _) = ins
+def _same_extents(n: Node, ins: list[Shape]) -> tuple[int, int]:
+    (_, h, w), *rest = ins
+    for _, hi, wi in rest:
+        if (hi, wi) != (h, w):
+            raise ShapeError(f"{n.op} {n.name!r} mixes extents {h}x{w} and {hi}x{wi}")
+    return h, w
+
+
+def _same_shape(n: Node, ins: list[Shape]) -> Shape:
+    (a, _, _), (b, _, _) = ins
     if a != b:
         raise ShapeError(f"{n.op} {n.name!r} mixes widths {a} and {b}")
-    return a, h, w
+    return a, *_same_extents(n, ins)
 
 
 def _concat_shape(n: Node, ins: list[Shape]) -> Shape:
-    return sum(c for c, _, _ in ins), ins[0][1], ins[0][2]
+    return sum(c for c, _, _ in ins), *_same_extents(n, ins)
 
 
 def _shuffle_shape(n: Node, ins: list[Shape]) -> Shape:
@@ -372,8 +384,8 @@ OPS: dict[str, Op] = {
     "input": Op(_input_shape, _free, lambda n, x: x, 0),
     "conv": Op(_conv_shape, _conv_flops, _run_conv, rows=_conv_rows),
     "relu": Op(lambda n, ins: ins[0], _numel, lambda n, x: relu(x)),
-    "add": Op(_same_width_shape, _numel, lambda n, a, b: add(a, b), 2),
-    "mul": Op(_same_width_shape, _numel, lambda n, a, b: mul(a, b), 2),
+    "add": Op(_same_shape, _numel, lambda n, a, b: add(a, b), 2),
+    "mul": Op(_same_shape, _numel, lambda n, a, b: mul(a, b), 2),
     "concat": Op(_concat_shape, _free, lambda n, *parts: concat_channels(list(parts)), None),
     "pixel_shuffle": Op(
         _shuffle_shape, _free, lambda n, x: pixel_shuffle(x, n.upscale), rows=lambda n: (0, 0, n.upscale)
@@ -630,6 +642,8 @@ def _strip_rows(lay: _Layout, budget: int) -> int:
             span.setdefault(b, [a, a])[1] = a
         if conv is not None:
             ws = max(ws, conv_strips(1, lay.shape[j][1], lay.shape[lay.ins[j][0]][2], *conv)[1])
+        elif j in lay.gates:
+            ws = max(ws, attention_floats(1, *lay.shape[j]))
     held: dict[tuple[int, int], int] = {}  # the most floats a row of each arena's bands held at once
     for a in range(len(calls)):
         now: dict[tuple[int, int], int] = {}
@@ -720,6 +734,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                             action[4].append((b, r0 + e - d, None))  # the zero rows past the image
                 if strip is not None:
                     ws_floats = max(ws_floats, strip[1])
+                elif j in lay.gates:
+                    ws_floats = max(ws_floats, attention_floats(1, lay.shape[j][0], e - d, lay.shape[j][2]))
                 actions.append(action)
             done[j] = e
         for b, a in touched.items():
@@ -795,9 +811,10 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     strips every band is a view of its arena and every header is kept in
     its band's rows of one carry area, both allocated once per call; one
     strip allocates each band for its life, so it holds only the values
-    alive. One workspace serves every conv's column block and accumulator
-    and every attention step's gates. Buffers are per call: calls share
-    only the plan."""
+    alive. One workspace, sized by the plan for every kernel it calls,
+    serves every conv's column block and accumulator and every attention
+    step's gathered f3 and gates. Buffers are per call: calls share only
+    the plan."""
     lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1
     ws = np.empty(plan.ws_floats, np.float32)
@@ -866,7 +883,7 @@ def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray, ws
     makes a plane, copied in."""
     j, n = act.step, lay.steps[act.step]
     if j in lay.gates:
-        y = fused_attention(*map(_tensor, xs), act.spec, counter)
+        y = fused_attention(*map(_tensor, xs), act.spec, counter, None, ws)
     elif act.strips is not None:  # a conv that is the output step
         y = conv2d(xs[0], act.spec, None, ws, act.strips)
     elif n.op == "concat":  # the output step

@@ -226,10 +226,15 @@ class ConvSpec:
         return ConvSpec(channels, channels, (1, 1), (0, 0), w)
 
 
-# Floats of strip buffers (band, column block, accumulator) one conv2d call
-# aims to hold: 2 MiB of float32, the per-core L2. Sets the strip height, so
-# conv memory is bounded by this, not by the image.
-_STRIP_FLOATS = 1 << 19
+# Floats of L2 one kernel's strip may fill with what shares the cache while
+# its GEMM runs: the input rows it reads, its column block, the BLAS's packed
+# copy of that block and the output rows it writes (the blocking rule of Goto
+# and van de Geijn, ACM TOMS 2008). It sets conv2d's strip height and
+# fused_attention's gate chunk, so their memory is bounded by it, not by the
+# image, and tensor_to_image's row block. 1.5 MiB of float32, three quarters
+# of the 2 MiB per-core L2 of the host it was swept on, where it ran 32->32
+# 3x3 convs at 256 px wide fastest (2-row strips; sweep in CHANGES.md).
+_STRIP_FLOATS = 3 << 17
 
 
 def conv_strips(
@@ -237,7 +242,8 @@ def conv_strips(
 ) -> tuple[int, int, bool, bool, bool]:
     """How a conv2d call making hout rows of an n x w input runs, when its
     input is a band of src_pad zero columns a side and its output one of
-    dst_pad (None: not one band): (strip rows, workspace floats, whether it
+    dst_pad (None: not one band): (strip rows, as many as _STRIP_FLOATS
+    allows and as even as can be, workspace floats, whether it
     reads its tap windows from the input band in place, whether it writes
     its rows straight into the output band, whether its GEMM adds the
     bias). The workspace is the column block, plus the band it fills when
@@ -245,7 +251,12 @@ def conv_strips(
     write into a band, plus the weights with their bias column."""
     (kh, kw), (ph, pw) = spec.kernel, spec.padding
     cin, cout, taps, wp = spec.in_channels, spec.out_channels, kh * kw, w + 2 * pw
-    most = max(1, _STRIP_FLOATS // (n * wp * (cin * (1 + taps * (taps > 1)) + cout)))
+    # _STRIP_FLOATS over what a strip puts in L2, Wp floats a row: its rows +
+    # kh - 1 (+1) input rows; per output row, a column block row (a 1x1 conv
+    # has none, its GEMM reads the input rows), the packed copy of what the
+    # GEMM reads and an output row
+    halo = cin * (kh - 1 + (kw > 1))
+    most = max(1, (_STRIP_FLOATS // (n * wp) - halo) // (cin * (1 + taps * (1 + (taps > 1))) + cout))
     rows = -(-hout // -(-hout // most))
     # in place when the band's zero columns are the column padding and
     # there is no row padding; direct when its zero columns take the junk
@@ -452,11 +463,15 @@ def pixel_shuffle(x: Tensor | Band, s: int, out: np.ndarray | None = None) -> Te
     if c % (s * s):
         raise ShapeError(f"pixel_shuffle: {c} channels not divisible by s^2={s * s}")
     co = c // (s * s)
-    d = (x.interior if isinstance(x, Band) else x.data).reshape(n, co, s, s, h, w).transpose(0, 1, 4, 2, 5, 3)
-    if out is None:
-        return Tensor(d.reshape(n, co, h * s, w * s))
-    out.reshape(n, co, h, s, w, s)[...] = d
-    return out
+    src = (x.interior if isinstance(x, Band) else x.data).reshape(n, co, s, s, h, w)
+    y = np.empty((n, co, h * s, w * s), np.float32) if out is None else out
+    # one copy per column offset sx, reading runs of w contiguous source
+    # values and writing them s apart; one copy of the whole transposed
+    # view read each output row's values from s source planes in turn
+    y6 = y.reshape(n, co, h, s, w, s)
+    for sx in range(s):
+        y6[..., sx] = src[:, :, :, sx].transpose(0, 1, 3, 2, 4)
+    return Tensor(y) if out is None else out
 
 
 def space_to_depth(x: Tensor, s: int) -> Tensor:

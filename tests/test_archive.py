@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from srkit.archive import MAGIC, VERSION, ArchiveError, load_archive, save_archive
 from srkit.cli import main
 from srkit.fusion import BranchGroup, LoraFactors
-from srkit.graph import run_graph
+from srkit.graph import ModelGraph, Node, run_graph
 from srkit.metrics import count_params
 from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.rewrites import decorate_for_reparam
@@ -323,6 +323,19 @@ class TestMalformed:
             code, err = _params_cli(bad, verb)
             assert code == 1 and err.count("\n") == 1, (verb, err)
             assert message in err and repr(node) in err, (verb, err)
+
+    @pytest.mark.parametrize("op", ["add", "mul", "concat"])
+    def test_mixed_extents_are_a_one_line_cli_error(self, tmp_path, op):
+        # op(input, conv): the 1x1 conv's padding (1, 1) makes its plane 2
+        # rows and columns bigger than the input it is joined with
+        spec = replace(random_conv(np.random.default_rng(0), 3, 3, k=1), padding=(1, 1))
+        nodes = [Node("input", "input", (), channels=3), Node("a", "conv", ("input",), spec=spec),
+                 Node("j", op, ("input", "a"))]
+        bad = tmp_path / "bad.srwt"
+        save_archive(ModelGraph("g", nodes, "j"), bad)
+        code, err = _params_cli(bad)
+        assert code == 1 and err.count("\n") == 1, err
+        assert f"{op} 'j' mixes extents 1x1 and 3x3" in err, err
 
 
 def _params_cli(path, verb="params"):

@@ -112,6 +112,39 @@ MALFORMED = {
         ),
         "mul 'm' mixes widths 4 and 3",
     ),
+    "add mixed extents": (
+        _graph(
+            [
+                _inp(),
+                Node("a", "conv", ("input",), spec=replace(_conv(3, 3, k=1), padding=(1, 1))),
+                Node("s", "add", ("input", "a")),
+            ]
+        ),
+        "add 's' mixes extents 1x1 and 3x3",
+    ),
+    "mul mixed extents": (
+        _graph(
+            [
+                _inp(),
+                Node("a", "conv", ("input",), spec=replace(_conv(3, 3, k=1), padding=(0, 2))),
+                Node("m", "mul", ("input", "a")),
+            ]
+        ),
+        "mul 'm' mixes extents 1x1 and 1x5",
+    ),
+    # 2h x 2w against (h + 1) x (w + 1): equal for a 1x1 input, not for 2x2
+    "concat mixed extents": (
+        _graph(
+            [
+                _inp(),
+                Node("a", "conv", ("input",), spec=_conv(3, 12, k=1)),
+                Node("up", "pixel_shuffle", ("a",), upscale=2),
+                Node("b", "conv", ("input",), spec=replace(_conv(3, 3, k=2), padding=(1, 1))),
+                Node("c", "concat", ("up", "b")),
+            ]
+        ),
+        "concat 'c' mixes extents 4x4 and 3x3",
+    ),
     "pixel_shuffle not divisible": (
         _graph([_inp(), Node("up", "pixel_shuffle", ("input",), upscale=2)]),
         "3 channels not divisible by 4",
@@ -319,6 +352,21 @@ def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
     monkeypatch.setattr(graph, "conv2d", lambda a, spec, *rest: pads.append(spec.padding[0]) or conv(a, spec, *rest))
     assert np.array_equal(run_graph(g, x, "fused").data, unfused.data) and [r.rows for r in runs] == [h]
     assert pads and set(pads) <= {0}
+
+
+@pytest.mark.parametrize(
+    "g", [build_spanv2(seed=3), decorate_for_reparam(build_spanv2(seed=3))], ids=["spanv2", "spanv2_train_form"]
+)
+def test_one_strip_attention_is_bitwise_whatever_the_budget(monkeypatch, rng, g):
+    # A small strip budget shrinks every conv's workspace below the patch's
+    # f3 and gates; the gate GEMMs must still end where the whole-plane
+    # pass's do. (At 1 << 16 unfused's own 1x1 gate conv would run GEMMs of
+    # 567 columns, which OpenBLAS rounds unlike a whole-plane product.)
+    monkeypatch.setattr(graph.tensor, "_STRIP_FLOATS", 1 << 17)
+    x = rand_tensor(rng, 1, 3, 61, 63)
+    fused = run_graph(g, x, "fused")
+    assert graph._compiled(g, 61, 63).rows == 61
+    assert np.array_equal(fused.data, run_graph(g, x, "unfused").data)
 
 
 def test_fused_patch_memory(rng):

@@ -77,14 +77,25 @@ def _band(data, r0, pad):
     return Band(buf, r0, h, pad)
 
 
-def _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows):
-    """Make conv2d run strips of `strip_rows` output rows on 6-column inputs
-    (one strip for the whole image when None)."""
-    # conv2d's strip height is its float budget over this per-row cost
-    taps = kernel[0] * kernel[1]
-    row_floats = n * (6 + 2 * padding[1]) * (cin * (1 + taps * (taps > 1)) + cout)
-    budget = 1 << 40 if strip_rows is None else strip_rows * row_floats
-    monkeypatch.setattr(tensor_module, "_STRIP_FLOATS", budget)
+def _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows, h=5, w=6):
+    """Make conv2d run strips of `strip_rows` output rows on n x h x w inputs
+    (one strip for the whole image when None): set the least budget for
+    which conv_strips gives that many rows, or all of a shorter output's,
+    and check that it does."""
+    weight = np.zeros((cout, cin // groups, *kernel), np.float32)
+    spec = ConvSpec(cin, cout, kernel, padding, weight, groups=groups)
+    hout = h + 2 * padding[0] - kernel[0] + 1
+    want = hout if strip_rows is None else min(strip_rows, hout)
+
+    def rows(budget):
+        monkeypatch.setattr(tensor_module, "_STRIP_FLOATS", budget)
+        return tensor_module.conv_strips(n, hout, w, spec, None, None)[0]
+
+    lo, hi = 1, 1 << 40  # rows grow with the budget
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rows(mid) >= want else (mid + 1, hi)
+    assert rows(lo) == want, (lo, want)
 
 
 class TestTensorType:
@@ -186,7 +197,7 @@ class TestConv2d:
     def test_strips_match_brute_force_oracle(
         self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, bias, strip_rows
     ):
-        _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
+        _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows)
         _assert_conv_matches_oracle(rng, n, cin, cout, kernel, padding, groups, bias)
 
     # Each strip height with three holders of the 5-row input: channel
@@ -213,7 +224,7 @@ class TestConv2d:
         sizes = [c for c in (1, (cin - 1) // 2, cin - 1 - (cin - 1) // 2) if c]
         parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes]
         spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
-        _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
+        _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows)
         whole = conv2d(concat_channels(parts), spec)
         if tiling == "rows":
             held = _band(concat_channels(parts).data, 3, 1)
@@ -244,7 +255,7 @@ class TestConv2d:
             assert np.array_equal(conv2d(part, conv).data, whole.data[:, rows])
 
     # At the default budget both 32-channel convs run their 61 output rows in
-    # strips of 21, 21 and 19; the small ones run 3-row strips on 7 rows.
+    # six strips of 9 and one of 7; the small ones run 3-row strips on 7 rows.
     @pytest.mark.parametrize(
         "n, cin, cout, kernel, padding, groups, h, w, strip_rows",
         [
@@ -259,7 +270,7 @@ class TestConv2d:
         self, rng, monkeypatch, n, cin, cout, kernel, padding, groups, h, w, strip_rows
     ):
         if strip_rows is not None:
-            _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, strip_rows)
+            _set_strip_rows(monkeypatch, n, cin, cout, kernel, padding, groups, strip_rows, h, w)
         # weights scaled by fan-in keep 288-term float32 sums within the
         # oracle's tolerance
         fan_in = cin // groups * kernel[0] * kernel[1]
@@ -304,8 +315,9 @@ class TestConv2d:
 
     @pytest.mark.parametrize("side", [64, 256])
     def test_memory_above_the_output_does_not_grow_with_the_image(self, rng, side):
-        # Strip buffers (band, column block, accumulator) stay near the 2 MiB
-        # budget, so a padded plane (8.5 MB at 256^2) would break the bound.
+        # Strip buffers (band, column block, accumulator) stay within the
+        # strip budget (1.5 MiB), which also counts the BLAS's packed copy,
+        # so a padded plane (8.5 MB at 256^2) would break the bound.
         w = rng.normal(0, 0.1, (32, 32, 3, 3)).astype(np.float32)
         spec = ConvSpec(32, 32, (3, 3), (1, 1), w, bias=np.zeros(32, np.float32))
         x = rand_tensor(rng, 1, 32, side, side)
