@@ -24,13 +24,16 @@ only plain convs. Each strip ends at an output row, a strip's worth of
 input rows times the output's scale further on than the last; the plan
 lists, for every strip, the kernel calls that make the rows each step's
 readers read to reach it (_progress), so each row is made once, each call
-with its resolved conv spec, its conv2d strips and its kernel; a call of
-run_graph only allocates its buffers and runs the kernels. Each value is
-held in zero-bordered row bands (tensor.Band): a conv reads its tap
+with its resolved conv spec and its conv2d strips; a call of run_graph
+only allocates its buffers and runs the kernels. Each value is held in
+zero-bordered row bands (tensor.Band), and each call writes one band, the
+output step's being its rows of the output plane: a conv reads its tap
 windows from its input's band in place and writes its GEMM rows straight
 into its reader's band; relu, add, mul and the attention step write in
-place into the band of an input they alone read; a concat is never held,
-its readers read its inputs' bands. A band's header, the rows its readers still need,
+place into the band of an input they alone read. Only convs read a value
+held as parts: a concat that only convs read is not held, its readers
+read its inputs' bands; any other concat is one band filled with a copy
+of its inputs' rows. A band's header, the rows its readers still need,
 is copied from one strip's band to the next, so a lagging read is one
 view. A conv reads its input's real neighbour rows with row padding 0, so
 zero rows appear only at the image border. An image runs in strips of as
@@ -464,20 +467,17 @@ def _cut_spec(spec: ConvSpec, lo: int, hi: int) -> tuple[ConvSpec, slice]:
     return replace(spec, weight=spec.weight[rows], bias=bias, **cut), rows
 
 
-def _tensor(x: Tensor | Tiles | Band) -> Tensor:
-    return x if isinstance(x, Tensor) else x.tensor() if isinstance(x, Band) else x.build()
-
-
 class _Layout(NamedTuple):
     """How a fused run holds the values of a schedule (see _layout)."""
 
     steps: list[Node]
     ins: list[list[int]]  # each step's inputs, as step indices
-    readers: list[list[int]]  # each step's readers, a concat's standing for its own
+    held: list[bool]  # whether a step runs: False for a concat its readers read as its inputs' parts
+    readers: list[list[int]]  # each step's readers, an unheld concat's standing for its own
     rule: list[tuple[int, int, int]]  # each step's OPS rows rule
     scale: list[int]  # each step's rows per input row: its inputs' scale times its rule's
     shape: list[Shape]
-    parts: list[list[tuple[int, int]]]  # each value's (first channel, band); a concat's are its inputs'
+    parts: list[list[tuple[int, int]]]  # each value's (first channel, band); an unheld concat's are its inputs'
     bands: list[tuple[int, int, int, int]]  # (channels, plane width, height, zero columns a side)
     chain: list[list[int]]  # each band's writers: its producer, then in-place steps
     cuts: list[list[tuple]]  # each step's calls: (input channels or None: all, conv spec or None, output channels)
@@ -489,17 +489,19 @@ def _layout(
 ) -> _Layout:
     """Hold each value of the fused schedule in zero-bordered bands.
 
-    Every conv runs with row padding 0. A concat is never held: its readers
-    read its inputs' bands. A conv whose input's parts fall on its group
-    boundaries runs once per part (_cut_spec), into one band each; every
-    other value is one band. A relu, add, mul or attention step that is the
-    only reader of an input band writes its rows in place there, so a conv
-    and its relu, or conv_c and its attention step, share one band. A band
-    that a conv reads has P zero columns on each side, the graph's widest
-    conv column padding, so a conv of column padding P reads its windows in
-    place and one of kernel width 2P + 1 writes its rows in place; any other
-    band has its writing conv's (kw - 1) / 2. The output step writes the
-    output plane.
+    Every conv runs with row padding 0. Only convs read a value held as
+    parts: a concat that only convs read is not held, its readers read its
+    inputs' bands, and a conv that only convs read, whose input's parts fall
+    on its group boundaries, runs once per part (_cut_spec), into one band
+    each. Every other value is one band, a concat's filled with its inputs'
+    rows. A relu, add, mul or attention step that is the only reader of an
+    input band writes its rows in place there, so a conv and its relu, or
+    conv_c and its attention step, share one band. A band that a conv reads
+    has P zero columns on each side, the graph's widest conv column padding,
+    so a conv of column padding P reads its windows in place and one of
+    kernel width 2P + 1 writes its rows in place; any other band has its
+    writing conv's (kw - 1) / 2. The output step writes the output plane,
+    a band of no zero columns.
     """
     index = {n.name: j for j, n in enumerate(steps)}
     ins = [[index[r] for r in reads[n.name]] for n in steps]
@@ -508,10 +510,15 @@ def _layout(
     for j in range(1, last + 1):
         for r in dict.fromkeys(ins[j]):
             direct[r].append(j)
-    held = [n.op != "concat" or j == last for j, n in enumerate(steps)]
+    held = [True] * len(steps)
     readers: list[list[int]] = [[] for _ in steps]
+
+    def convs_read(j: int) -> bool:  # only convs read step j's value
+        return all(steps[q].op == "conv" for q in readers[j])
+
     for j in range(last, -1, -1):  # readers come later in the schedule
         readers[j] = [q for p in direct[j] for q in ([p] if held[p] else readers[p])]
+        held[j] = steps[j].op != "concat" or j == last or not convs_read(j)
     gate = {j: gates[n.name][0] for j, n in enumerate(steps) if n.name in gates}
     parts: list[list[tuple[int, int]]] = []
     bands: list[tuple] = []  # (channels, plane width, height), then its zero columns
@@ -522,7 +529,7 @@ def _layout(
         cuts.append([(None, None, slice(0, c))])
         if n.op == "conv":
             spec = replace(n.spec, padding=(0, n.spec.padding[1])) if n.spec.padding[0] else n.spec
-            split = _group_cuts([(c0, c0 + bands[b][0]) for c0, b in sorted(parts[ins[j][0]])], spec)
+            split = convs_read(j) and _group_cuts([(c0, c0 + bands[b][0]) for c0, b in sorted(parts[ins[j][0]])], spec)
             cuts[j] = [(cut, *_cut_spec(spec, *cut)) for cut in split] if split else [(None, spec, slice(0, c))]
         if j == last:
             parts.append([])
@@ -533,8 +540,7 @@ def _layout(
             continue
         alias = [
             r for r in dict.fromkeys(ins[j][::-1] if j in gate else ins[j])
-            if (n.op in ("relu", "add", "mul") or j in gate) and r > 0 and held[r]
-            and readers[r] == [j] and len(parts[r]) == 1
+            if (n.op in ("relu", "add", "mul") or j in gate) and r > 0 and readers[r] == [j] and len(parts[r]) == 1
         ]
         if alias:
             parts.append(parts[alias[0]])
@@ -555,23 +561,25 @@ def _layout(
     scale: list[int] = []
     for j in range(last + 1):
         scale.append(rule[j][2] * max([scale[r] for r in ins[j]], default=1))
-    return _Layout(steps, ins, readers, rule, scale, [shapes[n.name] for n in steps], parts, bands, chain, cuts, gate)
+    shape = [shapes[n.name] for n in steps]
+    return _Layout(steps, ins, held, readers, rule, scale, shape, parts, bands, chain, cuts, gate)
 
 
 def _calls(lay: _Layout, j: int) -> Iterator[tuple]:
     """Step j's kernel calls, one per input channel cut (one when its input
     is not cut): (the output channels it makes, each input's parts it reads
-    as (first channel, band), the bands it writes, and for a conv the spec
-    and the zero columns of the band it reads and writes, None where that is
-    not one band)."""
+    as (first channel, band), the band it writes, None for the output step,
+    and for a conv the spec and the zero columns of the band it reads, None
+    where that is not one band, and of the band it writes, 0 for the
+    output's)."""
     for k, (cut, spec, out) in enumerate(lay.cuts[j]):
         reads = [[(c0, b) for c0, b in lay.parts[r] if cut is None or c0 == cut[0]] for r in lay.ins[j]]
-        writes = [b for _, b in (lay.parts[j] if cut is None else lay.parts[j][k : k + 1])]
+        write = lay.parts[j][k][1] if lay.parts[j] else None
         conv = None
         if spec is not None:
             src = lay.bands[reads[0][0][1]][3] if len(reads[0]) == 1 else None
-            conv = spec, src, lay.bands[writes[0]][3] if writes else None
-        yield out, reads, writes, conv
+            conv = spec, src, 0 if write is None else lay.bands[write][3]
+        yield out, reads, write, conv
 
 
 def _progress(lay: _Layout, target: int, p: list[int]) -> None:
@@ -588,8 +596,10 @@ def _progress(lay: _Layout, target: int, p: list[int]) -> None:
 
 
 class _Action(NamedTuple):
-    """One kernel call of a fused run. Band rows count from each band's
-    top, so strips that do the same share their actions (see _plan)."""
+    """One kernel call of a fused run, which writes one band: its step's,
+    or for the output step its rows of the output plane. The step's op
+    picks the kernel (see _stream). Band rows count from each band's top,
+    so strips that do the same share their actions (see _plan)."""
 
     step: int
     channels: slice  # the output channels it makes
@@ -597,10 +607,9 @@ class _Action(NamedTuple):
     copied_in: tuple  # (band, header rows) copied in at their tops
     zeros: tuple  # (band, first row, end row or None) zeroed
     args: tuple  # per input, its parts in channel order (band, first row, rows)
-    outs: tuple | None  # (band, first row, rows); None for the output step
+    out: tuple | None  # (band, first row, rows) it writes; None: its rows of the output plane
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
-    kernel: str | None  # conv2d, fused_attention, relu, add or mul into its band; None: input, output or _step
     spec: ConvSpec | None  # a conv's spec (its cut's) or an attention step's gate conv
     strips: tuple | None  # a conv's conv_strips
 
@@ -633,12 +642,9 @@ def _strip_rows(lay: _Layout, budget: int) -> int:
         headers += c * (w + 2 * pad) * (p[members[0]] - min(first + [p[members[0]]]))
     span: dict[int, list[int]] = {}  # each band's first and last call
     ws = 0
-    calls = [
-        (j, call) for j, n in enumerate(lay.steps) if n.op != "concat" or j == len(lay.steps) - 1
-        for call in _calls(lay, j)
-    ]
-    for a, (j, (_, reads, writes, conv)) in enumerate(calls):
-        for b in [b for parts in reads for _, b in parts] + writes:
+    calls = [(j, call) for j in range(len(lay.steps)) if lay.held[j] for call in _calls(lay, j)]
+    for a, (j, (_, reads, write, conv)) in enumerate(calls):
+        for b in [b for parts in reads for _, b in parts] + ([] if write is None else [write]):
             span.setdefault(b, [a, a])[1] = a
         if conv is not None:
             ws = max(ws, conv_strips(1, lay.shape[j][1], lay.shape[lay.ins[j][0]][2], *conv)[1])
@@ -703,35 +709,28 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             touched[b] = len(actions)
             return origin[b]
 
-        for j, n in enumerate(steps):
+        for j in range(len(steps)):
             top, bottom, s = rule[j]
             d, e = done[j], min(max(p[j], 0), height[j])
             if e <= d:
                 continue
-            if n.op == "concat" and j < last:
+            if not lay.held[j]:
                 done[j] = e  # its readers read its parts
                 continue
             if j in (0, last):
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
-            for channels, reads, writes, conv in _calls(lay, j):
-                # what the call runs: a conv's strips, and the kernel
-                # that writes its band when its reads are bands
+            for channels, reads, write, conv in _calls(lay, j):
                 strip = None if conv is None else conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)
-                kernel = None  # the input step, the output step, or one _step runs
-                if 0 < j < last and conv:
-                    kernel = "conv2d"
-                elif 0 < j < last and all(len(parts) == 1 for parts in reads):
-                    kernel = "fused_attention" if j in lay.gates else n.op if n.op in ("relu", "add", "mul") else None
                 spec = conv[0] if conv else lay.gates.get(j)
-                action: list = [j, channels, [], [], [], [], None if j == last else [], [], (), kernel, spec, strip]
+                action: list = [j, channels, [], [], [], [], None, [], (), spec, strip]
                 for parts in reads:
                     action[5].append(tuple((b, lo - use(b, hi, action), hi - lo) for _, b in parts))
-                if j < last:
-                    action[6] = [(b, d - use(b, e, action), e - d) for b in writes]
-                    for b, r0, _ in action[6]:
-                        if head[b] == j and e == height[j]:
-                            action[4].append((b, r0 + e - d, None))  # the zero rows past the image
+                if write is not None:
+                    r0 = d - use(write, e, action)
+                    action[6] = write, r0, e - d
+                    if head[write] == j and e == height[j]:
+                        action[4].append((write, r0 + e - d, None))  # the zero rows past the image
                 if strip is not None:
                     ws_floats = max(ws_floats, strip[1])
                 elif j in lay.gates:
@@ -754,8 +753,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             gives.setdefault(a, []).append(b)
         program = [
             _Action(j, channels, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
-                    None if outs is None else tuple(outs), tuple(copied_out), tuple(gives.get(a, ())), *run)
-            for a, (j, channels, new, copied_in, zeros, args, outs, copied_out, _, *run) in enumerate(actions)
+                    out, tuple(copied_out), tuple(gives.get(a, ())), *run)
+            for a, (j, channels, new, copied_in, zeros, args, out, copied_out, _, *run) in enumerate(actions)
         ]
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
@@ -807,14 +806,18 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
 
 
 def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
-    """Fused run of x by its compiled plan, each image alone. With many
-    strips every band is a view of its arena and every header is kept in
-    its band's rows of one carry area, both allocated once per call; one
-    strip allocates each band for its life, so it holds only the values
-    alive. One workspace, sized by the plan for every kernel it calls,
-    serves every conv's column block and accumulator and every attention
-    step's gathered f3 and gates. Buffers are per call: calls share only
-    the plan."""
+    """Fused run of x by its compiled plan, each image alone. Each action
+    is one kernel call, picked by its step, that writes its band: the
+    input's rows copied in, conv2d, fused_attention, a concat's inputs'
+    rows copied in, pixel_shuffle, or the op's elementwise kernel. The
+    output step's band is its rows of the output plane, allocated at its
+    first strip. With many strips every band is a view of its arena and
+    every header is kept in its band's rows of one carry area, both
+    allocated once per call; one strip allocates each band for its life,
+    so it holds only the values alive. One workspace, sized by the plan for
+    every kernel it calls, serves every conv's column block and accumulator
+    and every attention step's gathered f3 and gates. Buffers are per call:
+    calls share only the plan."""
     lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1
     ws = np.empty(plan.ws_floats, np.float32)
@@ -829,7 +832,7 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     out = None
 
     def view(parts: tuple, r: int) -> Band | Tiles:
-        # the window of step r's value: a band, or a concat's bands as parts
+        # the window of step r's value: a band, or its parts' bands as Tiles
         bands = [Band(buf[b], r0, h, pads[b]) for b, r0, h in parts]
         if len(bands) == 1:
             return bands[0]
@@ -850,23 +853,27 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
                 for b, r0, r1 in act.zeros:
                     buf[b][:, :, r0:r1] = 0.0
                 xs = [view(parts, r) for parts, r in zip(act.args, lay.ins[act.step])]
-                dst = act.outs and [Band(buf[b], r0, h, pads[b]) for b, r0, h in act.outs]
-                kernel = act.kernel  # each through the module's globals, like OPS
-                if kernel == "conv2d":
-                    conv2d(xs[0], act.spec, dst[0], ws, act.strips)
-                elif kernel == "fused_attention":
-                    fused_attention(*xs, act.spec, counter, dst[0], ws)
-                elif kernel is not None:
-                    globals()[kernel](*xs, dst[0])
-                elif act.step == 0:
-                    dst[0].interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
-                elif dst is not None:
-                    _step(lay, act, xs, dst, ws, counter)
+                if act.out is not None:
+                    b, r0, h0 = act.out
+                    dst = Band(buf[b], r0, h0, pads[b])
                 else:  # the output step, into its rows of the output plane
                     if out is None:
                         out = np.empty((x.n, *lay.shape[last]), np.float32)
                     d, e = rows_out
-                    _step(lay, act, xs, out[image : image + 1, act.channels, d:e], ws, counter)
+                    dst = Band(out[image : image + 1, act.channels], d, e - d, 0)
+                n = lay.steps[act.step]  # each kernel through the module's globals, like OPS
+                if act.step == 0:
+                    dst.interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
+                elif act.strips is not None:
+                    conv2d(xs[0], act.spec, dst, ws, act.strips)
+                elif act.step in lay.gates:
+                    fused_attention(*xs, act.spec, counter, dst, ws)
+                elif n.op == "concat":
+                    np.concatenate(Tiles.concat(xs).tiles, 1, out=dst.interior)
+                elif n.op == "pixel_shuffle":
+                    pixel_shuffle(xs[0], n.upscale, dst.interior)
+                else:
+                    globals()[n.op](*xs, dst)
                 del xs, dst
                 for b, r0, h0 in act.copied_out:
                     carry[b][:, :, :h0] = buf[b][:, :, r0 : r0 + h0]
@@ -874,26 +881,6 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
                     for b in act.gives:
                         buf[b] = None
     return Tensor(out)
-
-
-def _step(lay: _Layout, act: _Action, xs: list, dst: list[Band] | np.ndarray, ws: np.ndarray, counter) -> None:
-    """Run an action whose kernel does not write its band itself (a read
-    that is not one band, the output step) into `dst`: its band, or for the
-    output step its rows of the output plane. An op that cannot write there
-    makes a plane, copied in."""
-    j, n = act.step, lay.steps[act.step]
-    if j in lay.gates:
-        y = fused_attention(*map(_tensor, xs), act.spec, counter, None, ws)
-    elif act.strips is not None:  # a conv that is the output step
-        y = conv2d(xs[0], act.spec, None, ws, act.strips)
-    elif n.op == "concat":  # the output step
-        y = Tiles.concat(xs)
-    elif n.op == "pixel_shuffle" and isinstance(dst, np.ndarray) and all(isinstance(a, Band) for a in xs):
-        pixel_shuffle(xs[0], n.upscale, dst)
-        return
-    else:
-        y = OPS[n.op].run(n, *map(_tensor, xs))
-    np.concatenate(Tiles.of(y).tiles, 1, out=dst if isinstance(dst, np.ndarray) else dst[0].interior)
 
 
 class _Run(NamedTuple):

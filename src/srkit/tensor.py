@@ -114,9 +114,6 @@ class Band:
         """The plane itself, a strided view."""
         return self.rows[..., self.pad : self.buf.shape[3] - self.pad]
 
-    def tensor(self) -> "Tensor":
-        return Tensor(self.interior)
-
 
 @dataclass(frozen=True)
 class Tiles:
@@ -457,7 +454,7 @@ def pixel_shuffle(x: Tensor | Band, s: int, out: np.ndarray | None = None) -> Te
     """
     if s < 1:
         raise ShapeError(f"pixel_shuffle: upscale factor must be >= 1, got {s}")
-    if s == 1:
+    if s == 1 and out is None:
         return x
     n, c, h, w = x.shape
     if c % (s * s):

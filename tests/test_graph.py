@@ -274,9 +274,10 @@ LORA = Node("cat_conv", "conv", ("cat",), spec=_conv(3, 4), lora=RANK1)
     ids=["conv", "two_convs", "conv_and_relu", "lora_conv", "graph_output"],
 )
 def test_fused_builds_a_concat_only_for_a_reader_other_than_a_plain_conv(monkeypatch, rng, readers):
-    # Fused holds a concat as its inputs' tiles whoever reads it: convs copy
-    # them into their bands, and a reader that needs a plane (the relu, the
-    # graph output) builds the rows it reads, never the concat as such.
+    # Fused holds a concat that only convs read as its inputs' bands, which
+    # each conv copies into its own band; a reader that needs a plane (the
+    # relu, the graph output) makes fused hold the concat in one band,
+    # filled with its inputs' rows, never through graph.concat_channels.
     calls = []
     concat = graph.concat_channels
     monkeypatch.setattr(graph, "concat_channels", lambda parts: calls.append(1) or concat(parts))
@@ -331,19 +332,24 @@ def _held_mib(g, x, mode):
 
 @pytest.mark.parametrize(
     "g",
-    [build_spanv2(seed=3), build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3))],
-    ids=["spanv2", "span", "spanv2_train_form"],
+    [build_spanv2(seed=3), build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3)),
+     build_spanv2(s=1, seed=3)],
+    ids=["spanv2", "span", "spanv2_train_form", "spanv2_x1"],
 )
 @pytest.mark.parametrize(
     "n, h, w",
     [(1, 17, 19), (1, 61, 63), (1, 64, 64), (2, 17, 19), (2, 61, 63)],
     ids=["17x19", "61x63", "64x64", "batch2_17x19", "batch2_61x63"],
 )
-def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
+def test_one_strip_fused_is_bitwise_unfused(request, monkeypatch, rng, g, n, h, w):
     # Images whose whole-plane run fits the budget run alone as one strip of
     # the streamed walk: each conv reads explicit zero rows at the image
     # border with row padding 0, the rows unfused's padded band holds, and
     # the attention step's pass is bitwise the triple's.
+    if g.meta["upscale"] == 1 and (n, h) == (2, 61):
+        request.applymarker(pytest.mark.xfail(strict=True, reason=(
+            "unfused's two-image strips split x1 fuse.pw's 3-row GEMM at 1953 columns, which "
+            "OpenBLAS rounds unlike the one image's 3843; fused runs each image alone")))
     x = rand_tensor(rng, n, 3, h, w)
     unfused = run_graph(g, x, "unfused")
     runs = _record_runs(monkeypatch)
@@ -449,12 +455,14 @@ GROUPED_TAILS = {
 @pytest.mark.parametrize(
     "widths, calls, tail",
     [((2, 4), 2, "pw"), ((1, 5), 1, "pw"), ((2, 4), 2, "output"), ((1, 5), 1, "output"),
-     ((2, 4), 2, "relu"), ((1, 5), 1, "relu")],
+     ((2, 4), 1, "relu"), ((1, 5), 1, "relu")],
     ids=["aligned", "misaligned", "aligned_output", "misaligned_output", "aligned_relu", "misaligned_relu"],
 )
 def test_grouped_conv_passes_parts_that_fall_on_group_boundaries(monkeypatch, rng, widths, calls, tail):
     # cat = concat(a, b) -> grouped conv (3 groups of 2 channels) -> a 1x1
-    # conv, nothing (the grouped conv is the output) or a relu
+    # conv, nothing (the grouped conv is the output) or a relu. Only convs
+    # and the output read a value held as parts, so a relu reader makes the
+    # grouped conv one call into one band.
     a, b = widths
     nodes = [
         _inp(),
@@ -795,6 +803,20 @@ def test_kernel_flops_sum_to_count_flops_in_the_engines_strips(monkeypatch, rng,
         assert out == (n, spec.out_channels, hin + 2 * ph - kh + 1, win + 2 * pw - kw + 1) and win == w
 
 
+@pytest.mark.parametrize("g", STREAMED, ids=STREAMED_IDS)
+def test_every_fused_conv_writes_into_a_band(monkeypatch, rng, g):
+    # One strip and 4-row strips: the output step's conv too writes its rows
+    # into its rows of the output plane, never into a plane of its own.
+    outs = []
+    conv = graph.conv2d
+    monkeypatch.setattr(graph, "conv2d", lambda a, spec, out=None, *rest: outs.append(out) or conv(a, spec, out, *rest))
+    x = rand_tensor(rng, 1, g.nodes[0].channels, 13, 11)
+    run_graph(g, x, "fused")
+    _stream_in_strips(monkeypatch, g, x, 4)
+    run_graph(g, x, "fused")
+    assert outs and all(isinstance(out, Band) for out in outs)
+
+
 def test_fused_memory_beyond_the_output_is_flat_in_height(rng):
     # Whole-plane, fused SPANV2 held 7.0, 22.0 and 42.0 MiB at these
     # heights and SPAN 9.5, 32.0 and 62.0.
@@ -814,7 +836,8 @@ def test_a_growing_graph_streams_in_memory_flat_in_height(rng):
 def test_strip_rows_count_a_band_after_a_mid_graph_shuffle_at_its_scale(rng):
     # The bands after the shuffle hold 4 rows per input row. Counted as
     # one, the strips were 4 times too tall: 16.2 MiB held against the 6 MiB
-    # budget, at both heights.
+    # budget, at both heights. While the output conv wrote its rows into a
+    # plane of their own, copied into the output, it held 8.3 MiB.
     g = _graph([
         _inp(),
         Node("wide", "conv", ("input",), spec=_conv(3, 48)),
@@ -824,7 +847,7 @@ def test_strip_rows_count_a_band_after_a_mid_graph_shuffle_at_its_scale(rng):
         Node("out", "conv", ("r",), spec=_conv(8, 3)),
     ])
     held = [_held_mib(g, rand_tensor(rng, 1, 3, h, 256), "fused") for h in (256, 512)]
-    assert max(held) <= 10 and max(held) - min(held) <= 0.5, held
+    assert max(held) <= 7 and max(held) - min(held) <= 0.5, held
 
 
 def test_reused_bands_do_not_leak_between_runs(rng):

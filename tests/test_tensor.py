@@ -359,6 +359,11 @@ class TestPixelShuffle:
         x = rand_tensor(rng, 1, 4, 3, 3)
         assert pixel_shuffle(x, 1) is x
 
+    def test_s1_writes_out(self, rng):
+        x = rand_tensor(rng, 1, 4, 3, 3)
+        out = np.full(x.shape, np.nan, np.float32)
+        assert pixel_shuffle(x, 1, out) is out and np.array_equal(out, x.data)
+
     def test_divisibility_error(self):
         with pytest.raises(ShapeError, match="divisible"):
             pixel_shuffle(Tensor.zeros(1, 3, 2, 2), 2)
