@@ -98,11 +98,12 @@ def _check_attention_operands(x: Tensor, f3: Tensor, attn: ConvSpec) -> None:
         )
 
 
-def _gate_edges(n: int, c: int, hw: int) -> list[int]:
-    """The column edges of fused_attention's gate GEMMs on an n x c plane of
-    hw columns. Strips are `step` columns, a multiple of 64, and the last one
-    also takes the remainder. Five C x step buffers fill _STRIP_FLOATS: x
-    and f3 read, the BLAS's packed copy of f3, the gates and y written.
+def _gate_edges(c: int, hw: int) -> list[int]:
+    """The column edges of fused_attention's gate GEMMs on each image's c x
+    hw plane, whatever the batch. Strips are `step` columns, a multiple of
+    64, and the last one also takes the remainder. Five C x step buffers of
+    one image fill _STRIP_FLOATS: x and f3 read, the BLAS's packed copy of
+    f3, the gates and y written.
     OpenBLAS 0.3.31 runs a product of at most 10^6 multiply-adds with other
     kernels, which can round the columns past its last multiple of 16
     differently from a wide product's. At the default budget a 32-channel
@@ -110,14 +111,14 @@ def _gate_edges(n: int, c: int, hw: int) -> list[int]:
     `step` (or the plane) the output is bitwise that of one whole-plane
     product (checked in tests/test_fusion.py); budgets a few times smaller
     lose this."""
-    step = max(64, _STRIP_FLOATS // (5 * n * c) // 64 * 64)
+    step = max(64, _STRIP_FLOATS // (5 * c) // 64 * 64)
     return [i * step for i in range(max(hw // step, 1))] + [hw]
 
 
 def attention_floats(n: int, c: int, h: int, w: int) -> int:
     """The workspace fused_attention takes on an (n, c, h, w) plane: its
     widest strip of f3 gathered and of gates."""
-    edges = _gate_edges(n, c, h * w)
+    edges = _gate_edges(c, h * w)
     return 2 * n * c * (edges[-1] - edges[-2])
 
 
@@ -160,7 +161,7 @@ def fused_attention(
     n, c, h, w = x.shape
     weight = attn.weight.reshape(c, c)
     bias = 0.0 if attn.bias is None else attn.bias[:, None]
-    edges = _gate_edges(n, c, h * w)
+    edges = _gate_edges(c, h * w)
     if ws is None or ws.size < attention_floats(n, c, h, w):
         ws = np.empty(attention_floats(n, c, h, w), np.float32)
     y = np.empty((n, c, h, w), np.float32) if out is None else out.interior

@@ -36,10 +36,11 @@ read its inputs' bands; any other concat is one band filled with a copy
 of its inputs' rows. A band's header, the rows its readers still need,
 is copied from one strip's band to the next, so a lagging read is one
 view. A conv reads its input's real neighbour rows with row padding 0, so
-zero rows appear only at the image border. An image runs in strips of as
-many rows as let its bands, headers and workspace fit _GRAPH_BYTES
-(_strip_rows), one strip when that is all its rows, so memory grows with
-its width, not its height.
+zero rows appear only at the image border. An image is planned as one
+strip first; it runs in strips of as many rows as that plan's bands,
+headers and workspace, as _strip_rows counts them, let fit _GRAPH_BYTES,
+one strip when that is all its rows, so memory grows with its width, not
+its height.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -89,7 +90,9 @@ MODES = ("unfused", "fused")
 # output: its bands, their headers and the workspace. It sets the height of
 # the strips of input rows each image of a fused run streams in alone (one
 # strip when all its rows fit), so memory is bounded by its width, not its
-# height.
+# height. _strip_rows counts the bands of one arena as the most they hold
+# at once, and _plan packs them into more, so a streamed image holds more:
+# at 256^2, SPANV2's plan 7.01 MiB and SPAN's 8.02 (see _strip_rows).
 _GRAPH_BYTES = 6 << 20
 
 # Image sizes a graph keeps its compiled fused run for (see _compiled); the
@@ -472,15 +475,17 @@ class _Layout(NamedTuple):
 
     steps: list[Node]
     ins: list[list[int]]  # each step's inputs, as step indices
-    held: list[bool]  # whether a step runs: False for a concat its readers read as its inputs' parts
     readers: list[list[int]]  # each step's readers, an unheld concat's standing for its own
     rule: list[tuple[int, int, int]]  # each step's OPS rows rule
     scale: list[int]  # each step's rows per input row: its inputs' scale times its rule's
     shape: list[Shape]
-    parts: list[list[tuple[int, int]]]  # each value's (first channel, band); an unheld concat's are its inputs'
     bands: list[tuple[int, int, int, int]]  # (channels, plane width, height, zero columns a side)
     chain: list[list[int]]  # each band's writers: its producer, then in-place steps
-    cuts: list[list[tuple]]  # each step's calls: (input channels or None: all, conv spec or None, output channels)
+    # each step's kernel calls, none for an unheld concat: (the output channels
+    # it makes, each input's parts it reads, the band it writes or None: its
+    # rows of the output plane, and for a conv (spec, zero columns of the band
+    # it reads or None: not one band, of the band it writes or 0), else None)
+    calls: list[list[tuple]]
     gates: dict[int, ConvSpec]  # attention steps' gate convs
 
 
@@ -520,10 +525,10 @@ def _layout(
         readers[j] = [q for p in direct[j] for q in ([p] if held[p] else readers[p])]
         held[j] = steps[j].op != "concat" or j == last or not convs_read(j)
     gate = {j: gates[n.name][0] for j, n in enumerate(steps) if n.name in gates}
-    parts: list[list[tuple[int, int]]] = []
+    parts: list[list[tuple[int, int]]] = []  # each value's (first channel, band); an unheld concat's are its inputs'
     bands: list[tuple] = []  # (channels, plane width, height), then its zero columns
     chain: list[list[int]] = []
-    cuts: list[list[tuple]] = []
+    cuts: list[list[tuple]] = []  # each step's (input channels or None: all, conv spec or None, output channels)
     for j, n in enumerate(steps):
         c, h, w = shapes[n.name]
         cuts.append([(None, None, slice(0, c))])
@@ -557,29 +562,22 @@ def _layout(
         first = cuts[members[0]][0][1]
         kw = 2 * pad + 1 if first is None else first.kernel[1]
         bands[b] += (pad if any(steps[q].op == "conv" for q in readers[members[-1]]) or kw % 2 == 0 else kw // 2,)
+    calls: list[list[tuple]] = [[] for _ in steps]
+    for j in (j for j in range(last + 1) if held[j]):
+        for k, (cut, spec, out) in enumerate(cuts[j]):  # one call per input channel cut
+            reads = [[(c0, b) for c0, b in parts[r] if cut is None or c0 == cut[0]] for r in ins[j]]
+            write = parts[j][k][1] if parts[j] else None
+            conv = None
+            if spec is not None:
+                src = bands[reads[0][0][1]][3] if len(reads[0]) == 1 else None
+                conv = spec, src, 0 if write is None else bands[write][3]
+            calls[j].append((out, reads, write, conv))
     rule = [OPS[n.op].rows(n) for n in steps]
     scale: list[int] = []
     for j in range(last + 1):
         scale.append(rule[j][2] * max([scale[r] for r in ins[j]], default=1))
     shape = [shapes[n.name] for n in steps]
-    return _Layout(steps, ins, held, readers, rule, scale, shape, parts, bands, chain, cuts, gate)
-
-
-def _calls(lay: _Layout, j: int) -> Iterator[tuple]:
-    """Step j's kernel calls, one per input channel cut (one when its input
-    is not cut): (the output channels it makes, each input's parts it reads
-    as (first channel, band), the band it writes, None for the output step,
-    and for a conv the spec and the zero columns of the band it reads, None
-    where that is not one band, and of the band it writes, 0 for the
-    output's)."""
-    for k, (cut, spec, out) in enumerate(lay.cuts[j]):
-        reads = [[(c0, b) for c0, b in lay.parts[r] if cut is None or c0 == cut[0]] for r in lay.ins[j]]
-        write = lay.parts[j][k][1] if lay.parts[j] else None
-        conv = None
-        if spec is not None:
-            src = lay.bands[reads[0][0][1]][3] if len(reads[0]) == 1 else None
-            conv = spec, src, 0 if write is None else lay.bands[write][3]
-        yield out, reads, write, conv
+    return _Layout(steps, ins, readers, rule, scale, shape, bands, chain, calls, gate)
 
 
 def _progress(lay: _Layout, target: int, p: list[int]) -> None:
@@ -625,14 +623,16 @@ class _Plan(NamedTuple):
     ws_floats: int
 
 
-def _strip_rows(lay: _Layout, budget: int) -> int:
+def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
     """Input rows per strip of a fused run: as many, at least 4, as let the
     bands held at once, every band's header between strips and the
-    workspace of a one-strip run fit the budget. A band holds its value's
-    scale of rows per input row (see _Layout). A band is held from the
-    first kernel call that uses it to the last, and the bands of one plane
-    width and zero columns share an arena sized for the most it holds at
-    once (see _plan). Capped at the image's height, which runs as one
+    workspace of `one`, the image planned as one strip, fit the budget. A
+    band holds its value's scale of rows per input row (see _Layout) from
+    its first action in `one` to its last, and the bands of one plane
+    width and zero columns are counted as the most they hold at once.
+    _plan packs them into arenas that can hold more: at 256^2, SPANV2's
+    arenas, carry area and workspace come to 7.01 MiB and SPAN's to 8.02,
+    against a budget of 6. Capped at the image's height, which runs as one
     strip."""
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
@@ -640,25 +640,17 @@ def _strip_rows(lay: _Layout, budget: int) -> int:
     for (c, w, _, pad), members in zip(lay.bands, lay.chain):
         first = [p[q] // lay.rule[q][2] - lay.rule[q][0] for q in lay.readers[members[-1]]]
         headers += c * (w + 2 * pad) * (p[members[0]] - min(first + [p[members[0]]]))
-    span: dict[int, list[int]] = {}  # each band's first and last call
-    ws = 0
-    calls = [(j, call) for j in range(len(lay.steps)) if lay.held[j] for call in _calls(lay, j)]
-    for a, (j, (_, reads, write, conv)) in enumerate(calls):
-        for b in [b for parts in reads for _, b in parts] + ([] if write is None else [write]):
-            span.setdefault(b, [a, a])[1] = a
-        if conv is not None:
-            ws = max(ws, conv_strips(1, lay.shape[j][1], lay.shape[lay.ins[j][0]][2], *conv)[1])
-        elif j in lay.gates:
-            ws = max(ws, attention_floats(1, *lay.shape[j]))
-    held: dict[tuple[int, int], int] = {}  # the most floats a row of each arena's bands held at once
-    for a in range(len(calls)):
-        now: dict[tuple[int, int], int] = {}
-        for b, (a0, a1) in span.items():
-            c, w, _, pad = lay.bands[b]
-            if a0 <= a <= a1:
-                now[w, pad] = now.get((w, pad), 0) + c * (w + 2 * pad) * lay.scale[lay.chain[b][0]]
-        held.update((key, max(held.get(key, 0), f)) for key, f in now.items())
-    return min(lay.shape[0][1], max(4, (budget - 4 * (headers + ws)) // (4 * sum(held.values()))))
+    row = [c * (w + 2 * pad) * lay.scale[members[0]] for (c, w, _, pad), members in zip(lay.bands, lay.chain)]
+    now: dict[tuple[int, int], int] = {}  # the floats a row of each arena's bands holds
+    held: dict[tuple[int, int], int] = {}  # the most it held at once
+    for act in one.programs[0]:
+        for b, _ in act.takes:
+            key = lay.bands[b][1], lay.bands[b][3]
+            now[key] = now.get(key, 0) + row[b]
+            held[key] = max(held.get(key, 0), now[key])
+        for b in act.gives:
+            now[lay.bands[b][1], lay.bands[b][3]] -= row[b]
+    return min(lay.shape[0][1], max(4, (budget - 4 * (headers + one.ws_floats)) // (4 * sum(held.values()))))
 
 
 def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
@@ -671,9 +663,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     step makes `rows` times its scale rows a strip. A band is held
     from its first use in a strip to its last: there the rows its readers
     still need, its header, are copied out, and at its first use in the
-    next strip in at its top. Strips that do the same share their actions;
-    once two strips in a row do, the strips up to the next one where a step
-    starts or reaches its last row are not planned one by one.
+    next strip in at its top. Every strip is planned in turn, and a strip
+    that does the same as the one before shares its actions, one program.
     """
     steps, ins, rule, bands = lay.steps, lay.ins, lay.rule, lay.bands
     height = [hj for _, hj, _ in lay.shape]
@@ -687,9 +678,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     programs: list[list[_Action]] = []
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     ws_floats = 0
-    stride = [rows * s for s in lay.scale]  # the rows each step makes a strip
     while done[last] < height[last]:
-        _progress(lay, (len(strips) + 1) * stride[last] if rows < h else 1 << 30, p)
+        _progress(lay, (len(strips) + 1) * rows * lay.scale[last] if rows < h else 1 << 30, p)
         actions: list[list] = []
         touched: dict[int, int] = {}  # each band used in this strip: its last action
         io = [(0, 0), (0, 0)]
@@ -714,13 +704,10 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             d, e = done[j], min(max(p[j], 0), height[j])
             if e <= d:
                 continue
-            if not lay.held[j]:
-                done[j] = e  # its readers read its parts
-                continue
             if j in (0, last):
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
-            for channels, reads, write, conv in _calls(lay, j):
+            for channels, reads, write, conv in lay.calls[j]:  # none when its readers read its parts
                 strip = None if conv is None else conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)
                 spec = conv[0] if conv else lay.gates.get(j)
                 action: list = [j, channels, [], [], [], [], None, [], (), spec, strip]
@@ -737,7 +724,9 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                     ws_floats = max(ws_floats, attention_floats(1, lay.shape[j][0], e - d, lay.shape[j][2]))
                 actions.append(action)
             done[j] = e
+        gives: dict[int, list[int]] = {}  # each action's bands, used in the strip for the last time there
         for b, a in touched.items():
+            gives.setdefault(a, []).append(b)
             # the rows its readers, and the steps that write it in place
             # after its producer, have still to read
             members, made = lay.chain[b], done[head[b]]
@@ -747,10 +736,6 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             if header[b]:
                 actions[a][7].append((b, min(keep) - origin[b], header[b]))
             origin[b] = min(keep)
-        # every band used in the strip is given back after its last use here
-        gives: dict[int, list[int]] = {}
-        for b, a in touched.items():
-            gives.setdefault(a, []).append(b)
         program = [
             _Action(j, channels, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
                     out, tuple(copied_out), tuple(gives.get(a, ())), *run)
@@ -759,19 +744,6 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
         strips.append((len(programs) - 1, *io))
-        # the same actions twice: they go on to the strip before a step
-        # starts or reaches its last row
-        if len(strips) < 2 or strips[-2][0] != strips[-1][0]:
-            continue
-        more = min(
-            (height[j] - 1 - p[j]) // stride[j] if p[j] > 0 else -p[j] // stride[j]
-            for j in range(len(steps)) if p[j] < height[j]
-        )
-        for _ in range(more):
-            k, (d0, e0), (d1, e1) = strips[-1]
-            strips.append((k, (d0 + rows, e0 + rows), (d1 + stride[last], e1 + stride[last])))
-        origin = [o + more * stride[j] if 0 < done[j] < height[j] else o for o, j in zip(origin, head)]
-        done = [x + more * dx if 0 < x < hj else x for x, dx, hj in zip(done, stride, height)]
     # Bands of one plane width and zero columns share an arena, counted in
     # rows: biggest first, a band takes the lowest rows that no band held
     # with it in its strip has. Rows stay aligned, so every band of an
@@ -930,9 +902,10 @@ def _lowered(g: ModelGraph) -> ModelGraph:
 
 def _compile(g: ModelGraph, h: int, w: int) -> _Run:
     """Fused run_graph of g on h x w images: the gates, then the schedule
-    and layout of g with its training-form convs lowered (_lowered), each
-    image in strips of the rows whose bands, headers and workspace fit
-    _GRAPH_BYTES (_strip_rows), one strip when that is all its rows."""
+    and layout of g with its training-form convs lowered (_lowered), and
+    the image planned as one strip. From that plan _strip_rows gives the
+    rows whose bands, headers and workspace fit _GRAPH_BYTES; an image of
+    no more rows runs that plan, any other is planned in strips of them."""
     gates = _fusion_gates(g)
     g = _lowered(g)
     reads = _reads(g, gates)
@@ -940,8 +913,9 @@ def _compile(g: ModelGraph, h: int, w: int) -> _Run:
     if len(steps) == 1:  # an input-only graph has no step to fuse
         return _Run(steps, h, None, None)
     lay = _layout(steps, reads, gates, infer_shapes(g, h, w))
-    rows = _strip_rows(lay, _GRAPH_BYTES)
-    return _Run(steps, rows, lay, _plan(lay, h, rows))
+    one = _plan(lay, h, h)
+    rows = _strip_rows(lay, one, _GRAPH_BYTES)
+    return _Run(steps, rows, lay, one if rows >= h else _plan(lay, h, rows))
 
 
 def _compiled(g: ModelGraph, h: int, w: int) -> _Run:

@@ -223,14 +223,15 @@ class ConvSpec:
         return ConvSpec(channels, channels, (1, 1), (0, 0), w)
 
 
-# Floats of L2 one kernel's strip may fill with what shares the cache while
-# its GEMM runs: the input rows it reads, its column block, the BLAS's packed
-# copy of that block and the output rows it writes (the blocking rule of Goto
-# and van de Geijn, ACM TOMS 2008). It sets conv2d's strip height and
-# fused_attention's gate chunk, so their memory is bounded by it, not by the
-# image, and tensor_to_image's row block. 1.5 MiB of float32, three quarters
-# of the 2 MiB per-core L2 of the host it was swept on, where it ran 32->32
-# 3x3 convs at 256 px wide fastest (2-row strips; sweep in CHANGES.md).
+# Floats of L2 one kernel's strip of one image may fill with what shares
+# the cache while its GEMM runs: the input rows it reads, its column block,
+# the BLAS's packed copy of that block and the output rows it writes (the
+# blocking rule of Goto and van de Geijn, ACM TOMS 2008). It sets conv2d's
+# strip height and fused_attention's gate chunk, whatever the batch, so
+# their memory per image is bounded by it, not by the image, and
+# tensor_to_image's row block. 1.5 MiB of float32, three quarters of the
+# 2 MiB per-core L2 of the host it was swept on, where it ran 32->32 3x3
+# convs at 256 px wide fastest (2-row strips; sweep in CHANGES.md).
 _STRIP_FLOATS = 3 << 17
 
 
@@ -240,7 +241,8 @@ def conv_strips(
     """How a conv2d call making hout rows of an n x w input runs, when its
     input is a band of src_pad zero columns a side and its output one of
     dst_pad (None: not one band): (strip rows, as many as _STRIP_FLOATS
-    allows and as even as can be, workspace floats, whether it
+    allows one image and as even as can be, whatever n, so each image of
+    a batch runs the GEMMs it runs alone; workspace floats, whether it
     reads its tap windows from the input band in place, whether it writes
     its rows straight into the output band, whether its GEMM adds the
     bias). The workspace is the column block, plus the band it fills when
@@ -248,12 +250,12 @@ def conv_strips(
     write into a band, plus the weights with their bias column."""
     (kh, kw), (ph, pw) = spec.kernel, spec.padding
     cin, cout, taps, wp = spec.in_channels, spec.out_channels, kh * kw, w + 2 * pw
-    # _STRIP_FLOATS over what a strip puts in L2, Wp floats a row: its rows +
-    # kh - 1 (+1) input rows; per output row, a column block row (a 1x1 conv
-    # has none, its GEMM reads the input rows), the packed copy of what the
-    # GEMM reads and an output row
+    # _STRIP_FLOATS over what one image's strip puts in L2, Wp floats a
+    # row: its rows + kh - 1 (+1) input rows; per output row, a column block
+    # row (a 1x1 conv has none, its GEMM reads the input rows), the packed
+    # copy of what the GEMM reads and an output row
     halo = cin * (kh - 1 + (kw > 1))
-    most = max(1, (_STRIP_FLOATS // (n * wp) - halo) // (cin * (1 + taps * (1 + (taps > 1))) + cout))
+    most = max(1, (_STRIP_FLOATS // wp - halo) // (cin * (1 + taps * (1 + (taps > 1))) + cout))
     rows = -(-hout // -(-hout // most))
     # in place when the band's zero columns are the column padding and
     # there is no row padding; direct when its zero columns take the junk

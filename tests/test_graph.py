@@ -14,6 +14,12 @@ from srkit.rewrites import decorate_for_reparam
 from srkit.selftest import assert_close, rand_tensor
 from srkit.tensor import Band, ConvSpec, ShapeError, Tensor, Tiles
 
+# perfbench's spanv2-patches shapes: odd, non-square, sides 17 to 63
+PATCH_SHAPES = [
+    (17, 19), (29, 19), (23, 37), (35, 29), (31, 41), (43, 35), (37, 47), (49, 41),
+    (43, 53), (53, 47), (49, 57), (57, 53), (55, 59), (61, 57), (61, 63),
+]
+
 
 def _conv(cin, cout, k=3, groups=1):
     return random_conv(np.random.default_rng(0), cin, cout, k=k, groups=groups)
@@ -338,18 +344,16 @@ def _held_mib(g, x, mode):
 )
 @pytest.mark.parametrize(
     "n, h, w",
-    [(1, 17, 19), (1, 61, 63), (1, 64, 64), (2, 17, 19), (2, 61, 63)],
-    ids=["17x19", "61x63", "64x64", "batch2_17x19", "batch2_61x63"],
+    [(1, 17, 19), (1, 61, 63), (1, 64, 64)] + [(2, h, w) for h, w in PATCH_SHAPES],
+    ids=["17x19", "61x63", "64x64"] + [f"batch2_{h}x{w}" for h, w in PATCH_SHAPES],
 )
-def test_one_strip_fused_is_bitwise_unfused(request, monkeypatch, rng, g, n, h, w):
+def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
     # Images whose whole-plane run fits the budget run alone as one strip of
     # the streamed walk: each conv reads explicit zero rows at the image
     # border with row padding 0, the rows unfused's padded band holds, and
-    # the attention step's pass is bitwise the triple's.
-    if g.meta["upscale"] == 1 and (n, h) == (2, 61):
-        request.applymarker(pytest.mark.xfail(strict=True, reason=(
-            "unfused's two-image strips split x1 fuse.pw's 3-row GEMM at 1953 columns, which "
-            "OpenBLAS rounds unlike the one image's 3843; fused runs each image alone")))
+    # the attention step's pass is bitwise the triple's. Unfused sizes its
+    # conv strips per image, so a batch runs each image's GEMMs as it would
+    # alone.
     x = rand_tensor(rng, n, 3, h, w)
     unfused = run_graph(g, x, "unfused")
     runs = _record_runs(monkeypatch)
@@ -526,7 +530,7 @@ def _stream_in_strips(monkeypatch, g, x, rows):
     compiled run each run_graph uses. No compiled run is kept, so a run
     kept from an earlier forced height cannot stand in for this one."""
     monkeypatch.setattr(graph, "_GRAPH_BYTES", 0)  # no image fits one strip
-    monkeypatch.setattr(graph, "_strip_rows", lambda lay, budget: rows)
+    monkeypatch.setattr(graph, "_strip_rows", lambda lay, one, budget: rows)
     monkeypatch.setattr(graph, "_RUNS_KEPT", 0)
     return _record_runs(monkeypatch)
 
@@ -916,6 +920,28 @@ def test_a_second_fused_run_at_one_size_builds_no_plan(monkeypatch, rng, budget,
     second = run_graph(g, x, "fused")
     assert calls == dict.fromkeys(PLANNERS, 0) and [r.rows for r in runs] == [rows, rows]
     assert np.array_equal(second.data, first.data)
+
+
+@pytest.mark.parametrize("budget, plans", [(graph._GRAPH_BYTES, 1), (0, 2)], ids=["one_strip", "streamed"])
+def test_a_compile_plans_the_image_as_one_strip_first(monkeypatch, rng, budget, plans):
+    # The one-strip plan gives _strip_rows its bands' lifetimes and its
+    # workspace. An image that fits runs that plan; any other is planned
+    # again in strips.
+    monkeypatch.setattr(graph, "_GRAPH_BYTES", budget)  # 0: every image streams
+    calls = _count_planner_calls(monkeypatch)
+    run_graph(build_spanv2(seed=0), rand_tensor(rng, 1, 3, 37, 21), "fused")
+    assert calls["_plan"] == plans and calls["_strip_rows"] == 1
+
+
+@pytest.mark.parametrize("g", [build_spanv2(seed=0), build_span_baseline(seed=0)], ids=["spanv2", "span"])
+def test_a_plans_size_is_flat_in_height(g):
+    # Every strip is planned, and a strip that does the same as the one
+    # before shares its program, so a taller image adds strips, not programs.
+    short, tall = (graph._compile(g, h, 256) for h in (256, 2048))
+    assert short.rows < 256 and len(tall.plan.programs) <= len(short.plan.programs)
+    for run in (short, tall):
+        rows_out, scale = run.lay.shape[-1][1], run.lay.scale[-1]
+        assert len(run.plan.strips) == -(-rows_out // (run.rows * scale))
 
 
 def _replace_node(g):
