@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ArchiveError, ppm.ImageFormatError, ValueError, OSError) as exc:
+    except (CliError, ArchiveError, ppm.ImageFormatError, ValueError, OSError, MemoryError) as exc:
         print(f"srkit {args.verb}: {exc}", file=sys.stderr)
         return 1
 

@@ -17,11 +17,10 @@ independent proxy for the DRAM round-trips the fused operator removes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
-from .tensor import _STRIP_FLOATS, Band, ConvSpec, ShapeError, Tensor, add, conv2d, mul
+from .tensor import Band, ConvSpec, ShapeError, Tensor, add, conv2d, conv_strips, mul
 
 
 @dataclass
@@ -98,43 +97,6 @@ def _check_attention_operands(x: Tensor, f3: Tensor, attn: ConvSpec) -> None:
         )
 
 
-def _gate_edges(c: int, hw: int) -> list[int]:
-    """The column edges of fused_attention's gate GEMMs on each image's c x
-    hw plane, whatever the batch. Strips are `step` columns, a multiple of
-    64, and the last one also takes the remainder. Five C x step buffers of
-    one image fill _STRIP_FLOATS: x and f3 read, the BLAS's packed copy of
-    f3, the gates and y written.
-    OpenBLAS 0.3.31 runs a product of at most 10^6 multiply-adds with other
-    kernels, which can round the columns past its last multiple of 16
-    differently from a wide product's. At the default budget a 32-channel
-    strip is 2432 columns, well past that, so with no GEMM narrower than
-    `step` (or the plane) the output is bitwise that of one whole-plane
-    product (checked in tests/test_fusion.py); budgets a few times smaller
-    lose this."""
-    step = max(64, _STRIP_FLOATS // (5 * c) // 64 * 64)
-    return [i * step for i in range(max(hw // step, 1))] + [hw]
-
-
-def attention_floats(n: int, c: int, h: int, w: int) -> int:
-    """The workspace fused_attention takes on an (n, c, h, w) plane: its
-    widest strip of f3 gathered and of gates."""
-    edges = _gate_edges(c, h * w)
-    return 2 * n * c * (edges[-1] - edges[-2])
-
-
-def _flat(a: np.ndarray, s0: int, s1: int) -> list[np.ndarray]:
-    """Columns [s0, s1) of the flattened planes of an (n, c, h, w) array, as
-    views: up to three blocks of rows, (n, c, rows, columns)."""
-    w, blocks = a.shape[3], []
-    while s0 < s1:
-        r, c0 = divmod(s0, w)
-        rows = 1 if c0 or s1 - s0 < w else (s1 - s0) // w
-        c1 = min(w, c0 + s1 - s0) if rows == 1 else w
-        blocks.append(a[:, :, r : r + rows, c0:c1])
-        s0 += rows * (c1 - c0)
-    return blocks
-
-
 def fused_attention(
     x: Tensor | Band,
     f3: Tensor | Band,
@@ -148,36 +110,34 @@ def fused_attention(
     Plan: per spatial position, the C-vectors of x and f3 are each read once
     and the C outputs written once -> 2N reads + N writes for N = C*H*W. The
     O(C^2) weights are cached, not streamed, and are not counted. The plane
-    is computed in strips of its flattened columns (_gate_edges): one gate
-    buffer is reused and y is written once, so no plane holds W f3 + b or
-    x + f3. x and f3 may be Bands; given `out`, a Band (f3's own, for an
-    in-place step), y is written there. Each strip's columns of f3, up to
-    three blocks of rows, are gathered for its GEMM. The strips are the same
-    whatever `ws`, a workspace of at least attention_floats floats (else it
-    allocates its own), so a plane's output is bitwise the same however it
-    is held.
+    is computed in the row strips conv_strips gives the gate's 1x1 conv, the
+    strips conv2d(f3, attn) runs in reference_attention: each strip's rows
+    of f3 are copied into the workspace for its GEMM, one gate buffer is
+    reused and y is written once, so no plane holds W f3 + b or x + f3, and
+    the output is bitwise reference_attention's whatever the strip budget.
+    x and f3 may be Bands; given `out`, a Band (f3's own, for an in-place
+    step), y is written there. `ws` is a workspace of at least conv_strips'
+    floats, else it allocates its own.
     """
     _check_attention_operands(x, f3, attn)
     n, c, h, w = x.shape
     weight = attn.weight.reshape(c, c)
     bias = 0.0 if attn.bias is None else attn.bias[:, None]
-    edges = _gate_edges(c, h * w)
-    if ws is None or ws.size < attention_floats(n, c, h, w):
-        ws = np.empty(attention_floats(n, c, h, w), np.float32)
+    rows, floats, *_ = conv_strips(n, h, w, attn, None, None)
+    if ws is None or ws.size < floats:
+        ws = np.empty(floats, np.float32)
     y = np.empty((n, c, h, w), np.float32) if out is None else out.interior
     xa, fa = (v.interior if isinstance(v, Band) else v.data for v in (x, f3))
-    for s0, s1 in zip(edges, edges[1:]):
-        # y overwrites only columns [s0, s1), which later strips never read
-        fs, gates = ws[: 2 * n * c * (s1 - s0)].reshape(2, n, c, s1 - s0)
-        ys, xs, f3s = (_flat(a, s0, s1) for a in (y, xa, fa))
-        k = [0, *accumulate(f[0, 0].size for f in f3s)]  # each block's first column of the strip
-        for f, k0, k1 in zip(f3s, k, k[1:]):
-            fs[..., k0:k1].reshape(f.shape)[...] = f
+    for r0 in range(0, h, rows):
+        # y overwrites only rows [r0, r1), which later strips never read
+        r1 = min(r0 + rows, h)
+        fs, gates = ws[: 2 * n * c * (r1 - r0) * w].reshape(2, n, c, (r1 - r0) * w)
+        np.copyto(fs.reshape(n, c, r1 - r0, w), fa[:, :, r0:r1])
         np.matmul(weight, fs, out=gates)
         gates += bias
-        for yb, xb, fb, k0, k1 in zip(ys, xs, f3s, k, k[1:]):
-            np.add(xb, fb, out=yb)
-            yb *= gates[..., k0:k1].reshape(yb.shape)
+        ys = y[:, :, r0:r1]
+        np.add(xa[:, :, r0:r1], fa[:, :, r0:r1], out=ys)
+        ys *= gates.reshape(ys.shape)
     if counter is not None:
         numel = x.numel
         counter.read(2 * numel)

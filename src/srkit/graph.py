@@ -61,7 +61,6 @@ from .fusion import (
     BranchGroup,
     LoraFactors,
     TrafficCounter,
-    attention_floats,
     branch_forward,
     check_lora_factors,
     fused_attention,
@@ -721,7 +720,7 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                 if strip is not None:
                     ws_floats = max(ws_floats, strip[1])
                 elif j in lay.gates:
-                    ws_floats = max(ws_floats, attention_floats(1, lay.shape[j][0], e - d, lay.shape[j][2]))
+                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[j][2], spec, None, None)[1])
                 actions.append(action)
             done[j] = e
         gives: dict[int, list[int]] = {}  # each action's bands, used in the strip for the last time there
@@ -788,7 +787,7 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     allocated once per call; one strip allocates each band for its life,
     so it holds only the values alive. One workspace, sized by the plan for
     every kernel it calls, serves every conv's column block and accumulator
-    and every attention step's gathered f3 and gates. Buffers are per call:
+    and every attention step's copied f3 rows and gates. Buffers are per call:
     calls share only the plan."""
     lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1

@@ -227,9 +227,9 @@ class ConvSpec:
 # the cache while its GEMM runs: the input rows it reads, its column block,
 # the BLAS's packed copy of that block and the output rows it writes (the
 # blocking rule of Goto and van de Geijn, ACM TOMS 2008). It sets conv2d's
-# strip height and fused_attention's gate chunk, whatever the batch, so
-# their memory per image is bounded by it, not by the image, and
-# tensor_to_image's row block. 1.5 MiB of float32, three quarters of the
+# strip height, whatever the batch, and so fused_attention's, which runs
+# its gate conv's strips, so their memory per image is bounded by it, not
+# by the image; and tensor_to_image's row block. 1.5 MiB of float32, three quarters of the
 # 2 MiB per-core L2 of the host it was swept on, where it ran 32->32 3x3
 # convs at 256 px wide fastest (2-row strips; sweep in CHANGES.md).
 _STRIP_FLOATS = 3 << 17

@@ -270,8 +270,11 @@ class TestVerbs:
             ("params --model span --width 0", "c (width) must be >= 1"),
             ("params --model spanv2 --blocks 0", "blocks must be >= 1"),
             ("init --model span --blocks 0 --out w.srwt", "blocks must be >= 1"),
+            # SPANV2's first wide weight is a c x c gate, 71.1 PiB here, which
+            # fails at once; SPAN's is 3 x c x 9, which could be allocated
+            ("params --model spanv2 --width 100000000", "Unable to allocate"),
         ],
-        ids=["size_0", "size_neg3", "spanv2_width_0", "span_width_0", "blocks_0", "init_blocks_0"],
+        ids=["size_0", "size_neg3", "spanv2_width_0", "span_width_0", "blocks_0", "init_blocks_0", "width_1e8"],
     )
     def test_non_positive_size_diagnostic(self, tmp_path, monkeypatch, capsys, argv, needle):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,8 @@ from srkit.fusion import (
 from srkit.models import random_conv
 from srkit.selftest import assert_close, rand_tensor
 from srkit.tensor import ConvSpec, ShapeError, Tensor
+
+tensor_module = importlib.import_module("srkit.tensor")  # srkit.tensor is also a function
 
 SPECIALIZED_WIDTHS = (1, 16, 28, 32, 48, 52)
 
@@ -89,6 +92,23 @@ class TestFusedAttention:
         finally:
             tracemalloc.stop()
         assert peak <= y.data.nbytes + 1.5 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("budget", [3 << 17, 1 << 17, 1 << 16, 1 << 14])
+    def test_bitwise_reference_at_any_budget(self, monkeypatch, budget):
+        # The gate GEMMs run in the row strips of the gate conv's
+        # conv_strips, those of reference_attention's conv2d, so every GEMM
+        # is one the reference runs too, even those narrow enough that
+        # OpenBLAS rounds them unlike a wider product.
+        monkeypatch.setattr(tensor_module, "_STRIP_FLOATS", budget)
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            c = int(rng.choice([8, 16, 28, 32, 48]))
+            n, h, w = (int(v) for v in rng.integers((1, 1, 1), (3, 90, 90)))
+            x, f3 = rand_tensor(rng, n, c, h, w), rand_tensor(rng, n, c, h, w)
+            attn = random_conv(rng, c, c, k=1, bias=bool(rng.integers(2)))
+            want = reference_attention(x, f3, attn).data
+            assert np.array_equal(fused_attention(x, f3, attn).data, want), (n, c, h, w)
+
 
 class TestTraffic:
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 16, 5, 7), (1, 52, 9, 3)])

@@ -12,7 +12,7 @@ from srkit.metrics import count_flops
 from srkit.models import build_span_baseline, build_spanv2, random_conv
 from srkit.rewrites import decorate_for_reparam
 from srkit.selftest import assert_close, rand_tensor
-from srkit.tensor import Band, ConvSpec, ShapeError, Tensor, Tiles
+from srkit.tensor import Band, ConvSpec, ShapeError, Tensor, Tiles, conv_strips
 
 # perfbench's spanv2-patches shapes: odd, non-square, sides 17 to 63
 PATCH_SHAPES = [
@@ -367,12 +367,15 @@ def test_one_strip_fused_is_bitwise_unfused(monkeypatch, rng, g, n, h, w):
 @pytest.mark.parametrize(
     "g", [build_spanv2(seed=3), decorate_for_reparam(build_spanv2(seed=3))], ids=["spanv2", "spanv2_train_form"]
 )
-def test_one_strip_attention_is_bitwise_whatever_the_budget(monkeypatch, rng, g):
-    # A small strip budget shrinks every conv's workspace below the patch's
-    # f3 and gates; the gate GEMMs must still end where the whole-plane
-    # pass's do. (At 1 << 16 unfused's own 1x1 gate conv would run GEMMs of
-    # 567 columns, which OpenBLAS rounds unlike a whole-plane product.)
-    monkeypatch.setattr(graph.tensor, "_STRIP_FLOATS", 1 << 17)
+@pytest.mark.parametrize("budget", [1 << 17, 1 << 16, 1 << 14], ids=["1<<17", "1<<16", "1<<14"])
+def test_one_strip_attention_is_bitwise_whatever_the_budget(monkeypatch, rng, g, budget):
+    # A small strip budget shrinks every conv's strips, the gate conv's
+    # too: at 1 << 16 and 1 << 14 unfused's 1x1 gate conv runs GEMMs of 567
+    # and 126 columns, under OpenBLAS's 10^6-MAC small-product threshold,
+    # which round unlike a whole-plane product. The fused gate GEMMs run in
+    # the same row strips, so the patch, still one strip, stays bitwise
+    # unfused.
+    monkeypatch.setattr(graph.tensor, "_STRIP_FLOATS", budget)
     x = rand_tensor(rng, 1, 3, 61, 63)
     fused = run_graph(g, x, "fused")
     assert graph._compiled(g, 61, 63).rows == 61
@@ -819,6 +822,38 @@ def test_every_fused_conv_writes_into_a_band(monkeypatch, rng, g):
     _stream_in_strips(monkeypatch, g, x, 4)
     run_graph(g, x, "fused")
     assert outs and all(isinstance(out, Band) for out in outs)
+
+
+@pytest.mark.parametrize(
+    "g", [build_spanv2(seed=0), build_span_baseline(seed=0), decorate_for_reparam(build_spanv2(seed=0))],
+    ids=["spanv2", "span", "spanv2_train_form"],
+)
+@pytest.mark.parametrize("size", [(61, 63), (256, 256), "4-row strips"], ids=["61x63", "256x256", "4-row_strips"])
+def test_the_plan_workspace_serves_every_kernel(monkeypatch, rng, g, size):
+    # Given a workspace smaller than it needs, a kernel allocates its own
+    # on every call: each conv2d needs its conv_strips' floats, and each
+    # fused_attention those of its gate conv's strips.
+    h, w = (61, 63) if size == "4-row strips" else size
+    x = rand_tensor(rng, 1, 3, h, w)
+    if size == "4-row strips":
+        _stream_in_strips(monkeypatch, g, x, 4)
+    calls = []  # (kernel, workspace floats, floats it needs)
+    conv, attention = graph.conv2d, graph.fused_attention
+
+    def conv2d(a, spec, out, ws, strips):
+        calls.append(("conv2d", ws.size, strips[1]))
+        return conv(a, spec, out, ws, strips)
+
+    def fused_attention(a, f3, gate, counter, out, ws):
+        calls.append(("fused_attention", ws.size, conv_strips(1, a.shape[2], a.shape[3], gate, None, None)[1]))
+        return attention(a, f3, gate, counter, out, ws)
+
+    monkeypatch.setattr(graph, "conv2d", conv2d)
+    monkeypatch.setattr(graph, "fused_attention", fused_attention)
+    run_graph(g, x, "fused")
+    kernels = {"conv2d", "fused_attention"} if g.fusion_groups else {"conv2d"}
+    assert {k for k, _, _ in calls} == kernels
+    assert [c for c in calls if c[1] < c[2]] == []
 
 
 def test_fused_memory_beyond_the_output_is_flat_in_height(rng):
