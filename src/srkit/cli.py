@@ -42,9 +42,7 @@ def _load_graph(args) -> ModelGraph:
 
 
 def _cmd_init(args) -> int:
-    g = build_model(
-        args.model, seed=args.seed, width=args.width, upscale=args.upscale, blocks=args.blocks
-    )
+    g = _load_graph(args)  # init has no --archive: it builds --model
     if args.reparam:
         g = decorate_for_reparam(g, seed=args.seed or 0)
     save_archive(g, args.out)
@@ -143,20 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="srkit", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_model_opts(p):
-        p.add_argument("--archive", help="weight archive path")
-        p.add_argument("--model", choices=("spanv2", "span"), help="build instead of load")
-        p.add_argument("--width", type=int, default=None)
-        p.add_argument("--upscale", type=int, default=None)
-        p.add_argument("--blocks", type=int, default=None)
+    def add_model_opts(p, init=False):
+        # init always builds its --model; the other verbs load --archive or build
+        if not init:
+            p.add_argument("--archive", help="weight archive path")
+        model = {"default": "spanv2"} if init else {"help": "build instead of load"}
+        p.add_argument("--model", choices=("spanv2", "span"), **model)
+        for size in ("--width", "--upscale", "--blocks"):
+            p.add_argument(size, type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("init", help="write a seeded weight archive")
-    p.add_argument("--model", choices=("spanv2", "span"), default="spanv2")
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--upscale", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    add_model_opts(p, init=True)
     p.add_argument("--reparam", action="store_true", help="add LoRA/branch training forms")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_init)

@@ -322,12 +322,9 @@ def collapse_branches(branches: list[ConvSpec], include_identity: bool = False) 
             raise ShapeError(
                 f"collapse_branches: identity branch needs in == out, got {cin}->{cout}"
             )
+        # output channel o's identity tap reads input channel o, its group's o % cg
         cg = cin // groups
-        og = cout // groups
-        for o in range(cout):
-            g = o // og
-            j = o - g * cg
-            weight[o, j, 1, 1] += 1.0
+        weight[np.arange(cout), np.arange(cout) % cg, 1, 1] += 1.0
     bias = None
     if any(b.bias is not None for b in branches):
         bias = np.zeros(cout, dtype=np.float32)

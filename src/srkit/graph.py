@@ -24,8 +24,9 @@ only plain convs. Each strip ends at an output row, a strip's worth of
 input rows times the output's scale further on than the last; the plan
 lists, for every strip, the kernel calls that make the rows each step's
 readers read to reach it (_progress), so each row is made once, each call
-with its resolved conv spec and its conv2d strips; a call of run_graph
-only allocates its buffers and runs the kernels. Each value is held in
+with its resolved conv spec; a call of run_graph only allocates its
+buffers and runs the kernels, each conv2d in the strips it works out from
+its own operands (tensor.conv_strips). Each value is held in
 zero-bordered row bands (tensor.Band), and each call writes one band, the
 output step's being its rows of the output plane: a conv reads its tap
 windows from its input's band in place and writes its GEMM rows straight
@@ -91,7 +92,7 @@ MODES = ("unfused", "fused")
 # strip when all its rows fit), so memory is bounded by its width, not its
 # height. _strip_rows counts the bands of one arena as the most they hold
 # at once, and _plan packs them into more, so a streamed image holds more:
-# at 256^2, SPANV2's plan 7.01 MiB and SPAN's 8.02 (see _strip_rows).
+# at 256^2, SPANV2's plan 6.85 MiB and SPAN's 8.02 (see _strip_rows).
 _GRAPH_BYTES = 6 << 20
 
 # Image sizes a graph keeps its compiled fused run for (see _compiled); the
@@ -595,8 +596,9 @@ def _progress(lay: _Layout, target: int, p: list[int]) -> None:
 class _Action(NamedTuple):
     """One kernel call of a fused run, which writes one band: its step's,
     or for the output step its rows of the output plane. The step's op
-    picks the kernel (see _stream). Band rows count from each band's top,
-    so strips that do the same share their actions (see _plan)."""
+    picks the kernel (see _stream), and a conv's kernel its own strips.
+    Band rows count from each band's top, so strips that do the same share
+    their actions (see _plan)."""
 
     step: int
     channels: slice  # the output channels it makes
@@ -608,7 +610,6 @@ class _Action(NamedTuple):
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
     spec: ConvSpec | None  # a conv's spec (its cut's) or an attention step's gate conv
-    strips: tuple | None  # a conv's conv_strips
 
 
 class _Plan(NamedTuple):
@@ -630,7 +631,7 @@ def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
     its first action in `one` to its last, and the bands of one plane
     width and zero columns are counted as the most they hold at once.
     _plan packs them into arenas that can hold more: at 256^2, SPANV2's
-    arenas, carry area and workspace come to 7.01 MiB and SPAN's to 8.02,
+    arenas, carry area and workspace come to 6.85 MiB and SPAN's to 8.02,
     against a budget of 6. Capped at the image's height, which runs as one
     strip."""
     p = [0] * len(lay.steps)
@@ -664,6 +665,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     still need, its header, are copied out, and at its first use in the
     next strip in at its top. Every strip is planned in turn, and a strip
     that does the same as the one before shares its actions, one program.
+    The workspace is the most conv_strips gives any conv call, or any
+    attention step's gate conv, of its rows and operands.
     """
     steps, ins, rule, bands = lay.steps, lay.ins, lay.rule, lay.bands
     height = [hj for _, hj, _ in lay.shape]
@@ -707,9 +710,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
             for channels, reads, write, conv in lay.calls[j]:  # none when its readers read its parts
-                strip = None if conv is None else conv_strips(1, e - d, lay.shape[ins[j][0]][2], *conv)
-                spec = conv[0] if conv else lay.gates.get(j)
-                action: list = [j, channels, [], [], [], [], None, [], (), spec, strip]
+                spec, src, dst = conv or (lay.gates.get(j), None, None)  # a conv's, or the gate conv's
+                action: list = [j, channels, [], [], [], [], None, [], (), spec]
                 for parts in reads:
                     action[5].append(tuple((b, lo - use(b, hi, action), hi - lo) for _, b in parts))
                 if write is not None:
@@ -717,10 +719,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                     action[6] = write, r0, e - d
                     if head[write] == j and e == height[j]:
                         action[4].append((write, r0 + e - d, None))  # the zero rows past the image
-                if strip is not None:
-                    ws_floats = max(ws_floats, strip[1])
-                elif j in lay.gates:
-                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[j][2], spec, None, None)[1])
+                if spec is not None:
+                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, src, dst)[1])
                 actions.append(action)
             done[j] = e
         gives: dict[int, list[int]] = {}  # each action's bands, used in the strip for the last time there
@@ -835,8 +835,8 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
                 n = lay.steps[act.step]  # each kernel through the module's globals, like OPS
                 if act.step == 0:
                     dst.interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
-                elif act.strips is not None:
-                    conv2d(xs[0], act.spec, dst, ws, act.strips)
+                elif n.op == "conv":
+                    conv2d(xs[0], act.spec, dst, ws)
                 elif act.step in lay.gates:
                     fused_attention(*xs, act.spec, counter, dst, ws)
                 elif n.op == "concat":

@@ -29,12 +29,13 @@ from .tensor import ConvSpec, ShapeError, Tensor
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Weights of one attention block: three 3x3 convs and the 1x1 gate."""
+    """Weights of one attention block: three 3x3 convs and SPANV2's 1x1
+    gate, None for SPAN's parameter-free one."""
 
     conv_a: ConvSpec
     conv_b: ConvSpec
     conv_c: ConvSpec
-    attn: ConvSpec
+    attn: ConvSpec | None = None
 
 
 def random_conv(
@@ -111,18 +112,24 @@ def nearest_upsample(x: Tensor, s: int) -> Tensor:
 
 def _block_nodes(
     prefix: str, block: BlockSpec, src: str
-) -> tuple[list[Node], FusionGroup, str]:
+) -> tuple[list[Node], FusionGroup | None, str]:
+    """A block's nodes, its fusion group (SPANV2's gate; SPAN has none)
+    and its output's name."""
     a, ra = f"{prefix}.conv_a", f"{prefix}.relu_a"
     b, rb = f"{prefix}.conv_b", f"{prefix}.relu_b"
     c, at = f"{prefix}.conv_c", f"{prefix}.attn"
     sm, out = f"{prefix}.sum", f"{prefix}.out"
-    res = src if block.conv_a.in_channels == block.conv_c.out_channels else ra
     nodes = [
         Node(a, "conv", (src,), spec=block.conv_a),
         Node(ra, "relu", (a,)),
         Node(b, "conv", (ra,), spec=block.conv_b),
         Node(rb, "relu", (b,)),
         Node(c, "conv", (rb,), spec=block.conv_c),
+    ]
+    if block.attn is None:
+        return [*nodes, Node(out, "mul", (ra, c))], None, out
+    res = src if block.conv_a.in_channels == block.conv_c.out_channels else ra
+    nodes += [
         Node(at, "conv", (c,), spec=block.attn),
         Node(sm, "add", (res, c)),
         Node(out, "mul", (sm, at)),
@@ -185,21 +192,6 @@ def build_spanv2(
     return g
 
 
-def _baseline_block_nodes(prefix: str, convs: list[ConvSpec], src: str):
-    a, ra = f"{prefix}.conv_a", f"{prefix}.relu_a"
-    b, rb = f"{prefix}.conv_b", f"{prefix}.relu_b"
-    c, out = f"{prefix}.conv_c", f"{prefix}.out"
-    nodes = [
-        Node(a, "conv", (src,), spec=convs[0]),
-        Node(ra, "relu", (a,)),
-        Node(b, "conv", (ra,), spec=convs[1]),
-        Node(rb, "relu", (b,)),
-        Node(c, "conv", (rb,), spec=convs[2]),
-        Node(out, "mul", (ra, c)),
-    ]
-    return nodes, out
-
-
 def build_span_baseline(
     c: int = 28, s: int = 4, blocks: int = 6, seed: int | None = 0
 ) -> ModelGraph:
@@ -220,8 +212,8 @@ def build_span_baseline(
     src = "head"
     outs = []
     for i in range(1, blocks + 1):
-        convs = [random_conv(rng, c, c) for _ in range(3)]  # conv_a, conv_b, conv_c
-        block_nodes, src = _baseline_block_nodes(f"b{i}", convs, src)
+        block = BlockSpec(*(random_conv(rng, c, c) for _ in range(3)))  # conv_a, conv_b, conv_c
+        block_nodes, _, src = _block_nodes(f"b{i}", block, src)
         nodes.extend(block_nodes)
         outs.append(src)
     skips = ["head", "tail", outs[0], outs[-2]]

@@ -272,7 +272,6 @@ def conv2d(
     spec: ConvSpec,
     out: Band | None = None,
     ws: np.ndarray | None = None,
-    strips: tuple | None = None,
 ) -> Tensor | Band:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
@@ -281,8 +280,7 @@ def conv2d(
     conv of the plane.
     Given `out`, a Band of the output's shape, the rows are written into it
     and it is returned; `ws` is a float32 workspace of at least conv_strips'
-    floats, else conv2d allocates its own. `strips` is conv_strips' result
-    for this call, when the caller has it already (a compiled fused run).
+    floats for this call's operands, else conv2d allocates its own.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -323,7 +321,7 @@ def conv2d(
     # columns, so no output row is computed twice.
     cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
     src_pad = x.pad if type(x) is Band else None
-    rows, floats, in_place, direct, fold = strips or conv_strips(
+    rows, floats, in_place, direct, fold = conv_strips(
         n, hout, w, spec, src_pad, None if out is None else out.pad
     )
     if ws is None or ws.size < floats:

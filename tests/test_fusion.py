@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from srkit.fusion import (
+    BranchGroup,
     LoraFactors,
     TrafficCounter,
+    branch_forward,
     collapse_branches,
     compose_convs,
     fused_attention,
@@ -171,6 +173,14 @@ class TestCollapseBranches:
         for i in range(3):
             want[i, i, 1, 1] = 1.0
         assert np.array_equal(out.weight, want)
+
+    @pytest.mark.parametrize("groups", [2, 3, 6])
+    def test_grouped_identity_matches_the_branch_sum(self, rng, groups):
+        # output channel o's identity tap is input channel o, its group's o % cg
+        branches = (random_conv(rng, 6, 6, k=3, groups=groups), random_conv(rng, 6, 6, k=1, groups=groups))
+        x = rand_tensor(rng, 1, 6, 5, 7)
+        merged = collapse_branches(list(branches), include_identity=True)
+        assert_close(tensor_module.conv2d(x, merged), branch_forward(x, BranchGroup(branches, True)))
 
     def test_identity_requires_square_widths(self, rng):
         branches = [random_conv(rng, 3, 5, k=3)]

@@ -307,6 +307,16 @@ def test_models_fused_match_unfused(rng, g):
     assert_close(run_graph(g, x, "fused"), run_graph(g, x, "unfused"))
 
 
+@pytest.mark.parametrize("mode", graph.MODES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_graph_whose_output_is_its_input_returns_the_input(rng, mode, n):
+    # A one-step schedule: fused mode compiles no plan and runs nothing.
+    g = _graph([_inp()])
+    x = rand_tensor(rng, n, 3, 7, 5)
+    assert run_graph(g, x, mode).data.tobytes() == x.data.tobytes()
+    assert mode == "unfused" or graph._compiled(g, 7, 5).plan is None
+
+
 def test_fused_lowers_branches_beside_a_node_of_their_name(rng):
     # A branch group's lowered convs and adds take names no node has, so a
     # node already named like one is neither shadowed nor read in its place.
@@ -831,8 +841,8 @@ def test_every_fused_conv_writes_into_a_band(monkeypatch, rng, g):
 @pytest.mark.parametrize("size", [(61, 63), (256, 256), "4-row strips"], ids=["61x63", "256x256", "4-row_strips"])
 def test_the_plan_workspace_serves_every_kernel(monkeypatch, rng, g, size):
     # Given a workspace smaller than it needs, a kernel allocates its own
-    # on every call: each conv2d needs its conv_strips' floats, and each
-    # fused_attention those of its gate conv's strips.
+    # on every call: each conv2d needs the floats conv_strips gives its own
+    # operands, and each fused_attention those of its gate conv's strips.
     h, w = (61, 63) if size == "4-row strips" else size
     x = rand_tensor(rng, 1, 3, h, w)
     if size == "4-row strips":
@@ -840,9 +850,10 @@ def test_the_plan_workspace_serves_every_kernel(monkeypatch, rng, g, size):
     calls = []  # (kernel, workspace floats, floats it needs)
     conv, attention = graph.conv2d, graph.fused_attention
 
-    def conv2d(a, spec, out, ws, strips):
-        calls.append(("conv2d", ws.size, strips[1]))
-        return conv(a, spec, out, ws, strips)
+    def conv2d(a, spec, out, ws):
+        src = a.pad if type(a) is Band else None
+        calls.append(("conv2d", ws.size, conv_strips(a.shape[0], out.h, a.shape[3], spec, src, out.pad)[1]))
+        return conv(a, spec, out, ws)
 
     def fused_attention(a, f3, gate, counter, out, ws):
         calls.append(("fused_attention", ws.size, conv_strips(1, a.shape[2], a.shape[3], gate, None, None)[1]))
