@@ -19,24 +19,25 @@ three-op reference; both accept a traffic counter.
 
 "fused" streams each image alone by a plan compiled once per graph and
 image size and kept on the graph (_compiled), after each LoRA or branch
-group conv is lowered to plain convs and adds (_lowered), so the plan sees
-only plain convs. Each strip ends at an output row, a strip's worth of
-input rows times the output's scale further on than the last; the plan
-lists, for every strip, the kernel calls that make the rows each step's
-readers read to reach it (_progress), so each row is made once, each call
-with its resolved conv spec; a call of run_graph only allocates its
-buffers and runs the kernels, each conv2d in the strips it works out from
-its own operands (tensor.conv_strips). Each value is held in
-zero-bordered row bands (tensor.Band), and each call writes one band, the
-output step's being its rows of the output plane: a conv reads its tap
-windows from its input's band in place and writes its GEMM rows straight
-into its reader's band; relu, add, mul and the attention step write in
-place into the band of an input they alone read. Only convs read a value
-held as parts: a concat that only convs read is not held, its readers
-read its inputs' bands; any other concat is one band filled with a copy
-of its inputs' rows. A band's header, the rows its readers still need,
-is copied from one strip's band to the next, so a lagging read is one
-view. A conv reads its input's real neighbour rows with row padding 0, so
+group conv is lowered to plain convs and adds, and a grouped conv over a
+concat of parts on its group boundaries cut into one conv per part
+(_lowered), so the plan sees only plain convs. Each strip ends at an
+output row, a strip's worth of input rows times the output's scale
+further on than the last; the plan lists, for every strip, the kernel
+call of each step that makes the rows its readers read to reach it
+(_progress), so each row is made once, each call with its resolved conv
+spec; a call of run_graph only allocates its buffers and runs the
+kernels, each conv2d in the strips it works out from its own operands
+(tensor.conv_strips). Each value is held in zero-bordered row bands
+(tensor.Band), and each call writes one band, the output step's being its
+rows of the output plane: a conv reads its tap windows from its input's
+band in place and writes its GEMM rows straight into its reader's band;
+relu, add, mul and the attention step write in place into the band of an
+input they alone read. Only convs read a value held as parts: a concat
+that only convs read is not held, its readers read its inputs' bands; any
+other concat is one band filled with a copy of its inputs' rows. A band's
+header, the rows its readers still need, is copied from one strip's band
+to the next, so a lagging read is one view. A conv reads its input's real neighbour rows with row padding 0, so
 zero rows appear only at the image border. An image is planned as one
 strip first; it runs in strips of as many rows as that plan's bands,
 headers and workspace, as _strip_rows counts them, let fit _GRAPH_BYTES,
@@ -449,25 +450,20 @@ def _check_input(g: ModelGraph, n: Node, x: Tensor) -> None:
         raise ValueError(f"graph {g.name!r}: input contains non-finite values")
 
 
-def _group_cuts(ranges: list[tuple[int, int]], spec: ConvSpec) -> list[tuple[int, int]] | None:
-    """The input channel ranges a plain conv runs once each on: the ranges
-    of its input's parts when there are several and they fall on spec's
-    group boundaries, else None."""
-    cg = spec.in_channels // spec.groups
-    if len(ranges) == 1 or any(r[1] != q[0] or r[1] % cg for r, q in zip(ranges, ranges[1:])):
-        return None
-    return ranges
-
-
-def _cut_spec(spec: ConvSpec, lo: int, hi: int) -> tuple[ConvSpec, slice]:
-    """The conv of input channels [lo, hi), on spec's group boundaries, and
-    the output channels it makes: their groups' weight and bias rows, so
-    its output is its channel range of the whole conv's."""
+def _cut_specs(spec: ConvSpec, widths: list[int]) -> list[ConvSpec] | None:
+    """spec's convs on input parts of these widths, in turn, when there are
+    several and each falls on spec's group boundaries, else None: each its
+    groups' weight and bias rows, so their outputs joined are spec's."""
     cg, og = spec.in_channels // spec.groups, spec.out_channels // spec.groups
-    rows = slice(lo // cg * og, hi // cg * og)
-    bias = None if spec.bias is None else spec.bias[rows]
-    cut = dict(in_channels=hi - lo, out_channels=rows.stop - rows.start, groups=(hi - lo) // cg)
-    return replace(spec, weight=spec.weight[rows], bias=bias, **cut), rows
+    if len(widths) == 1 or any(c % cg for c in widths):
+        return None
+    cuts = []
+    for lo, c in zip(accumulate([0] + widths), widths):
+        rows = slice(lo // cg * og, (lo + c) // cg * og)
+        bias = None if spec.bias is None else spec.bias[rows]
+        cut = dict(in_channels=c, out_channels=c // cg * og, groups=c // cg)
+        cuts.append(replace(spec, weight=spec.weight[rows], bias=bias, **cut))
+    return cuts
 
 
 class _Layout(NamedTuple):
@@ -479,13 +475,13 @@ class _Layout(NamedTuple):
     rule: list[tuple[int, int, int]]  # each step's OPS rows rule
     scale: list[int]  # each step's rows per input row: its inputs' scale times its rule's
     shape: list[Shape]
-    bands: list[tuple[int, int, int, int]]  # (channels, plane width, height, zero columns a side)
+    bands: list[tuple[int, int, int]]  # (channels, plane width, zero columns a side)
     chain: list[list[int]]  # each band's writers: its producer, then in-place steps
-    # each step's kernel calls, none for an unheld concat: (the output channels
-    # it makes, each input's parts it reads, the band it writes or None: its
-    # rows of the output plane, and for a conv (spec, zero columns of the band
-    # it reads or None: not one band, of the band it writes or 0), else None)
-    calls: list[list[tuple]]
+    # each step's kernel call, None for an unheld concat: (each input's bands,
+    # the band it writes or None: its rows of the output plane, and for a
+    # conv (spec, zero columns of the band it reads or None: not one band, of
+    # the band it writes or 0), else None)
+    calls: list[tuple | None]
     gates: dict[int, ConvSpec]  # attention steps' gate convs
 
 
@@ -496,17 +492,16 @@ def _layout(
 
     Every conv runs with row padding 0. Only convs read a value held as
     parts: a concat that only convs read is not held, its readers read its
-    inputs' bands, and a conv that only convs read, whose input's parts fall
-    on its group boundaries, runs once per part (_cut_spec), into one band
-    each. Every other value is one band, a concat's filled with its inputs'
-    rows. A relu, add, mul or attention step that is the only reader of an
-    input band writes its rows in place there, so a conv and its relu, or
-    conv_c and its attention step, share one band. A band that a conv reads
-    has P zero columns on each side, the graph's widest conv column padding,
-    so a conv of column padding P reads its windows in place and one of
-    kernel width 2P + 1 writes its rows in place; any other band has its
-    writing conv's (kw - 1) / 2. The output step writes the output plane,
-    a band of no zero columns.
+    inputs' bands (a grouped conv cut at its input's parts, see _lowered,
+    is such a concat). Every other value is one band, a concat's filled
+    with its inputs' rows. A relu, add, mul or attention step that is the
+    only reader of an input band writes its rows in place there, so a conv
+    and its relu, or conv_c and its attention step, share one band. A band
+    that a conv reads has P zero columns on each side, the graph's widest
+    conv column padding, so a conv of column padding P reads its windows in
+    place and one of kernel width 2P + 1 writes its rows in place; any
+    other band has its writing conv's (kw - 1) / 2. The output step writes
+    the output plane, a band of no zero columns.
     """
     index = {n.name: j for j, n in enumerate(steps)}
     ins = [[index[r] for r in reads[n.name]] for n in steps]
@@ -517,61 +512,43 @@ def _layout(
             direct[r].append(j)
     held = [True] * len(steps)
     readers: list[list[int]] = [[] for _ in steps]
-
-    def convs_read(j: int) -> bool:  # only convs read step j's value
-        return all(steps[q].op == "conv" for q in readers[j])
-
     for j in range(last, -1, -1):  # readers come later in the schedule
         readers[j] = [q for p in direct[j] for q in ([p] if held[p] else readers[p])]
-        held[j] = steps[j].op != "concat" or j == last or not convs_read(j)
+        held[j] = steps[j].op != "concat" or j == last or any(steps[q].op != "conv" for q in readers[j])
     gate = {j: gates[n.name][0] for j, n in enumerate(steps) if n.name in gates}
-    parts: list[list[tuple[int, int]]] = []  # each value's (first channel, band); an unheld concat's are its inputs'
-    bands: list[tuple] = []  # (channels, plane width, height), then its zero columns
+    parts: list[list[int]] = []  # each value's bands in channel order; an unheld concat's are its inputs'
+    bands: list[tuple] = []  # (channels, plane width), then its zero columns
     chain: list[list[int]] = []
-    cuts: list[list[tuple]] = []  # each step's (input channels or None: all, conv spec or None, output channels)
     for j, n in enumerate(steps):
-        c, h, w = shapes[n.name]
-        cuts.append([(None, None, slice(0, c))])
-        if n.op == "conv":
-            spec = replace(n.spec, padding=(0, n.spec.padding[1])) if n.spec.padding[0] else n.spec
-            split = convs_read(j) and _group_cuts([(c0, c0 + bands[b][0]) for c0, b in sorted(parts[ins[j][0]])], spec)
-            cuts[j] = [(cut, *_cut_spec(spec, *cut)) for cut in split] if split else [(None, spec, slice(0, c))]
+        alias = [r for r in dict.fromkeys(ins[j][::-1] if j in gate else ins[j]) if r > 0 and readers[r] == [j]]
         if j == last:
             parts.append([])
-            continue
-        if not held[j]:
-            offsets = accumulate([0] + [shapes[steps[r].name][0] for r in ins[j]])
-            parts.append([(c0 + o, b) for r, o in zip(ins[j], offsets) for c0, b in parts[r]])
-            continue
-        alias = [
-            r for r in dict.fromkeys(ins[j][::-1] if j in gate else ins[j])
-            if (n.op in ("relu", "add", "mul") or j in gate) and r > 0 and readers[r] == [j] and len(parts[r]) == 1
-        ]
-        if alias:
+        elif not held[j]:
+            parts.append([b for r in ins[j] for b in parts[r]])
+        elif alias and (n.op in ("relu", "add", "mul") or j in gate):
             parts.append(parts[alias[0]])
-            chain[parts[-1][0][1]].append(j)
-            continue
-        parts.append([(out.start, len(bands) + k) for k, (_, _, out) in enumerate(cuts[j])])
-        for _, _, out in cuts[j]:
-            bands.append((out.stop - out.start, w, h))
+            chain[parts[j][0]].append(j)
+        else:
+            c, _, w = shapes[n.name]
+            parts.append([len(bands)])
+            bands.append((c, w))
             chain.append([j])
-    pad = max([spec.padding[1] for calls in cuts for _, spec, _ in calls if spec] + [0])
+    pad = max([n.spec.padding[1] for n in steps if n.op == "conv"] + [0])
     for b, members in enumerate(chain):
         # the widest column padding P when a conv reads the band, else the
         # writing conv's (kw - 1) / 2, so that it writes its rows in place
-        first = cuts[members[0]][0][1]
-        kw = 2 * pad + 1 if first is None else first.kernel[1]
+        first = steps[members[0]]
+        kw = first.spec.kernel[1] if first.op == "conv" else 2 * pad + 1
         bands[b] += (pad if any(steps[q].op == "conv" for q in readers[members[-1]]) or kw % 2 == 0 else kw // 2,)
-    calls: list[list[tuple]] = [[] for _ in steps]
-    for j in (j for j in range(last + 1) if held[j]):
-        for k, (cut, spec, out) in enumerate(cuts[j]):  # one call per input channel cut
-            reads = [[(c0, b) for c0, b in parts[r] if cut is None or c0 == cut[0]] for r in ins[j]]
-            write = parts[j][k][1] if parts[j] else None
-            conv = None
-            if spec is not None:
-                src = bands[reads[0][0][1]][3] if len(reads[0]) == 1 else None
-                conv = spec, src, 0 if write is None else bands[write][3]
-            calls[j].append((out, reads, write, conv))
+    calls: list[tuple | None] = []
+    for j, n in enumerate(steps):
+        write = parts[j][0] if parts[j] else None
+        conv = None
+        if n.op == "conv":
+            spec = replace(n.spec, padding=(0, n.spec.padding[1])) if n.spec.padding[0] else n.spec
+            src = parts[ins[j][0]]
+            conv = spec, bands[src[0]][2] if len(src) == 1 else None, 0 if write is None else bands[write][2]
+        calls.append(([parts[r] for r in ins[j]], write, conv) if held[j] else None)
     rule = [OPS[n.op].rows(n) for n in steps]
     scale: list[int] = []
     for j in range(last + 1):
@@ -601,15 +578,14 @@ class _Action(NamedTuple):
     their actions (see _plan)."""
 
     step: int
-    channels: slice  # the output channels it makes
     takes: tuple  # (band, first arena row) of the bands first used in the strip here
     copied_in: tuple  # (band, header rows) copied in at their tops
     zeros: tuple  # (band, first row, end row or None) zeroed
-    args: tuple  # per input, its parts in channel order (band, first row, rows)
+    args: tuple  # per input, its bands in channel order (band, first row, rows)
     out: tuple | None  # (band, first row, rows) it writes; None: its rows of the output plane
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
-    spec: ConvSpec | None  # a conv's spec (its cut's) or an attention step's gate conv
+    spec: ConvSpec | None  # a conv's spec or an attention step's gate conv
 
 
 class _Plan(NamedTuple):
@@ -637,19 +613,19 @@ def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
-    for (c, w, _, pad), members in zip(lay.bands, lay.chain):
+    for (c, w, pad), members in zip(lay.bands, lay.chain):
         first = [p[q] // lay.rule[q][2] - lay.rule[q][0] for q in lay.readers[members[-1]]]
         headers += c * (w + 2 * pad) * (p[members[0]] - min(first + [p[members[0]]]))
-    row = [c * (w + 2 * pad) * lay.scale[members[0]] for (c, w, _, pad), members in zip(lay.bands, lay.chain)]
+    row = [c * (w + 2 * pad) * lay.scale[members[0]] for (c, w, pad), members in zip(lay.bands, lay.chain)]
     now: dict[tuple[int, int], int] = {}  # the floats a row of each arena's bands holds
     held: dict[tuple[int, int], int] = {}  # the most it held at once
     for act in one.programs[0]:
         for b, _ in act.takes:
-            key = lay.bands[b][1], lay.bands[b][3]
+            key = lay.bands[b][1:]
             now[key] = now.get(key, 0) + row[b]
             held[key] = max(held.get(key, 0), now[key])
         for b in act.gives:
-            now[lay.bands[b][1], lay.bands[b][3]] -= row[b]
+            now[lay.bands[b][1:]] -= row[b]
     return min(lay.shape[0][1], max(4, (budget - 4 * (headers + one.ws_floats)) // (4 * sum(held.values()))))
 
 
@@ -690,13 +666,13 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             # band b, held in this strip and made to hold value row `end`
             # and the one after; its origin
             if b not in touched:
-                action[2].append(b)
+                action[1].append(b)
                 if header[b]:
-                    action[3].append((b, header[b]))
+                    action[2].append((b, header[b]))
                 elif origin[b] == -tops[b]:
-                    action[4].append((b, 0, tops[b]))  # the zero rows above the image
+                    action[3].append((b, 0, tops[b]))  # the zero rows above the image
                 if done[head[b]] == height[head[b]]:
-                    action[4].append((b, header[b], None))  # the zero rows past the image
+                    action[3].append((b, header[b], None))  # the zero rows past the image
             caps[b] = max(caps[b], end - origin[b] + 1)
             touched[b] = len(actions)
             return origin[b]
@@ -709,16 +685,17 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             if j in (0, last):
                 io[j > 0] = (d, e)
             lo, hi = d // s - top, -(-e // s) + bottom
-            for channels, reads, write, conv in lay.calls[j]:  # none when its readers read its parts
+            if lay.calls[j] is not None:  # None: its readers read its inputs' bands
+                reads, write, conv = lay.calls[j]
                 spec, src, dst = conv or (lay.gates.get(j), None, None)  # a conv's, or the gate conv's
-                action: list = [j, channels, [], [], [], [], None, [], (), spec]
-                for parts in reads:
-                    action[5].append(tuple((b, lo - use(b, hi, action), hi - lo) for _, b in parts))
+                action: list = [j, [], [], [], [], None, [], (), spec]
+                for bs in reads:
+                    action[4].append(tuple((b, lo - use(b, hi, action), hi - lo) for b in bs))
                 if write is not None:
                     r0 = d - use(write, e, action)
-                    action[6] = write, r0, e - d
+                    action[5] = write, r0, e - d
                     if head[write] == j and e == height[j]:
-                        action[4].append((write, r0 + e - d, None))  # the zero rows past the image
+                        action[3].append((write, r0 + e - d, None))  # the zero rows past the image
                 if spec is not None:
                     ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, src, dst)[1])
                 actions.append(action)
@@ -733,12 +710,12 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             keep += [done[q] // rule[q][2] - rule[q][0] for q in lay.readers[members[-1]] if done[q] < height[q]]
             header[b] = made - min(keep)
             if header[b]:
-                actions[a][7].append((b, min(keep) - origin[b], header[b]))
+                actions[a][6].append((b, min(keep) - origin[b], header[b]))
             origin[b] = min(keep)
         program = [
-            _Action(j, channels, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
+            _Action(j, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
                     out, tuple(copied_out), tuple(gives.get(a, ())), *run)
-            for a, (j, channels, new, copied_in, zeros, args, out, copied_out, _, *run) in enumerate(actions)
+            for a, (j, new, copied_in, zeros, args, out, copied_out, _, *run) in enumerate(actions)
         ]
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
@@ -763,7 +740,7 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         placed: list[tuple[tuple[int, int], int, int, int, int]] = []  # (arena, first, last, lo, hi)
         start: dict[int, int] = {}
         for b in sorted(span, key=lambda b: -bands[b][0] * caps[b]):
-            (c, w, _, pad), (a0, a1), row = bands[b], span[b], 0
+            (c, w, pad), (a0, a1), row = bands[b], span[b], 0
             for key, b0, b1, lo, hi in sorted(placed, key=lambda x: x[3]):
                 if key == (w, pad) and b0 <= a1 and a0 <= b1 and row + c * caps[b] > lo:
                     row = max(row, hi)
@@ -772,7 +749,7 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             arena[w, pad] = max(arena.get((w, pad), 0), row + c * caps[b])
         for a, act in enumerate(program):
             program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
-    shapes = [(1, c, cap, w + 2 * pad) for (c, w, _, pad), cap in zip(bands, caps)]
+    shapes = [(1, c, cap, w + 2 * pad) for (c, w, pad), cap in zip(bands, caps)]
     return _Plan(programs, strips, arena, shapes, carry, ws_floats)
 
 
@@ -831,7 +808,7 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
                     if out is None:
                         out = np.empty((x.n, *lay.shape[last]), np.float32)
                     d, e = rows_out
-                    dst = Band(out[image : image + 1, act.channels], d, e - d, 0)
+                    dst = Band(out[image : image + 1], d, e - d, 0)
                 n = lay.steps[act.step]  # each kernel through the module's globals, like OPS
                 if act.step == 0:
                     dst.interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
@@ -868,12 +845,18 @@ def _reads(g: ModelGraph, gates: dict[str, tuple]) -> dict[str, tuple[str, ...]]
     return {n.name: gates[n.name][1:] if n.name in gates else n.inputs for n in g.nodes}
 
 
-def _lowered(g: ModelGraph) -> ModelGraph:
-    """g with each training-form conv as plain convs and adds, in
-    branch_forward's order: the convs, then the identity. The last add
-    keeps the node's name, the others take names no node has; a LoRA delta
-    is one bias-free conv."""
+def _lowered(g: ModelGraph, shapes: dict[str, Shape]) -> ModelGraph:
+    """g, of these shapes, with each training-form conv as plain convs and
+    adds, in branch_forward's order: the convs, then the identity. The last
+    add keeps the node's name, the others take names no node has; a LoRA
+    delta is one bias-free conv. A plain conv that only convs read (or the
+    output), whose input is a concat of parts on its group boundaries,
+    becomes one conv per part (_cut_specs) and a concat of their outputs
+    that keeps its name, so that _layout holds it as the parts' bands."""
     taken = {n.name for n in g.nodes}
+    by_name = {n.name: n for n in g.nodes}  # a cut conv's name names its concat
+    widths = {name: c for name, (c, _, _) in shapes.items()}  # and its part convs' channels
+    conv_read = taken - {r for n in g.nodes if n.op != "conv" for r in n.inputs}  # and the output
 
     def fresh(name: str) -> str:
         while name in taken:
@@ -883,7 +866,18 @@ def _lowered(g: ModelGraph) -> ModelGraph:
 
     nodes = []
     for n in g.nodes:
-        if n.op != "conv" or n.lora is None and n.branches is None:
+        plain = n.op == "conv" and n.lora is None and n.branches is None
+        src = by_name[n.inputs[0]] if plain else n
+        cuts = plain and src.op == "concat" and n.name in conv_read
+        cuts = cuts and _cut_specs(n.spec, [widths[p] for p in src.inputs])
+        if cuts:
+            terms = [fresh(f"{n.name}.part{k}") for k in range(len(cuts))]
+            widths.update((t, spec.out_channels) for t, spec in zip(terms, cuts))
+            nodes += [Node(t, "conv", (p,), spec=spec) for t, p, spec in zip(terms, src.inputs, cuts)]
+            nodes.append(Node(n.name, "concat", tuple(terms)))
+            by_name[n.name] = nodes[-1]
+            continue
+        if n.op != "conv" or plain:
             nodes.append(n)
             continue
         convs, identity = _parallel_convs(n)
@@ -901,12 +895,12 @@ def _lowered(g: ModelGraph) -> ModelGraph:
 
 def _compile(g: ModelGraph, h: int, w: int) -> _Run:
     """Fused run_graph of g on h x w images: the gates, then the schedule
-    and layout of g with its training-form convs lowered (_lowered), and
-    the image planned as one strip. From that plan _strip_rows gives the
-    rows whose bands, headers and workspace fit _GRAPH_BYTES; an image of
-    no more rows runs that plan, any other is planned in strips of them."""
+    and layout of g lowered to plain convs (_lowered), and the image
+    planned as one strip. From that plan _strip_rows gives the rows whose
+    bands, headers and workspace fit _GRAPH_BYTES; an image of no more
+    rows runs that plan, any other is planned in strips of them."""
     gates = _fusion_gates(g)
-    g = _lowered(g)
+    g = _lowered(g, infer_shapes(g, h, w))
     reads = _reads(g, gates)
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     if len(steps) == 1:  # an input-only graph has no step to fuse

@@ -65,7 +65,8 @@ def tensor_to_image(t: Tensor) -> np.ndarray:
     """(1, 3, h, w) float in [0, 1] -> rounded, clamped (h, w, 3) uint8.
 
     Works in blocks of rows through one float buffer of at most the conv
-    strip budget, so no float plane the size of the image is built.
+    strip budget, so no float plane the size of the image is built. Raises
+    ValueError on a NaN, which has no pixel value; +-inf clamps to 0 or 255.
     """
     if t.shape[:2] != (1, 3):
         raise ShapeError(f"tensor_to_image: expects one 3-channel image (1, 3, h, w), got {t.shape}")
@@ -76,6 +77,8 @@ def tensor_to_image(t: Tensor) -> np.ndarray:
     for r0 in range(0, h, rows):
         src = t.data[0, :, r0 : r0 + rows]
         block = np.clip(src, 0.0, 1.0, out=buf[:, : src.shape[1]])  # scaled in place
+        if np.isnan(block.max()):  # checked while the block is in cache
+            raise ValueError(f"tensor_to_image: the image has NaN values in rows {r0}-{r0 + block.shape[1] - 1}")
         block *= 255.0
         img[:, r0 : r0 + rows] = np.rint(block, out=block)
     return img.transpose(1, 2, 0)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srkit import metrics, ppm
+from srkit.archive import save_archive
 from srkit.cli import main
 from srkit.metrics import image_to_tensor, tensor_to_image
-from srkit.models import nearest_upsample
+from srkit.models import build_spanv2, nearest_upsample
 from srkit.tensor import Tensor
 
 
@@ -331,6 +333,27 @@ class TestConsoleEntry:
         )
         assert proc.returncode != 0
         assert "usage" in (proc.stderr + proc.stdout).lower()
+
+    def test_subprocess_infer_of_a_nan_output_writes_no_image(self, tmp_path):
+        # conv_a's weights scaled by 1e30 overflow the forward to NaN. The
+        # image used to be written all black, with exit 0. In a subprocess, as
+        # pytest turns numpy's overflow warnings into errors.
+        g = build_spanv2(seed=0)
+        spec = g.node("b1.conv_a").spec
+        g.node("b1.conv_a").spec = replace(spec, weight=spec.weight * np.float32(1e30))
+        archive, lr, out = tmp_path / "nan.srwt", tmp_path / "lr.ppm", tmp_path / "sr.ppm"
+        save_archive(g, archive)
+        ppm.write_ppm(lr, np.full((4, 3, 3), 128, np.uint8))
+        for mode in ("fused", "unfused"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "srkit.cli", "infer", "--archive", str(archive), "--mode", mode,
+                 str(lr), str(out)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.splitlines()[-1].startswith("srkit infer: tensor_to_image: the image has NaN")
+            assert not out.exists()
 
 
 class TestUpscaleDemo:

@@ -756,6 +756,77 @@ def test_random_graphs_fused_match_unfused(monkeypatch):
         assert len(runs[0].plan.strips) == -(-infer_shapes(g, h, w)[g.output][1] // (4 * up)), i
 
 
+# each case's convs that fused mode runs once per part of their input
+GROUPED_CUTS = {"aligned": 1, "misaligned": 0, "chain": 2, "output": 1, "relu": 0, "shuffle": 1, "batch2": 1}
+
+
+def _grouped_graph(rng, case):
+    """cat = concat(a, b) of two convs -> a grouped conv -> a 1x1 conv, of
+    random widths and geometry; a and b end on the grouped conv's group
+    boundaries except in "misaligned". "chain" adds a second grouped conv
+    whose groups are the first's, "output" ends the graph at the grouped
+    conv, "relu" has a relu read it, and "shuffle" makes a and b after a
+    mid-graph pixel_shuffle."""
+    cg = int(rng.integers(2 if case == "misaligned" else 1, 4))  # channels a group
+    wa, wb = (cg * int(rng.integers(1, 3)) for _ in range(2))
+    if case == "misaligned":
+        wa, wb = wa + 1, wb - 1
+
+    def geometry():
+        k = int(rng.choice([1, 3, 5]))
+        return k, (int(rng.choice([0, k // 2, k // 2 + 1])), k // 2)
+
+    def conv(cin, cout, groups=1, geo=None):
+        k, padding = geo or geometry()
+        return replace(random_conv(rng, cin, cout, k=k, groups=groups), padding=padding)
+
+    nodes, src, c = [_inp()], "input", 3
+    if case == "shuffle":
+        nodes += [Node("wide", "conv", ("input",), spec=_conv(3, 8)), Node("up", "pixel_shuffle", ("wide",), upscale=2)]
+        src, c = "up", 2
+    groups, og, geo = (wa + wb) // cg, int(rng.integers(1, 3)), geometry()
+    nodes += [
+        Node("a", "conv", (src,), spec=conv(c, wa, geo=geo)),
+        Node("b", "conv", (src,), spec=conv(c, wb, geo=geo)),
+        Node("cat", "concat", ("a", "b")),
+        Node("grouped", "conv", ("cat",), spec=conv(wa + wb, groups * og, groups)),
+    ]
+    last, c = "grouped", groups * og
+    if case == "chain":
+        nodes.append(Node("grouped2", "conv", ("grouped",), spec=conv(c, groups, groups)))
+        last, c = "grouped2", groups
+    if case == "relu":
+        nodes.append(Node("r", "relu", ("grouped",)))
+        last = "r"
+    if case != "output":
+        nodes.append(Node("pw", "conv", (last,), spec=_conv(c, 3, k=1)))
+    return _graph(nodes)
+
+
+@pytest.mark.parametrize("case", list(GROUPED_CUTS))
+def test_grouped_convs_are_cut_at_their_concats_parts(monkeypatch, case):
+    # Seeded concat -> grouped conv graphs, fused in one strip and in 4-row
+    # strips, against unfused. Fused mode runs a plain conv that only convs
+    # read, whose concat input's parts fall on its group boundaries, once
+    # per part, joined by a concat its readers read in parts (_lowered).
+    rng = np.random.default_rng(25)
+    for i in range(6):
+        g = _grouped_graph(rng, case)
+        validate_graph(g)
+        n, h, w = 2 if case == "batch2" else 1, int(rng.integers(9, 33)), int(rng.integers(9, 33))
+        lowered = graph._lowered(g, infer_shapes(g, h, w))
+        cut = [m.name for m in lowered.nodes if m.op == "concat" and g.node(m.name).op == "conv"]
+        assert len(cut) == GROUPED_CUTS[case], (i, cut)
+        x = rand_tensor(rng, n, 3, h, w)
+        unfused = run_graph(g, x, "unfused")
+        _close_to_unfused(run_graph(g, x, "fused"), unfused, msg=f"graph {i}, one strip")
+        with monkeypatch.context() as m:
+            runs = _stream_in_strips(m, g, x, 4)
+            _close_to_unfused(run_graph(g, x, "fused"), unfused, msg=f"graph {i}, 4-row strips")
+        up = 2 if case == "shuffle" else 1
+        assert len(runs[0].plan.strips) == -(-infer_shapes(g, h, w)[g.output][1] // (4 * up)), i
+
+
 def _conv_flops(spec, out, bias=True, groups=None):
     groups = spec.groups if groups is None else groups
     macs = spec.out_channels * spec.in_channels // groups * spec.kernel[0] * spec.kernel[1]

@@ -81,6 +81,18 @@ class TestPsnr:
             tracemalloc.stop()
         assert peak <= img.nbytes + 4 * metrics._STRIP_FLOATS + (64 << 10), peak
 
+    def test_tensor_to_image_rejects_nan_and_clamps_inf(self, monkeypatch):
+        # blocks of 2 rows at width 7: a NaN in row 3 is in the second block.
+        # It used to encode as a black pixel: NaN cast to uint8 gave 0.
+        monkeypatch.setattr(metrics, "_STRIP_FLOATS", 2 * 3 * 7)
+        a = np.full((1, 3, 5, 7), 0.5, np.float32)
+        a[0, 1, 0, 0], a[0, 2, 4, 6] = np.inf, -np.inf
+        img = tensor_to_image(Tensor(a.copy()))
+        assert img[0, 0, 1] == 255 and img[4, 6, 2] == 0
+        a[0, 2, 3, 4] = np.nan
+        with pytest.raises(ValueError, match=r"NaN values in rows 2-3"):
+            tensor_to_image(Tensor(a))
+
 
 class TestBench:
     def test_contract(self, rng):

@@ -1,12 +1,11 @@
 import importlib
 import tracemalloc
 from dataclasses import replace
-from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from srkit.graph import _cut_spec, _group_cuts
+from srkit.graph import _cut_specs
 from srkit.selftest import assert_close, brute_conv, rand_tensor
 from srkit.tensor import (
     Band,
@@ -238,21 +237,22 @@ class TestConv2d:
     def test_grouped_conv_maps_parts_to_parts(
         self, rng, n, cin, cout, kernel, padding, groups, split
     ):
-        # Cut on group boundaries, each channel part's conv (_cut_spec) gives
-        # its channels of the whole conv; 1-channel parts split groups2's
-        # groups, and parts off the boundaries (possible only where groups
-        # have 2 channels) are not cut: one conv2d reads them all.
+        # Cut on group boundaries, the concat of each channel part's conv
+        # (_cut_specs) is the whole conv, as the fused run's rewrite has it;
+        # 1-channel parts split groups2's groups, and parts off the
+        # boundaries (possible only where groups have 2 channels) are not
+        # cut: one conv2d reads them all.
         cg = cin // groups
         sizes = {"first_group": [cg, cin - cg], "ones": [1] * cin, "off_groups": [1, cin - 1]}
         parts = [rand_tensor(rng, n, c, 5, 6) for c in sizes[split]]
         spec = _spec(rng, cin, cout, kernel, padding, groups, bias=True)
         whole = conv2d(concat_channels(parts), spec)
-        cuts = _group_cuts(list(zip(accumulate([0] + sizes[split]), accumulate(sizes[split]))), spec)
+        cuts = _cut_specs(spec, sizes[split])
         cut = not any(c % cg for c in sizes[split])
         assert (cuts is not None) == cut
-        for part, (lo, hi) in zip(parts, cuts or []):
-            conv, rows = _cut_spec(spec, lo, hi)
-            assert np.array_equal(conv2d(part, conv).data, whole.data[:, rows])
+        if cuts:
+            outs = [conv2d(part, conv) for part, conv in zip(parts, cuts)]
+            assert np.array_equal(concat_channels(outs).data, whole.data)
 
     # At the default budget both 32-channel convs run their 61 output rows in
     # six strips of 9 and one of 7; the small ones run 3-row strips on 7 rows.
