@@ -40,7 +40,7 @@ header, the rows its readers still need, is copied from one strip's band
 to the next, so a lagging read is one view. A conv reads its input's real neighbour rows with row padding 0, so
 zero rows appear only at the image border. An image is planned as one
 strip first; it runs in strips of as many rows as that plan's bands,
-headers and workspace, as _strip_rows counts them, let fit _GRAPH_BYTES,
+headers and two-thread workspace, as _strip_rows counts them, let fit _GRAPH_BYTES,
 one strip when that is all its rows, so memory grows with its width, not
 its height.
 
@@ -93,7 +93,7 @@ MODES = ("unfused", "fused")
 # strip when all its rows fit), so memory is bounded by its width, not its
 # height. _strip_rows counts the bands of one arena as the most they hold
 # at once, and _plan packs them into more, so a streamed image holds more:
-# at 256^2, SPANV2's plan 6.85 MiB and SPAN's 8.02 (see _strip_rows).
+# at 256^2, SPANV2's plan 6.88 MiB and SPAN's 7.69 (see _strip_rows).
 _GRAPH_BYTES = 6 << 20
 
 # Image sizes a graph keeps its compiled fused run for (see _compiled); the
@@ -596,20 +596,20 @@ class _Plan(NamedTuple):
     arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
     shapes: list[tuple[int, int, int, int]]  # each band's buffer
     carry: list[int]  # the most header rows each band keeps between strips
-    ws_floats: int
+    ws_floats: tuple[int, int]  # the workspace on one thread, and on two (see _plan)
 
 
 def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
     """Input rows per strip of a fused run: as many, at least 4, as let the
     bands held at once, every band's header between strips and the
-    workspace of `one`, the image planned as one strip, fit the budget. A
-    band holds its value's scale of rows per input row (see _Layout) from
-    its first action in `one` to its last, and the bands of one plane
-    width and zero columns are counted as the most they hold at once.
-    _plan packs them into arenas that can hold more: at 256^2, SPANV2's
-    arenas, carry area and workspace come to 6.85 MiB and SPAN's to 8.02,
-    against a budget of 6. Capped at the image's height, which runs as one
-    strip."""
+    two-thread workspace of `one`, the image planned as one strip, fit the
+    budget. A band holds its value's scale of rows per input row (see
+    _Layout) from its first action in `one` to its last, and the bands of
+    one plane width and zero columns are counted as the most they hold at
+    once. _plan packs them into arenas that can hold more: at 256^2,
+    SPANV2's arenas, carry area and workspace come to 6.88 MiB in 20-row
+    strips and SPAN's to 7.69 in 14-row ones, against a budget of 6.
+    Capped at the image's height, which runs as one strip."""
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
@@ -626,7 +626,7 @@ def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
             held[key] = max(held.get(key, 0), now[key])
         for b in act.gives:
             now[lay.bands[b][1:]] -= row[b]
-    return min(lay.shape[0][1], max(4, (budget - 4 * (headers + one.ws_floats)) // (4 * sum(held.values()))))
+    return min(lay.shape[0][1], max(4, (budget - 4 * (headers + one.ws_floats[1])) // (4 * sum(held.values()))))
 
 
 def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
@@ -642,7 +642,12 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     next strip in at its top. Every strip is planned in turn, and a strip
     that does the same as the one before shares its actions, one program.
     The workspace is the most conv_strips gives any conv call, or any
-    attention step's gate conv, of its rows and operands.
+    attention step's gate conv, of its rows and operands, on one thread
+    and on two, the most a conv splits its strips on (the gate's run on
+    one). A one-strip run takes the first; a streamed run the second when
+    tensor._WORKERS lets its convs split, and _strip_rows counts it
+    whatever that is, so the thread count changes no strip, and so no
+    GEMM and no bit.
     """
     steps, ins, rule, bands = lay.steps, lay.ins, lay.rule, lay.bands
     height = [hj for _, hj, _ in lay.shape]
@@ -655,7 +660,7 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     done, p = [0] * len(steps), [0] * len(steps)
     programs: list[list[_Action]] = []
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-    ws_floats = 0
+    ws_floats = [0, 0]
     while done[last] < height[last]:
         _progress(lay, (len(strips) + 1) * rows * lay.scale[last] if rows < h else 1 << 30, p)
         actions: list[list] = []
@@ -696,8 +701,8 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                     action[5] = write, r0, e - d
                     if head[write] == j and e == height[j]:
                         action[3].append((write, r0 + e - d, None))  # the zero rows past the image
-                if spec is not None:
-                    ws_floats = max(ws_floats, conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, src, dst)[1])
+                for k, workers in enumerate((1, 2 if conv else 1) if spec else ()):
+                    ws_floats[k] = max(ws_floats[k], conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, src, dst, workers)[1])
                 actions.append(action)
             done[j] = e
         gives: dict[int, list[int]] = {}  # each action's bands, used in the strip for the last time there
@@ -750,7 +755,7 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         for a, act in enumerate(program):
             program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
     shapes = [(1, c, cap, w + 2 * pad) for (c, w, pad), cap in zip(bands, caps)]
-    return _Plan(programs, strips, arena, shapes, carry, ws_floats)
+    return _Plan(programs, strips, arena, shapes, carry, tuple(ws_floats))
 
 
 def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
@@ -764,11 +769,13 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     allocated once per call; one strip allocates each band for its life,
     so it holds only the values alive. One workspace, sized by the plan for
     every kernel it calls, serves every conv's column block and accumulator
-    and every attention step's copied f3 rows and gates. Buffers are per call:
+    and every attention step's copied f3 rows and gates; a streamed run's
+    holds two threads' column blocks and accumulators when tensor._WORKERS
+    lets its convs split their strips. Buffers are per call:
     calls share only the plan."""
     lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1
-    ws = np.empty(plan.ws_floats, np.float32)
+    ws = np.empty(plan.ws_floats[len(plan.strips) > 1 and tensor._WORKERS > 1], np.float32)
     arena, carry = {}, []
     if len(plan.strips) > 1:
         arena = {(w, pad): np.zeros(n * (w + 2 * pad), np.float32) for (w, pad), n in plan.arena.items()}

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import tensor
 from .graph import OPS, ModelGraph, infer_shapes, run_graph
 from .tensor import _STRIP_FLOATS, ShapeError, Tensor
 
@@ -118,6 +119,7 @@ class RuntimeStats:
     median_ms: float
     peak_mib: float  # largest run_graph allocation peak over the images
     mode: str
+    engine_threads: int  # threads a conv could split its strips on: 1 unfused, which never splits
     threads: int | None  # BLAS threads actually pinned; None when nothing was
     blas: str | None  # "name version" of the BLAS numpy was built with
 
@@ -153,13 +155,19 @@ def _peak_mib(g: ModelGraph, x: Tensor, mode: str) -> float:
 
 @contextmanager
 def _thread_limit(threads: int | None):
-    """Pin BLAS threads for the block; yields the pinned count, or None."""
+    """Cap the engine's threads (tensor._WORKERS) at `threads` and pin BLAS's
+    to it for the block; yields the BLAS pin, or None."""
+    workers = tensor._WORKERS
+    tensor._WORKERS = min(workers, threads or workers)
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         threads = None
-    with nullcontext() if threads is None else threadpool_limits(limits=threads):
-        yield threads
+    try:
+        with nullcontext() if threads is None else threadpool_limits(limits=threads):
+            yield threads
+    finally:
+        tensor._WORKERS = workers
 
 
 def bench_runtime(
@@ -178,8 +186,9 @@ def bench_runtime(
     run per image measures memory: peak_mib is the largest tracemalloc peak
     of those runs above the memory held before each. BLAS threading is
     pinned to `threads` when threadpoolctl is importable (single-threaded by
-    default), and the stats report the pin that took effect and the BLAS in
-    use; timings are reported, never asserted.
+    default), and the engine's conv threads capped at it; the stats report
+    the pin that took effect, the engine threads the runs had and the BLAS
+    in use; timings are reported, never asserted.
     """
     if reps < 1:
         raise ValueError(f"bench_runtime: reps must be >= 1, got {reps}")
@@ -192,6 +201,7 @@ def bench_runtime(
     per_image: list[list[float]] = []
     peak = 0.0
     with _thread_limit(threads) as pinned:
+        engine = tensor._WORKERS if mode == "fused" else 1
         for img in images:
             for _ in range(warmup):
                 run_graph(g, img, mode=mode)
@@ -213,6 +223,7 @@ def bench_runtime(
         median_ms=statistics.median(means),
         peak_mib=peak,
         mode=mode,
+        engine_threads=engine,
         threads=pinned,
         blas=_blas_in_use(),
     )

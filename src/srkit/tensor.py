@@ -8,6 +8,9 @@ exported weights drop in unchanged.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from math import prod
 
@@ -231,12 +234,59 @@ class ConvSpec:
 # its gate conv's strips, so their memory per image is bounded by it, not
 # by the image; and tensor_to_image's row block. 1.5 MiB of float32, three quarters of the
 # 2 MiB per-core L2 of the host it was swept on, where it ran 32->32 3x3
-# convs at 256 px wide fastest (2-row strips; sweep in CHANGES.md).
+# convs at 256 px wide fastest (2-row strips; sweep in CHANGES.md). Each
+# thread of a split conv2d call runs strips of this height in its own
+# core's L2.
 _STRIP_FLOATS = 3 << 17
 
 
+# Threads a conv2d call may run its strips on: the caller and the workers
+# of _pool. Set from the cores this process may run on (all of them where
+# the platform cannot say which), never from an input; lowering it (to 1:
+# one thread) takes effect at the next call.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+# Strips each thread of a split conv2d call runs at least. On the 2-core
+# host it was measured on, handing a run to the worker and waiting for it
+# took 34-50 us, and a 2-row strip of a 32->32 3x3 conv at 256 px wide
+# 230 us; split, such a call of 2, 3, 4 and 10 strips ran in 0.97, 0.95,
+# 0.86 and 0.79 of its one-thread time, a 112->28 1x1 conv of 2, 3 and 4
+# strips in 1.06, 0.96 and 0.89 (sweep in CHANGES.md).
+_SPLIT_STRIPS = 2
+
+_pool_lock = threading.Lock()
+_pools: list[ThreadPoolExecutor] = []
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process's one pool of _WORKERS - 1 threads, started by the first
+    split conv2d call; it starts no process."""
+    with _pool_lock:
+        if not _pools:
+            _pools.append(ThreadPoolExecutor(_WORKERS - 1, "srkit-conv"))
+        return _pools[0]
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _runs(spec: ConvSpec, hout: int, rows: int, workers: int) -> list[tuple[int, int]]:
+    """The output rows [a, b) each thread of a conv2d call of hout rows in
+    strips of `rows` runs: contiguous runs of whole strips, the caller's
+    first and longest, on as many of `workers` threads as each get at
+    least _SPLIT_STRIPS strips, at least one. A grouped conv's GEMM is a
+    batch of small products, and split they ran slower (a 32-channel
+    depthwise 3x3 conv at 256 px wide in 1.2-1.5 times its one-thread
+    time), so a grouped conv runs on one."""
+    strips = -(-hout // rows)
+    k = max(1, min(workers if spec.groups == 1 else 1, strips // _SPLIT_STRIPS))
+    cuts = [-(-strips * i // k) * rows for i in range(k)] + [hout]
+    return list(zip(cuts, cuts[1:]))
+
+
 def conv_strips(
-    n: int, hout: int, w: int, spec: ConvSpec, src_pad: int | None, dst_pad: int | None
+    n: int, hout: int, w: int, spec: ConvSpec, src_pad: int | None, dst_pad: int | None, workers: int = 1
 ) -> tuple[int, int, bool, bool, bool]:
     """How a conv2d call making hout rows of an n x w input runs, when its
     input is a band of src_pad zero columns a side and its output one of
@@ -245,9 +295,11 @@ def conv_strips(
     a batch runs the GEMMs it runs alone; workspace floats, whether it
     reads its tap windows from the input band in place, whether it writes
     its rows straight into the output band, whether its GEMM adds the
-    bias). The workspace is the column block, plus the band it fills when
-    it does not read one in place, plus the accumulator when it does not
-    write into a band, plus the weights with their bias column."""
+    bias). The workspace is the weights with their bias column, read by
+    every thread, and for each thread of the call's _runs on at most
+    `workers`: the column block, plus the band it fills when it does not
+    read one in place, plus the accumulator when it does not write into a
+    band."""
     (kh, kw), (ph, pw) = spec.kernel, spec.padding
     cin, cout, taps, wp = spec.in_channels, spec.out_channels, kh * kw, w + 2 * pw
     # _STRIP_FLOATS over what one image's strip puts in L2, Wp floats a
@@ -263,7 +315,8 @@ def conv_strips(
     fold = taps > 1 and spec.groups == 1 and spec.bias is not None
     band = (not in_place) * cin * (rows + kh - 1 + (kw > 1))
     cols = (taps > 1) * (cin * taps + fold) * rows
-    floats = n * wp * (band + cols + (not direct) * cout * rows) + fold * cout * (cin * taps + 1)
+    own = n * wp * (band + cols + (not direct) * cout * rows)
+    floats = len(_runs(spec, hout, rows, workers)) * own + fold * cout * (cin * taps + 1)
     return rows, floats, in_place, direct, fold
 
 
@@ -280,7 +333,9 @@ def conv2d(
     conv of the plane.
     Given `out`, a Band of the output's shape, the rows are written into it
     and it is returned; `ws` is a float32 workspace of at least conv_strips'
-    floats for this call's operands, else conv2d allocates its own.
+    floats for this call's operands, else conv2d allocates its own. Given
+    one of conv_strips' floats on _WORKERS threads, it runs its strips on
+    that many threads (see _runs), to the same bits as on one.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -319,85 +374,108 @@ def conv2d(
     # and the write-out drops the junk. The strips are as even as
     # _STRIP_FLOATS allows; a shorter last strip uses the buffers' leading
     # columns, so no output row is computed twice.
+    # Split, the strips run in contiguous runs, one a thread, each with its
+    # own band, column block and accumulator; every strip's GEMM has the
+    # shape it has on one thread, and the threads write disjoint rows (the
+    # junk a run's last GEMM writes into the next row's left zero columns
+    # lies before the next run's first GEMM row).
     cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
     src_pad = x.pad if type(x) is Band else None
     rows, floats, in_place, direct, fold = conv_strips(
         n, hout, w, spec, src_pad, None if out is None else out.pad
     )
-    if ws is None or ws.size < floats:
-        ws = np.empty(floats, np.float32)
-    span, used = rows * wp, 0
+    shared = fold * cout * (cg * taps + 1)  # the folded weights
+    own = floats - shared  # one thread's buffers
+    runs = _runs(spec, hout, rows, _WORKERS)
+    if ws is None or ws.size < shared + len(runs) * own:  # no room to split
+        runs = [(0, hout)]
+        if ws is None or ws.size < floats:
+            ws = np.empty(floats, np.float32)
     bias = None if fold else spec.bias
-
-    def take(*shape: int) -> np.ndarray:
-        nonlocal used
-        used += prod(shape)
-        return ws[used - prod(shape) : used].reshape(shape)
-
-    if in_place:
-        src = x.buf  # a strip's input rows start at buffer row x.r0 + r0
-    else:
-        nb = rows + kh - 1 + (kw > 1)
-        src = take(n, cin, nb, wp)  # refilled per strip
-        src[:] = 0.0
-        interior = src[..., pw : pw + w]
-        parts, c0 = [], 0  # each part, and its channels of the band
-        for part in Tiles.of(x).tiles:
-            parts.append((interior[:, c0 : c0 + part.shape[1]], part))
-            c0 += part.shape[1]
-    sn, sc, sr, se = src.strides
     # (g, og, cg * kh * kw) against (n, g, cg * kh * kw, span): K is ordered
     # (channel, dy, dx) on both sides
     weight = spec.weight.reshape(g, og, cg * taps)
     if fold:  # the bias as one more column
-        folded = take(1, cout, cg * taps + 1)
+        folded = ws[:shared].reshape(1, cout, cg * taps + 1)
         folded[..., :-1], folded[..., -1] = weight, spec.bias
         weight = folded
-    if taps > 1:
-        cols = take(n, g, cg * taps + fold, span)
-        cols[:, :, cg * taps :] = 1.0  # the bias's row, if it has one
-        stack = cols[:, :, : cg * taps].reshape(n, g, cg, kh, kw, span)
     if direct:
         dst = out.buf.reshape(n, g, og, -1)
         if bias is not None:
             bias = bias.reshape(g, og, 1)
     else:
-        acc = take(n, g, og, span)
-        acc_valid = acc.reshape(n, cout, rows, wp)[..., :wout]  # junk columns dropped
         bias = 0.0 if bias is None else bias[:, None, None]
         y = out.interior if out is not None else np.empty((n, cout, hout, wout), np.float32)
-    for r0 in range(0, hout, rows):
-        m = min(rows, hout - r0)
-        if not in_place:
-            # band row j holds input row r0 - ph + j, zero outside the input;
-            # the `a` rows above it still hold zeros, as strips only move down
-            a = min(max(ph - r0, 0), nb)
-            b = max(min(h + ph - r0, nb), a)
-            for channels, part in parts:
-                channels[:, :, a:b] = part[:, :, r0 - ph + a : r0 - ph + b]
-            interior[:, :, b:] = 0.0
-        base = (x.r0 + r0) * wp if in_place else 0
-        if taps == 1:
-            gemm_cols = src.reshape(n, g, cg, -1)[..., base : base + m * wp]
+    nb = rows + kh - 1 + (kw > 1)
+
+    def run(lo: int, hi: int, ws: np.ndarray) -> None:
+        # output rows [lo, hi) in strips, with this thread's buffers in ws
+        used = 0
+
+        def take(*shape: int) -> np.ndarray:
+            nonlocal used
+            used += prod(shape)
+            return ws[used - prod(shape) : used].reshape(shape)
+
+        if in_place:
+            src = x.buf  # a strip's input rows start at buffer row x.r0 + r0
         else:
-            windows = np.ndarray(  # a strided view; as_strided costs 20 us a call
-                (n, g, cg, kh, kw, m * wp), np.float32, src, base * se,
-                (sn, cg * sc, sc, sr, se, se),
-            )
-            np.copyto(stack[..., : m * wp], windows)
-            gemm_cols = cols[..., : m * wp]
-        if direct:
-            start = (out.r0 + r0) * wp + out.pad
-            rows_out = dst[..., start : start + m * wp]
-            np.matmul(weight, gemm_cols, rows_out)
-            if bias is not None:
-                rows_out += bias
-            # each row's junk is the right zero columns of its own row and
-            # the left ones of the next
-            rows_out.reshape(n, cout, m, wp)[..., wout:] = 0.0
-        else:
-            np.matmul(weight, gemm_cols, acc[..., : m * wp])
-            np.add(acc_valid[:, :, :m], bias, y[:, :, r0 : r0 + m])
+            src = take(n, cin, nb, wp)  # refilled per strip
+            src[:] = 0.0
+            interior = src[..., pw : pw + w]
+            parts, c0 = [], 0  # each part, and its channels of the band
+            for part in Tiles.of(x).tiles:
+                parts.append((interior[:, c0 : c0 + part.shape[1]], part))
+                c0 += part.shape[1]
+        sn, sc, sr, se = src.strides
+        if taps > 1:
+            cols = take(n, g, cg * taps + fold, rows * wp)
+            cols[:, :, cg * taps :] = 1.0  # the bias's row, if it has one
+            stack = cols[:, :, : cg * taps].reshape(n, g, cg, kh, kw, rows * wp)
+        if not direct:
+            acc = take(n, g, og, rows * wp)
+            acc_valid = acc.reshape(n, cout, rows, wp)[..., :wout]  # junk columns dropped
+        for r0 in range(lo, hi, rows):
+            m = min(rows, hout - r0)
+            if not in_place:
+                # band row j holds input row r0 - ph + j, zero outside the input;
+                # the `a` rows above it still hold zeros, as strips only move down
+                a = min(max(ph - r0, 0), nb)
+                b = max(min(h + ph - r0, nb), a)
+                for channels, part in parts:
+                    channels[:, :, a:b] = part[:, :, r0 - ph + a : r0 - ph + b]
+                interior[:, :, b:] = 0.0
+            base = (x.r0 + r0) * wp if in_place else 0
+            if taps == 1:
+                gemm_cols = src.reshape(n, g, cg, -1)[..., base : base + m * wp]
+            else:
+                windows = np.ndarray(  # a strided view; as_strided costs 20 us a call
+                    (n, g, cg, kh, kw, m * wp), np.float32, src, base * se,
+                    (sn, cg * sc, sc, sr, se, se),
+                )
+                np.copyto(stack[..., : m * wp], windows)
+                gemm_cols = cols[..., : m * wp]
+            if direct:
+                start = (out.r0 + r0) * wp + out.pad
+                rows_out = dst[..., start : start + m * wp]
+                np.matmul(weight, gemm_cols, rows_out)
+                if bias is not None:
+                    rows_out += bias
+                # each row's junk is the right zero columns of its own row and
+                # the left ones of the next
+                rows_out.reshape(n, cout, m, wp)[..., wout:] = 0.0
+            else:
+                np.matmul(weight, gemm_cols, acc[..., : m * wp])
+                np.add(acc_valid[:, :, :m], bias, y[:, :, r0 : r0 + m])
+
+    mine = [ws[shared + i * own : shared + (i + 1) * own] for i in range(len(runs))]
+    jobs = [_pool().submit(run, *runs[i], mine[i]) for i in range(1, len(runs))]
+    try:
+        run(*runs[0], mine[0])
+    finally:
+        wait(jobs)  # the caller returns or raises only once every thread has stopped
+    for job in jobs:
+        job.result()  # a thread's error, raised here
     return out if out is not None else Tensor(y)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -163,6 +164,14 @@ class TestVerbs:
         assert doc["blas"] and "threads" in doc
         lr_h, lr_w = ppm.read_image(lr_path).shape[:2]
         assert doc["peak_mib"] >= 3 * (2 * lr_h) * (2 * lr_w) * 4 / 2**20  # the x2 output
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bench_threads_cap_the_engine(self, tmp_path, lr_image, capsys, threads):
+        lr_path, _ = lr_image
+        argv = ["bench", "--model", "spanv2", "--width", "8", "--blocks", "1", "--upscale", "2", "--reps", "1"]
+        assert main([*argv, f"--threads={threads}", str(lr_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["engine_threads"] == min(threads, 2, len(os.sched_getaffinity(0)))
 
     def test_score_verb(self, tmp_path, capsys):
         from importlib import resources

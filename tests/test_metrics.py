@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 import types
@@ -144,6 +145,21 @@ class TestBench:
         assert bench_runtime(g, images, reps=1, threads=2).threads == 2
         assert bench_runtime(g, images, reps=1, threads=None).threads is None
         assert pins == [2]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_threads_cap_the_engines_threads(self, rng, monkeypatch, threads):
+        # --threads 1 runs every conv on one thread; 2, on as many as the
+        # host's usable cores allow, at most 2. The cap holds for the runs
+        # alone; unfused never splits a conv.
+        seen, run, workers = [], metrics.run_graph, metrics.tensor._WORKERS
+        monkeypatch.setattr(metrics, "run_graph", lambda *a, **k: seen.append(metrics.tensor._WORKERS) or run(*a, **k))
+        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
+        images = [rand_tensor(rng, 1, 3, 4, 4)]
+        stats = bench_runtime(g, images, reps=1, threads=threads, mode="fused")
+        expected = min(threads, 2, len(os.sched_getaffinity(0)))
+        assert stats.engine_threads == stats.to_dict()["engine_threads"] == expected
+        assert set(seen) == {expected} and metrics.tensor._WORKERS == workers
+        assert bench_runtime(g, images, reps=1, threads=threads, mode="unfused").engine_threads == 1
 
     def test_reports_the_blas_numpy_was_built_with(self, rng):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
