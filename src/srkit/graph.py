@@ -37,12 +37,15 @@ input they alone read. Only convs read a value held as parts: a concat
 that only convs read is not held, its readers read its inputs' bands; any
 other concat is one band filled with a copy of its inputs' rows. A band's
 header, the rows its readers still need, is copied from one strip's band
-to the next, so a lagging read is one view. A conv reads its input's real neighbour rows with row padding 0, so
-zero rows appear only at the image border. An image is planned as one
-strip first; it runs in strips of as many rows as that plan's bands,
-headers and two-thread workspace, as _strip_rows counts them, let fit _GRAPH_BYTES,
-one strip when that is all its rows, so memory grows with its width, not
-its height.
+to the next, so a lagging read is one view. A conv reads its input's real
+neighbour rows with row padding 0, so zero rows appear only at the image
+border. Every run, one strip or many, allocates each band at its first
+action in a strip and drops it after its last; a band starts uninitialised
+but for its zero columns, and the plan zeroes the rows a kernel reads that
+no step writes. An image is planned as one strip first; it runs in strips
+of as many rows as that plan's bands, headers and two-thread workspace, as
+_strip_rows counts them, let fit _GRAPH_BYTES, one strip when that is all
+its rows, so memory grows with its width, not its height.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -91,9 +94,9 @@ MODES = ("unfused", "fused")
 # output: its bands, their headers and the workspace. It sets the height of
 # the strips of input rows each image of a fused run streams in alone (one
 # strip when all its rows fit), so memory is bounded by its width, not its
-# height. _strip_rows counts the bands of one arena as the most they hold
-# at once, and _plan packs them into more, so a streamed image holds more:
-# at 256^2, SPANV2's plan 6.88 MiB and SPAN's 7.69 (see _strip_rows).
+# height. _strip_rows does not count a band's halo rows, so a streamed
+# image can hold more: at 256^2, SPANV2 5.90 MiB and SPAN 7.52 (see
+# _strip_rows).
 _GRAPH_BYTES = 6 << 20
 
 # Image sizes a graph keeps its compiled fused run for (see _compiled); the
@@ -443,13 +446,6 @@ def _schedule(g: ModelGraph, reads: dict[str, tuple[str, ...]]) -> list[Node]:
     return list(order.values())
 
 
-def _check_input(g: ModelGraph, n: Node, x: Tensor) -> None:
-    if x.c != n.channels:
-        raise ShapeError(f"graph {g.name!r} expects {n.channels}-channel input, got {x.c}")
-    if not np.isfinite(x.data).all():
-        raise ValueError(f"graph {g.name!r}: input contains non-finite values")
-
-
 def _cut_specs(spec: ConvSpec, widths: list[int]) -> list[ConvSpec] | None:
     """spec's convs on input parts of these widths, in turn, when there are
     several and each falls on spec's group boundaries, else None: each its
@@ -578,7 +574,7 @@ class _Action(NamedTuple):
     their actions (see _plan)."""
 
     step: int
-    takes: tuple  # (band, first arena row) of the bands first used in the strip here
+    takes: tuple  # the bands first used in the strip here, allocated uninitialised
     copied_in: tuple  # (band, header rows) copied in at their tops
     zeros: tuple  # (band, first row, end row or None) zeroed
     args: tuple  # per input, its bands in channel order (band, first row, rows)
@@ -593,7 +589,6 @@ class _Plan(NamedTuple):
 
     programs: list[list[_Action]]  # the strips' distinct action lists
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]]  # (program, input rows, output rows)
-    arena: dict[tuple[int, int], int]  # the rows of each (plane width, zero columns) arena
     shapes: list[tuple[int, int, int, int]]  # each band's buffer
     carry: list[int]  # the most header rows each band keeps between strips
     ws_floats: tuple[int, int]  # the workspace on one thread, and on two (see _plan)
@@ -604,12 +599,15 @@ def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
     bands held at once, every band's header between strips and the
     two-thread workspace of `one`, the image planned as one strip, fit the
     budget. A band holds its value's scale of rows per input row (see
-    _Layout) from its first action in `one` to its last, and the bands of
-    one plane width and zero columns are counted as the most they hold at
-    once. _plan packs them into arenas that can hold more: at 256^2,
-    SPANV2's arenas, carry area and workspace come to 6.88 MiB in 20-row
-    strips and SPAN's to 7.69 in 14-row ones, against a budget of 6.
-    Capped at the image's height, which runs as one strip."""
+    _Layout) from its first action in `one` (its takes) to its last (its
+    gives), and the bands of one plane width and zero columns are counted
+    as the most they hold at once. A band's halo rows are not counted: the
+    header at its top, which the carry area holds too, and the rows its
+    readers read past the strip. So a streamed run can hold more: at
+    256^2, SPANV2's bands, carry area and workspace come to 3.51 + 1.21 +
+    1.17 = 5.90 MiB in 20-row strips and SPAN's to 4.46 + 2.02 + 1.04 =
+    7.52 in 14-row ones, against a budget of 6. Capped at the image's
+    height, which runs as one strip."""
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
@@ -617,10 +615,10 @@ def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
         first = [p[q] // lay.rule[q][2] - lay.rule[q][0] for q in lay.readers[members[-1]]]
         headers += c * (w + 2 * pad) * (p[members[0]] - min(first + [p[members[0]]]))
     row = [c * (w + 2 * pad) * lay.scale[members[0]] for (c, w, pad), members in zip(lay.bands, lay.chain)]
-    now: dict[tuple[int, int], int] = {}  # the floats a row of each arena's bands holds
+    now: dict[tuple[int, int], int] = {}  # the floats a row of the bands of each width holds
     held: dict[tuple[int, int], int] = {}  # the most it held at once
     for act in one.programs[0]:
-        for b, _ in act.takes:
+        for b in act.takes:
             key = lay.bands[b][1:]
             now[key] = now.get(key, 0) + row[b]
             held[key] = max(held.get(key, 0), now[key])
@@ -639,7 +637,10 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     step makes `rows` times its scale rows a strip. A band is held
     from its first use in a strip to its last: there the rows its readers
     still need, its header, are copied out, and at its first use in the
-    next strip in at its top. Every strip is planned in turn, and a strip
+    next strip in at its top. A band is allocated afresh for each strip
+    and starts uninitialised but for its zero columns, so the plan zeroes
+    every row a kernel reads that no step writes: the rows above and past
+    the image. Every strip is planned in turn, and a strip
     that does the same as the one before shares its actions, one program.
     The workspace is the most conv_strips gives any conv call, or any
     attention step's gate conv, of its rows and operands, on one thread
@@ -725,37 +726,13 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
         strips.append((len(programs) - 1, *io))
-    # Bands of one plane width and zero columns share an arena, counted in
-    # rows: biggest first, a band takes the lowest rows that no band held
-    # with it in its strip has. Rows stay aligned, so every band of an
-    # arena has its zero columns where the others had theirs. Each band's
-    # header keeps its own rows of one carry area between strips.
-    arena: dict[tuple[int, int], int] = {}
+    # Each band's header keeps its own rows of one carry area between strips.
     carry = [0] * len(bands)
-    for program in programs:
-        for act in program:
-            for b, _, h0 in act.copied_out:
-                carry[b] = max(carry[b], h0)
-        span: dict[int, list[int]] = {}  # each band's first and last action
-        for a, act in enumerate(program):
-            for b in act.takes:
-                span[b] = [a, a]
-            for b in act.gives:
-                span[b][1] = a
-        placed: list[tuple[tuple[int, int], int, int, int, int]] = []  # (arena, first, last, lo, hi)
-        start: dict[int, int] = {}
-        for b in sorted(span, key=lambda b: -bands[b][0] * caps[b]):
-            (c, w, pad), (a0, a1), row = bands[b], span[b], 0
-            for key, b0, b1, lo, hi in sorted(placed, key=lambda x: x[3]):
-                if key == (w, pad) and b0 <= a1 and a0 <= b1 and row + c * caps[b] > lo:
-                    row = max(row, hi)
-            placed.append(((w, pad), a0, a1, row, row + c * caps[b]))
-            start[b] = row
-            arena[w, pad] = max(arena.get((w, pad), 0), row + c * caps[b])
-        for a, act in enumerate(program):
-            program[a] = act._replace(takes=tuple((b, start[b]) for b in act.takes))
+    for act in chain.from_iterable(programs):
+        for b, _, h0 in act.copied_out:
+            carry[b] = max(carry[b], h0)
     shapes = [(1, c, cap, w + 2 * pad) for (c, w, pad), cap in zip(bands, caps)]
-    return _Plan(programs, strips, arena, shapes, carry, tuple(ws_floats))
+    return _Plan(programs, strips, shapes, carry, tuple(ws_floats))
 
 
 def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
@@ -764,21 +741,21 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     input's rows copied in, conv2d, fused_attention, a concat's inputs'
     rows copied in, pixel_shuffle, or the op's elementwise kernel. The
     output step's band is its rows of the output plane, allocated at its
-    first strip. With many strips every band is a view of its arena and
-    every header is kept in its band's rows of one carry area, both
-    allocated once per call; one strip allocates each band for its life,
-    so it holds only the values alive. One workspace, sized by the plan for
-    every kernel it calls, serves every conv's column block and accumulator
-    and every attention step's copied f3 rows and gates; a streamed run's
-    holds two threads' column blocks and accumulators when tensor._WORKERS
-    lets its convs split their strips. Buffers are per call:
-    calls share only the plan."""
+    first strip. Every band is allocated uninitialised at its first action
+    in a strip, its zero columns zeroed, and dropped after its last, so a
+    strip holds only the values alive in it; the plan's zeros actions zero
+    every row a kernel reads that no step writes. With many strips every
+    header is kept in its band's rows of one carry area, allocated once
+    per call. One workspace, sized by the plan for every kernel it calls,
+    serves every conv's column block and accumulator and every attention
+    step's copied f3 rows and gates; a streamed run's holds two threads'
+    column blocks and accumulators when tensor._WORKERS lets its convs
+    split their strips. Buffers are per call: calls share only the plan."""
     lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1
     ws = np.empty(plan.ws_floats[len(plan.strips) > 1 and tensor._WORKERS > 1], np.float32)
-    arena, carry = {}, []
+    carry = []
     if len(plan.strips) > 1:
-        arena = {(w, pad): np.zeros(n * (w + 2 * pad), np.float32) for (w, pad), n in plan.arena.items()}
         held = [(1, c, k, wb) for (_, c, _, wb), k in zip(plan.shapes, plan.carry)]
         area = np.empty(sum(map(prod, held)), np.float32)
         carry = [area[o : o + prod(s)].reshape(s) for o, s in zip(accumulate(map(prod, held), initial=0), held)]
@@ -796,13 +773,10 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
     for image in range(x.n):
         for program, rows_in, rows_out in plan.strips:
             for act in plan.programs[program]:
-                for b, start in act.takes:
-                    shape = plan.shapes[b]
-                    if arena:
-                        at = start * shape[3]
-                        buf[b] = arena[lay.bands[b][1], pads[b]][at : at + prod(shape)].reshape(shape)
-                    else:
-                        buf[b] = np.zeros(shape, np.float32)
+                for b in act.takes:
+                    buf[b] = np.empty(plan.shapes[b], np.float32)
+                    if pads[b]:  # its zero columns
+                        buf[b][..., : pads[b]] = buf[b][..., -pads[b] :] = 0.0
                 for b, h0 in act.copied_in:
                     buf[b][:, :, :h0] = carry[b][:, :, :h0]
                 for b, r0, r1 in act.zeros:
@@ -832,16 +806,14 @@ def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
                 del xs, dst
                 for b, r0, h0 in act.copied_out:
                     carry[b][:, :, :h0] = buf[b][:, :, r0 : r0 + h0]
-                if not arena:
-                    for b in act.gives:
-                        buf[b] = None
+                for b in act.gives:
+                    buf[b] = None
     return Tensor(out)
 
 
 class _Run(NamedTuple):
     """Fused run_graph compiled for one graph and image size (_compile)."""
 
-    steps: list[Node]  # the schedule; steps[0] is the input
     rows: int  # input rows per strip
     lay: _Layout | None  # None when the graph is its input alone
     plan: _Plan | None
@@ -911,11 +883,11 @@ def _compile(g: ModelGraph, h: int, w: int) -> _Run:
     reads = _reads(g, gates)
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     if len(steps) == 1:  # an input-only graph has no step to fuse
-        return _Run(steps, h, None, None)
+        return _Run(h, None, None)
     lay = _layout(steps, reads, gates, infer_shapes(g, h, w))
     one = _plan(lay, h, h)
     rows = _strip_rows(lay, one, _GRAPH_BYTES)
-    return _Run(steps, rows, lay, one if rows >= h else _plan(lay, h, rows))
+    return _Run(rows, lay, one if rows >= h else _plan(lay, h, rows))
 
 
 def _compiled(g: ModelGraph, h: int, w: int) -> _Run:
@@ -952,16 +924,19 @@ def run_graph(
     """Execute the graph on x. mode selects the execution plan (module docstring)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    # checked before either mode plans; validate_graph puts the input first
+    if x.c != g.nodes[0].channels:
+        raise ShapeError(f"graph {g.name!r} expects {g.nodes[0].channels}-channel input, got {x.c}")
+    if not np.isfinite(x.data).all():
+        raise ValueError(f"graph {g.name!r}: input contains non-finite values")
     if mode == "fused":
         run = _compiled(g, x.h, x.w)
-        _check_input(g, run.steps[0], x)
         return x if run.plan is None else _stream(run, x, counter)
     gates = _fusion_gates(g)
     reads = _reads(g, gates)
     steps = _schedule(g, reads)  # a group's conv and add are not in it
     last_use = {r: i for i, n in enumerate(steps) for r in reads[n.name]}
-    _check_input(g, steps[0], x)  # steps[0] is the input
-    env = {steps[0].name: x}
+    env = {steps[0].name: x}  # steps[0] is the input
     for i, n in enumerate(steps[1:], 1):
         args = [env[r] for r in reads[n.name]]
         for r in reads[n.name]:

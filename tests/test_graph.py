@@ -248,6 +248,21 @@ def test_run_graph_rejects_non_finite_input(rng, bad):
         run_graph(g, Tensor(data))
 
 
+def test_a_rejected_input_compiles_no_run(rng):
+    # The input is checked before either mode plans. Checked after, a
+    # 4-channel 300x200 input to SPANV2 spent 6-12 ms compiling, and it and
+    # a NaN input each took one of the graph's _RUNS_KEPT kept sizes.
+    g = build_spanv2(seed=0)
+    run_graph(g, rand_tensor(rng, 1, 3, 5, 6), "fused")
+    kept = vars(g).get("_runs")
+    nan = rand_tensor(rng, 1, 3, 7, 5).data.copy()
+    nan[0, 2, 3, 4] = np.nan
+    for x, error in ((rand_tensor(rng, 1, 4, 300, 200), ShapeError), (Tensor(nan), ValueError)):
+        with pytest.raises(error):
+            run_graph(g, x, "fused")
+        assert vars(g).get("_runs") is kept
+
+
 def _cat_graph(readers):
     """cat = concat(a, b) of two convs on the input, then `readers`, which
     read cat and end in the output node."""
@@ -985,6 +1000,51 @@ def test_reused_bands_do_not_leak_between_runs(rng):
             assert np.array_equal(fused.data, unfused.data), (n, h, w)
         else:
             assert_close(fused, unfused, msg=f"{n}x{h}x{w}")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_spanv2(seed=3), build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3)),
+     build_spanv2(s=1, seed=3)],
+    ids=["spanv2", "span", "spanv2_train_form", "spanv2_x1"],
+)
+def test_fused_reads_no_row_before_it_is_written(monkeypatch, rng, g):
+    # Bands start uninitialised but for their zero columns; the plan zeroes
+    # every row a kernel reads that no step writes (above and past the
+    # image). With every fresh float32 buffer filled with NaN, one-strip and
+    # streamed runs keep their bits.
+    shapes = [(1, 1, 9), (1, 9, 1), (2, 61, 63), (1, 96, 256), (1, 256, 256)]
+    xs = [rand_tensor(rng, n, 3, h, w) for n, h, w in shapes]
+    want = [run_graph(g, x, "fused").data for x in xs]
+    empty = np.empty
+
+    def nan_filled(shape, dtype=float, *args, **kwargs):
+        a = empty(shape, dtype, *args, **kwargs)
+        if a.dtype == np.float32:
+            a.fill(np.nan)
+        return a
+
+    monkeypatch.setattr(np, "empty", nan_filled)
+    for shape, x, y in zip(shapes, xs, want):
+        assert np.array_equal(run_graph(g, x, "fused").data, y), shape
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [(build_spanv2(seed=0), graph._GRAPH_BYTES / 2**20), (build_span_baseline(seed=0), 7.6)],
+    ids=["spanv2", "span"],
+)
+@pytest.mark.parametrize("h, w", [(256, 256), (2048, 256)], ids=["256x256", "2048x256"])
+def test_a_streamed_run_holds_each_band_only_in_its_strip(rng, g, bound, h, w):
+    # Held beyond the output on a second call, the compiled run kept. Each
+    # band is allocated at its first action in a strip and dropped after its
+    # last. Packed into arenas per plane width, SPANV2 held 6.99 MiB at 256^2
+    # and SPAN 7.80. SPAN still holds more than _GRAPH_BYTES: the bands'
+    # halo rows, which _strip_rows does not count.
+    x = rand_tensor(rng, 1, 3, h, w)
+    run_graph(g, x, "fused")
+    held = _held_mib(g, x, "fused")
+    assert held <= bound, held
 
 
 @pytest.mark.parametrize(
