@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 import time
 import tracemalloc
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,6 +111,9 @@ def count_flops(g: ModelGraph, h: int = 256, w: int = 256) -> int:
 
 @dataclass
 class RuntimeStats:
+    """What bench_runtime measured, and the threads and BLAS that ran it;
+    `threads` is read back from OpenBLAS, which the engine pins to one."""
+
     per_image_ms: list[float]  # each image's mean over its reps
     per_image_min_ms: list[float]
     per_image_median_ms: list[float]
@@ -120,8 +123,9 @@ class RuntimeStats:
     peak_mib: float  # largest run_graph allocation peak over the images
     mode: str
     engine_threads: int  # threads a conv could split its strips on: 1 unfused, which never splits
-    threads: int | None  # BLAS threads actually pinned; None when nothing was
+    threads: int | None  # threads OpenBLAS reported after the runs; None without OpenBLAS
     blas: str | None  # "name version" of the BLAS numpy was built with
+    blas_core: str | None  # the kernel set OpenBLAS runs, such as "SkylakeX"; None without OpenBLAS
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -155,17 +159,11 @@ def _peak_mib(g: ModelGraph, x: Tensor, mode: str) -> float:
 
 @contextmanager
 def _thread_limit(threads: int | None):
-    """Cap the engine's threads (tensor._WORKERS) at `threads` and pin BLAS's
-    to it for the block; yields the BLAS pin, or None."""
+    """Cap the engine's threads (tensor._WORKERS) at `threads` for the block."""
     workers = tensor._WORKERS
     tensor._WORKERS = min(workers, threads or workers)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        threads = None
-    try:
-        with nullcontext() if threads is None else threadpool_limits(limits=threads):
-            yield threads
+        yield
     finally:
         tensor._WORKERS = workers
 
@@ -182,13 +180,13 @@ def bench_runtime(
 
     Each image's figure is the mean of `reps` timed runs, the one the
     challenge averages; its min, median and interquartile range are reported
-    beside it. One more, untimed
-    run per image measures memory: peak_mib is the largest tracemalloc peak
-    of those runs above the memory held before each. BLAS threading is
-    pinned to `threads` when threadpoolctl is importable (single-threaded by
-    default), and the engine's conv threads capped at it; the stats report
-    the pin that took effect, the engine threads the runs had and the BLAS
-    in use; timings are reported, never asserted.
+    beside it. One more, untimed run per image measures memory: peak_mib is
+    the largest tracemalloc peak of those runs above the memory held before
+    each. `threads` caps the threads a conv runs its strips on (one by
+    default; None, no cap). OpenBLAS runs each GEMM on one thread whatever
+    `threads` is, as the engine set it when it loaded. The stats report the
+    engine threads the runs had, the BLAS in use, and the thread count and
+    kernel set OpenBLAS reports; timings are reported, never asserted.
     """
     if reps < 1:
         raise ValueError(f"bench_runtime: reps must be >= 1, got {reps}")
@@ -200,7 +198,7 @@ def bench_runtime(
         raise ValueError("bench_runtime: empty image list")
     per_image: list[list[float]] = []
     peak = 0.0
-    with _thread_limit(threads) as pinned:
+    with _thread_limit(threads):
         engine = tensor._WORKERS if mode == "fused" else 1
         for img in images:
             for _ in range(warmup):
@@ -224,8 +222,9 @@ def bench_runtime(
         peak_mib=peak,
         mode=mode,
         engine_threads=engine,
-        threads=pinned,
+        threads=tensor.blas_threads(),
         blas=_blas_in_use(),
+        blas_core=tensor.blas_core(),
     )
 
 

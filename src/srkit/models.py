@@ -19,6 +19,7 @@ its default configuration (28 channels, 6 blocks) is the published
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,8 +48,19 @@ def random_conv(
     bias: bool = True,
     gain: float = 2.0,
 ) -> ConvSpec:
-    """Kaiming-style random conv weights; deterministic for a seeded rng."""
+    """Kaiming-style random conv weights; deterministic for a seeded rng.
+
+    Raises ShapeError, before drawing, when the weight's float64 draw and
+    float32 copy (12 bytes an element) exceed the host's physical memory;
+    not checked where os.sysconf is missing."""
     fan_in = (cin // groups) * k * k
+    if hasattr(os, "sysconf"):
+        need, host = 12 * cout * fan_in, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > host:
+            raise ShapeError(
+                f"a {cout}x{cin // groups}x{k}x{k} conv weight needs {need / 2**30:.1f} GiB to draw, "
+                f"more than the host's {host / 2**30:.1f} GiB of memory"
+            )
     weight = rng.normal(0.0, np.sqrt(gain / fan_in), (cout, cin // groups, k, k))
     b = rng.uniform(-1.0, 1.0, cout) / np.sqrt(fan_in) if bias else None
     return ConvSpec(

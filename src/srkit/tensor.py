@@ -8,10 +8,12 @@ exported weights drop in unchanged.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -245,6 +247,45 @@ _STRIP_FLOATS = 3 << 17
 # the platform cannot say which), never from an input; lowering it (to 1:
 # one thread) takes effect at the next call.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _openblas() -> tuple | None:
+    """set_num_threads, get_num_threads and get_corename of the first OpenBLAS
+    mapped into this process (numpy's), under scipy-openblas's names or else
+    OpenBLAS's own; None where there is none or no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(p) for p in sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})]
+    except OSError:
+        return None
+    for lib, prefix, suffix in product(libs, ("scipy_openblas_", "openblas_"), ("64_", "")):
+        if hasattr(lib, f"{prefix}get_num_threads{suffix}"):
+            fns = [getattr(lib, f"{prefix}{name}{suffix}") for name in ("set_num_threads", "get_num_threads", "get_corename")]
+            for fn, argtypes, restype in zip(fns, ([ctypes.c_int], [], []), (None, ctypes.c_int, ctypes.c_char_p)):
+                fn.argtypes, fn.restype = argtypes, restype
+            return tuple(fns)
+    return None
+
+
+# OpenBLAS runs each GEMM on one thread, set once for the process when this
+# module loads: the engine's _WORKERS threads do the parallel work, and on a
+# 2-vCPU host OpenBLAS's threads beside them ran a 256^2 request 1.4-1.6x
+# slower. Setting OPENBLAS_NUM_THREADS here would do nothing: OpenBLAS read it
+# when numpy loaded it.
+_set_blas_threads, _get_blas_threads, _get_blas_core = _openblas() or (None, None, None)
+if _set_blas_threads is not None:
+    _set_blas_threads(1)
+
+
+def blas_threads() -> int | None:
+    """The threads OpenBLAS reports it runs a GEMM on (1); None without OpenBLAS."""
+    return None if _get_blas_threads is None else _get_blas_threads()
+
+
+def blas_core() -> str | None:
+    """The kernel set OpenBLAS runs, such as "SkylakeX"; None without OpenBLAS."""
+    return None if _get_blas_core is None else _get_blas_core().decode()
+
 
 # Strips each thread of a split conv2d call runs at least. On the 2-core
 # host it was measured on, handing a run to the worker and waiting for it

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srkit import metrics, ppm
+from srkit import metrics, models, ppm
 from srkit.archive import save_archive
 from srkit.cli import main
 from srkit.metrics import image_to_tensor, tensor_to_image
@@ -281,9 +282,9 @@ class TestVerbs:
             ("params --model span --width 0", "c (width) must be >= 1"),
             ("params --model spanv2 --blocks 0", "blocks must be >= 1"),
             ("init --model span --blocks 0 --out w.srwt", "blocks must be >= 1"),
-            # SPANV2's first wide weight is a c x c gate, 71.1 PiB here, which
-            # fails at once; SPAN's is 3 x c x 9, which could be allocated
-            ("params --model spanv2 --width 100000000", "Unable to allocate"),
+            # SPANV2's first wide weight is a c x c gate, 106.6 PiB to draw here,
+            # more than any host's memory
+            ("params --model spanv2 --width 100000000", "conv weight needs 111758709.0 GiB to draw, more than the host's"),
         ],
         ids=["size_0", "size_neg3", "spanv2_width_0", "span_width_0", "blocks_0", "init_blocks_0", "width_1e8"],
     )
@@ -292,6 +293,24 @@ class TestVerbs:
         assert main(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and needle in err
+
+    def test_a_weight_larger_than_memory_is_refused_before_it_is_drawn(self, monkeypatch, capsys):
+        # On a host of 8 GiB, SPAN's 3 -> c 3x3 head conv at c = 1e8 (a 2.7e9
+        # float64 draw and its float32 copy) does not fit, and nothing is drawn.
+        memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
+        monkeypatch.setattr(models.os, "sysconf", memory.__getitem__)
+        tracemalloc.start()
+        try:
+            assert main(["flops", "--model", "span", "--width", "100000000"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err == (
+            "srkit flops: a 100000000x3x3x3 conv weight needs 30.2 GiB to draw, "
+            "more than the host's 8.0 GiB of memory\n"
+        )
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize(
         "argv, needle",

@@ -1,13 +1,13 @@
+import json
 import os
+import subprocess
 import sys
 import tracemalloc
-import types
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from srkit import metrics
+from srkit import metrics, ppm
 from srkit.metrics import bench_runtime, image_to_tensor, psnr, tensor_to_image
 from srkit.models import build_spanv2
 from srkit.selftest import rand_tensor
@@ -127,24 +127,24 @@ class TestBench:
         with pytest.raises(ValueError, match="reps"):
             bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=0)
 
-    def test_threads_null_when_nothing_was_pinned(self, rng, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
-        stats = bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=1, threads=1)
-        assert stats.threads is None
-        assert stats.to_dict()["threads"] is None
-
-    def test_threads_report_the_pin(self, rng, monkeypatch):
-        pins = []
-        fake = types.SimpleNamespace(
-            threadpool_limits=lambda limits: pins.append(limits) or nullcontext()
-        )
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    def test_threads_report_what_openblas_runs(self, rng):
+        # The engine pinned OpenBLAS to one thread when it loaded; --threads
+        # caps the engine's own threads and leaves OpenBLAS's as they are.
+        if metrics.tensor.blas_threads() is None:
+            pytest.skip("numpy has no OpenBLAS")
         g = build_spanv2(c=8, s=2, blocks=1, seed=0)
         images = [rand_tensor(rng, 1, 3, 4, 4)]
-        assert bench_runtime(g, images, reps=1, threads=2).threads == 2
-        assert bench_runtime(g, images, reps=1, threads=None).threads is None
-        assert pins == [2]
+        for threads in (1, 2, None):
+            stats = bench_runtime(g, images, reps=1, threads=threads, mode="fused")
+            assert stats.threads == stats.to_dict()["threads"] == metrics.tensor.blas_threads() == 1
+            assert stats.blas_core == metrics.tensor.blas_core() and stats.blas_core
+
+    def test_threads_and_core_are_none_without_openblas(self, rng, monkeypatch):
+        monkeypatch.setattr(metrics.tensor, "_get_blas_threads", None)
+        monkeypatch.setattr(metrics.tensor, "_get_blas_core", None)
+        g = build_spanv2(c=8, s=2, blocks=1, seed=0)
+        doc = bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=1).to_dict()
+        assert doc["threads"] is None and doc["blas_core"] is None
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_threads_cap_the_engines_threads(self, rng, monkeypatch, threads):
@@ -167,7 +167,7 @@ class TestBench:
         stats = bench_runtime(g, [rand_tensor(rng, 1, 3, 4, 4)], reps=1)
         assert stats.blas == f"{blas['name']} {blas['version']}"
         doc = stats.to_dict()
-        assert list(doc)[-2:] == ["threads", "blas"] and doc["blas"] == stats.blas
+        assert list(doc)[-3:] == ["threads", "blas", "blas_core"] and doc["blas"] == stats.blas
 
     def test_reports_the_peak_of_one_run(self, rng):
         g = build_spanv2(c=8, s=2, blocks=1, seed=0)
@@ -186,3 +186,42 @@ class TestBench:
             f"paired bench (16ch 16x16): fused {fused.mean_ms:.3f} ms "
             f"vs unfused {unfused.mean_ms:.3f} ms"
         )
+
+
+def _child(*args, **env):
+    """Run this Python with `args` in an environment that sets no OpenBLAS
+    or OpenMP thread variable, plus `env`."""
+    clean = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_", "GOTO_"))}
+    return subprocess.run([sys.executable, *args], env={**clean, **env}, capture_output=True, text=True, timeout=300)
+
+
+def _bench_child(tmp_path, *args, **env):
+    path = tmp_path / "lr.ppm"
+    ppm.write_ppm(path, np.random.default_rng(0).integers(0, 256, (16, 20, 3), dtype=np.uint8))
+    model = ["--model", "spanv2", "--width", "8", "--blocks", "1", "--upscale", "2", "--reps", "1"]
+    return _child("-m", "srkit.cli", "bench", *model, *args, str(path), **env)
+
+
+def test_importing_srkit_pins_openblas_to_one_thread(tmp_path):
+    # Left to itself, OpenBLAS starts one thread per core. Nothing in the
+    # child's environment pins it, so the engine must.
+    if metrics.tensor.blas_threads() is None:
+        pytest.skip("numpy has no OpenBLAS")
+    proc = _child("-c", "import importlib, srkit; print(importlib.import_module('srkit.tensor').blas_threads())")
+    assert proc.returncode == 0 and proc.stdout.strip() == "1", proc.stderr
+    proc = _bench_child(tmp_path, "--threads", "2")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["threads"] == 1 and doc["engine_threads"] == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_bench_names_the_openblas_kernel_set(tmp_path):
+    # OPENBLAS_CORETYPE has OpenBLAS load the kernels an AVX2 host gets, and
+    # OPENBLAS_VERBOSE=2 has it name them, as bench must.
+    if metrics.tensor.blas_core() is None:
+        pytest.skip("numpy has no OpenBLAS")
+    proc = _bench_child(tmp_path, OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2")
+    if proc.returncode < 0 or "Core: Haswell" not in proc.stdout + proc.stderr:
+        pytest.skip(f"this CPU cannot run OpenBLAS's Haswell kernel: {proc.stderr.strip()[-200:]}")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["blas_core"] == "Haswell"
