@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--mode", choices=("unfused", "fused"), default="fused")
-    p.add_argument("--threads", type=int, default=1, help="the most threads a conv runs its strips on")
+    p.add_argument("--threads", type=int, default=1, help="the most threads the engine runs a request on")
     p.add_argument("images", nargs="+")
     p.set_defaults(fn=_cmd_bench)
 

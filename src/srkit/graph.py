@@ -42,10 +42,15 @@ neighbour rows with row padding 0, so zero rows appear only at the image
 border. Every run, one strip or many, allocates each band at its first
 action in a strip and drops it after its last; a band starts uninitialised
 but for its zero columns, and the plan zeroes the rows a kernel reads that
-no step writes. An image is planned as one strip first; it runs in strips
-of as many rows as that plan's bands, headers and two-thread workspace, as
-_strip_rows counts them, let fit _GRAPH_BYTES, one strip when that is all
-its rows, so memory grows with its width, not its height.
+no step writes. An image is planned as one strip first, and runs that plan
+when _strip_rows, which counts that plan's bands, headers and two-thread
+conv workspace against _GRAPH_BYTES, gives it all its rows. Any other
+image streams with two strips in flight, on two threads, in the most rows
+whose plan fits two strips' bands, the carry area and two one-thread
+workspaces in _GRAPH_BYTES (_wave); where even 4 rows do not fit, it runs
+one strip at a time in _strip_rows' rows, each conv splitting its strips
+over two threads. Either way its memory grows with its width, not its
+height.
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -53,8 +58,10 @@ execution are one entry of OPS; adding an op means adding one entry.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import prod
 from operator import is_
 from typing import Callable, Iterator, NamedTuple
@@ -90,14 +97,24 @@ from .tensor import (
 
 MODES = ("unfused", "fused")
 
+# The kernels _stream calls, as this module binds them when it loads.
+_KERNELS = (conv2d, fused_attention, relu, add, mul, pixel_shuffle)
+
 # Bytes of activations one fused run_graph image aims to hold beyond its
 # output: its bands, their headers and the workspace. It sets the height of
 # the strips of input rows each image of a fused run streams in alone (one
 # strip when all its rows fit), so memory is bounded by its width, not its
-# height. _strip_rows does not count a band's halo rows, so a streamed
-# image can hold more: at 256^2, SPANV2 5.90 MiB and SPAN 7.52 (see
-# _strip_rows).
+# height. Two strips in flight are sized by their plan's own bytes, halo
+# rows included (_wave): at 256^2, SPANV2 holds 5.5-5.6 MiB (tracemalloc,
+# second call) in 10-row strips. One strip in flight is sized by
+# _strip_rows, which does not count a band's halo rows, so such an image
+# can hold more: at 256^2, SPAN 7.52 MiB (see _strip_rows).
 _GRAPH_BYTES = 6 << 20
+
+# numpy's own buffers a kernel call takes beside the plan's workspace (a
+# ufunc's, a grouped GEMM's output rows): 0.06-0.10 MiB a call at 256 px
+# wide (tracemalloc). _two_strip_floats counts this many on each thread.
+_SCRATCH_FLOATS = 1 << 15
 
 # Image sizes a graph keeps its compiled fused run for (see _compiled); the
 # oldest goes first. One plan held 29-94 KiB (tracemalloc) for SPANV2, its
@@ -581,6 +598,8 @@ class _Action(NamedTuple):
     out: tuple | None  # (band, first row, rows) it writes; None: its rows of the output plane
     copied_out: tuple  # (band, first row, header rows) copied out after it
     gives: tuple  # the bands last used in the strip here
+    waits: tuple  # the bands whose carry rows the strip uses first here (see _stream)
+    releases: tuple  # the bands whose carry rows it uses last here
     spec: ConvSpec | None  # a conv's spec or an attention step's gate conv
 
 
@@ -592,22 +611,24 @@ class _Plan(NamedTuple):
     shapes: list[tuple[int, int, int, int]]  # each band's buffer
     carry: list[int]  # the most header rows each band keeps between strips
     ws_floats: tuple[int, int]  # the workspace on one thread, and on two (see _plan)
+    in_flight: int  # strips run at once: 1, or 2 on two threads (see _stream)
 
 
 def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
-    """Input rows per strip of a fused run: as many, at least 4, as let the
-    bands held at once, every band's header between strips and the
-    two-thread workspace of `one`, the image planned as one strip, fit the
-    budget. A band holds its value's scale of rows per input row (see
-    _Layout) from its first action in `one` (its takes) to its last (its
-    gives), and the bands of one plane width and zero columns are counted
-    as the most they hold at once. A band's halo rows are not counted: the
+    """Input rows per strip of a fused run with one strip in flight: as
+    many, at least 4, as let the bands held at once, every band's header
+    between strips and the two-thread workspace of `one`, the image planned
+    as one strip, fit the budget. A band holds its value's scale of rows
+    per input row (see _Layout) from its first action in `one` (its takes)
+    to its last (its gives), and the bands of one plane width and zero
+    columns are counted as the most they hold at once. A band's halo rows are not counted: the
     header at its top, which the carry area holds too, and the rows its
     readers read past the strip. So a streamed run can hold more: at
     256^2, SPANV2's bands, carry area and workspace come to 3.51 + 1.21 +
     1.17 = 5.90 MiB in 20-row strips and SPAN's to 4.46 + 2.02 + 1.04 =
-    7.52 in 14-row ones, against a budget of 6. Capped at the image's
-    height, which runs as one strip."""
+    7.52 in 14-row ones, against a budget of 6 (SPANV2 runs two strips in
+    flight instead, see _wave). Capped at the image's height, which runs as
+    one strip."""
     p = [0] * len(lay.steps)
     _progress(lay, 1 << 30, p)  # a strip well inside the image
     headers = 0
@@ -627,28 +648,88 @@ def _strip_rows(lay: _Layout, one: _Plan, budget: int) -> int:
     return min(lay.shape[0][1], max(4, (budget - 4 * (headers + one.ws_floats[1])) // (4 * sum(held.values()))))
 
 
-def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
+def _lead(lay: _Layout) -> int:
+    """How many input rows the input step runs ahead of the output (its
+    rows over its scale) in a strip well inside the image (_progress)."""
+    p = [0] * len(lay.steps)
+    _progress(lay, lay.scale[-1] << 30, p)
+    return max(p[0] - (1 << 30), 0)
+
+
+def _two_strip_floats(plan: _Plan) -> int:
+    """Floats a run of plan holds beyond its output with two strips in
+    flight: on each thread, the bands its strip holds at once at their
+    buffers' rows, halo rows included, its one-thread workspace and
+    _SCRATCH_FLOATS; and the carry area, which both share."""
+    most = 0
+    for program in plan.programs:
+        now = 0
+        for act in program:
+            now += sum(prod(plan.shapes[b]) for b in act.takes)
+            most = max(most, now)
+            now -= sum(prod(plan.shapes[b]) for b in act.gives)
+    carry = sum(c * k * wb for (_, c, _, wb), k in zip(plan.shapes, plan.carry))
+    return 2 * (most + plan.ws_floats[0] + _SCRATCH_FLOATS) + carry
+
+
+def _wave(lay: _Layout, h: int, rows: int, budget: int) -> tuple[int, _Plan] | None:
+    """Input rows per strip with two strips in flight, and the plan of an
+    h-row image in them: the most rows, from 4 to `rows`, whose plan's two
+    strips fit the budget (_two_strip_floats), or None where 4 rows do not.
+    The search judges a height by the plan of the image's first strips
+    alone, those that make the first `lead` rows (see _plan) and two more,
+    whose programs repeat; the plan it returns is judged whole, as the
+    image's last strip can need more."""
+    lead = _lead(lay)
+
+    def fits(r: int, count: int | None) -> _Plan | None:
+        plan = _plan(lay, h, r, 2, count)
+        return plan if 4 * _two_strip_floats(plan) <= budget else None
+
+    # a budget below the two threads' scratch bytes fits no plan, so none is made
+    if rows < 4 or 2 * 4 * _SCRATCH_FLOATS > budget or not fits(4, -(-lead // 4) + 2):
+        return None
+    lo, hi = 4, rows  # the most rows known to fit, and the most that may
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if fits(mid, -(-lead // mid) + 2) else (lo, mid - 1)
+    for r in range(lo, 3, -1):
+        plan = fits(r, None)
+        if plan:
+            return r, plan
+    return None
+
+
+def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1, count: int | None = None) -> _Plan:
     """The kernel calls of a fused run of an h-row image in strips of `rows`
-    input rows (all of it in one when rows >= h), and the memory they use.
+    input rows (all of it in one when rows >= h) with `in_flight` strips
+    run at once (see _stream), and the memory they use; only its first
+    `count` strips, when given.
 
     Strip k ends at output row (k + 1) * rows times the output's scale, and
     each step's rows run as far as its readers read to reach it (_progress),
     so each row is made once, no value runs ahead of its readers and every
-    step makes `rows` times its scale rows a strip. A band is held
-    from its first use in a strip to its last: there the rows its readers
-    still need, its header, are copied out, and at its first use in the
-    next strip in at its top. A band is allocated afresh for each strip
-    and starts uninitialised but for its zero columns, so the plan zeroes
-    every row a kernel reads that no step writes: the rows above and past
-    the image. Every strip is planned in turn, and a strip
+    step makes `rows` times its scale rows a strip. The first strip also
+    makes the rows the input step runs ahead of the output, its lead; with
+    two strips in flight every strip ends the lead's rows earlier, so that
+    no strip makes more than `rows` input rows and no band is sized for the
+    first strip's reach. A band is held from its first use in a strip to
+    its last. The rows its readers still need, its header, are copied out
+    right after the band's last writer in the strip (its producer or an
+    in-place step), or where it is copied in when none writes it there, so
+    the next strip can take them while its readers still run; and at its
+    first use in the next strip in at its top. A band is allocated afresh
+    for each strip and starts uninitialised but for its zero columns, so
+    the plan zeroes every row a kernel reads that no step writes: the rows
+    above and past the image. Every strip is planned in turn, and a strip
     that does the same as the one before shares its actions, one program.
     The workspace is the most conv_strips gives any conv call, or any
     attention step's gate conv, of its rows and operands, on one thread
     and on two, the most a conv splits its strips on (the gate's run on
-    one). A one-strip run takes the first; a streamed run the second when
-    tensor._WORKERS lets its convs split, and _strip_rows counts it
-    whatever that is, so the thread count changes no strip, and so no
-    GEMM and no bit.
+    one). A one-strip run and each thread of two strips in flight take the
+    first; one streamed strip in flight the second when tensor._WORKERS
+    lets its convs split, and _strip_rows counts it whatever that is, so
+    the thread count changes no strip, and so no GEMM and no bit.
     """
     steps, ins, rule, bands = lay.steps, lay.ins, lay.rule, lay.bands
     height = [hj for _, hj, _ in lay.shape]
@@ -662,16 +743,20 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
     programs: list[list[_Action]] = []
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     ws_floats = [0, 0]
-    while done[last] < height[last]:
-        _progress(lay, (len(strips) + 1) * rows * lay.scale[last] if rows < h else 1 << 30, p)
+    lead = _lead(lay) if in_flight == 2 else 0
+    while done[last] < height[last] and len(strips) != count:
+        _progress(lay, ((len(strips) + 1) * rows - lead) * lay.scale[last] if rows < h else 1 << 30, p)
         actions: list[list] = []
         touched: dict[int, int] = {}  # each band used in this strip: its last action
+        first: dict[int, int] = {}  # its first action
+        wrote: dict[int, int] = {}  # its last writer, if one is in the strip
         io = [(0, 0), (0, 0)]
 
         def use(b: int, end: int, action: list) -> int:
             # band b, held in this strip and made to hold value row `end`
             # and the one after; its origin
             if b not in touched:
+                first[b] = len(actions)
                 action[1].append(b)
                 if header[b]:
                     action[2].append((b, header[b]))
@@ -694,11 +779,12 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
             if lay.calls[j] is not None:  # None: its readers read its inputs' bands
                 reads, write, conv = lay.calls[j]
                 spec, src, dst = conv or (lay.gates.get(j), None, None)  # a conv's, or the gate conv's
-                action: list = [j, [], [], [], [], None, [], (), spec]
+                action: list = [j, [], [], [], [], None, [], spec]
                 for bs in reads:
                     action[4].append(tuple((b, lo - use(b, hi, action), hi - lo) for b in bs))
                 if write is not None:
                     r0 = d - use(write, e, action)
+                    wrote[write] = len(actions)
                     action[5] = write, r0, e - d
                     if head[write] == j and e == height[j]:
                         action[3].append((write, r0 + e - d, None))  # the zero rows past the image
@@ -706,22 +792,31 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
                     ws_floats[k] = max(ws_floats[k], conv_strips(1, e - d, lay.shape[ins[j][0]][2], spec, src, dst, workers)[1])
                 actions.append(action)
             done[j] = e
-        gives: dict[int, list[int]] = {}  # each action's bands, used in the strip for the last time there
+        # each action's bands: used in the strip for the last time there,
+        # and whose carry rows it uses first and last in the strip
+        gives: dict[int, list[int]] = {}
+        waits: dict[int, list[int]] = {}
+        releases: dict[int, list[int]] = {}
         for b, a in touched.items():
             gives.setdefault(a, []).append(b)
+            carried = [first[b]] if header[b] else []  # copied in there
             # the rows its readers, and the steps that write it in place
             # after its producer, have still to read
             members, made = lay.chain[b], done[head[b]]
             keep = [done[m] for m in members[1:] if done[m] < height[m]] + [made]
             keep += [done[q] // rule[q][2] - rule[q][0] for q in lay.readers[members[-1]] if done[q] < height[q]]
             header[b] = made - min(keep)
-            if header[b]:
-                actions[a][6].append((b, min(keep) - origin[b], header[b]))
+            if header[b]:  # copied out after its last writer, or where it is copied in
+                carried.append(wrote.get(b, first[b]))
+                actions[carried[-1]][6].append((b, min(keep) - origin[b], header[b]))
             origin[b] = min(keep)
+            if carried:
+                waits.setdefault(carried[0], []).append(b)
+                releases.setdefault(carried[-1], []).append(b)
         program = [
-            _Action(j, tuple(new), tuple(copied_in), tuple(zeros), tuple(args),
-                    out, tuple(copied_out), tuple(gives.get(a, ())), *run)
-            for a, (j, new, copied_in, zeros, args, out, copied_out, _, *run) in enumerate(actions)
+            _Action(j, tuple(new), tuple(copied_in), tuple(zeros), tuple(args), out, tuple(copied_out),
+                    *(tuple(d.get(a, ())) for d in (gives, waits, releases)), spec)
+            for a, (j, new, copied_in, zeros, args, out, copied_out, spec) in enumerate(actions)
         ]
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
@@ -732,83 +827,135 @@ def _plan(lay: _Layout, h: int, rows: int) -> _Plan:
         for b, _, h0 in act.copied_out:
             carry[b] = max(carry[b], h0)
     shapes = [(1, c, cap, w + 2 * pad) for (c, w, pad), cap in zip(bands, caps)]
-    return _Plan(programs, strips, shapes, carry, tuple(ws_floats))
+    return _Plan(programs, strips, shapes, carry, tuple(ws_floats), in_flight)
 
 
 def _stream(run: _Run, x: Tensor, counter: TrafficCounter | None) -> Tensor:
-    """Fused run of x by its compiled plan, each image alone. Each action
-    is one kernel call, picked by its step, that writes its band: the
-    input's rows copied in, conv2d, fused_attention, a concat's inputs'
-    rows copied in, pixel_shuffle, or the op's elementwise kernel. The
-    output step's band is its rows of the output plane, allocated at its
-    first strip. Every band is allocated uninitialised at its first action
-    in a strip, its zero columns zeroed, and dropped after its last, so a
-    strip holds only the values alive in it; the plan's zeros actions zero
-    every row a kernel reads that no step writes. With many strips every
-    header is kept in its band's rows of one carry area, allocated once
-    per call. One workspace, sized by the plan for every kernel it calls,
-    serves every conv's column block and accumulator and every attention
-    step's copied f3 rows and gates; a streamed run's holds two threads'
-    column blocks and accumulators when tensor._WORKERS lets its convs
-    split their strips. Buffers are per call: calls share only the plan."""
+    """Fused run of x by its compiled plan. Each action is one kernel call,
+    picked by its step, that writes its band: the input's rows copied in,
+    conv2d, fused_attention, a concat's inputs' rows copied in,
+    pixel_shuffle, or the op's elementwise kernel. The output step's band is
+    its rows of the output plane. Every band is allocated uninitialised at
+    its first action in a strip, its zero columns zeroed, and dropped after
+    its last, so a strip holds only the values alive in it; the plan's zeros
+    actions zero every row a kernel reads that no step writes. With many
+    strips every header is kept in its band's rows of one carry area,
+    allocated once per call. One workspace, sized by the plan for every
+    kernel it calls, serves every conv's column block and accumulator and
+    every attention step's copied f3 rows and gates. Buffers are per call:
+    calls share only the plan.
+
+    The images' strips run in turn, image after image. A plan of two
+    strips in flight runs the even ones on the caller's thread and the odd
+    ones on the pool's (tensor._pool), each thread with its own bands and
+    one-thread workspace, so every kernel call is the one a single thread
+    makes and the bits are its bits. Only the carry area crosses strips: a
+    strip waits, before it first uses a band's carry rows, for the strip
+    that used them last to be done with them. A thread's error stops the
+    other at its next wait or strip, and is raised once both have stopped.
+    A run with a traffic counter, or with a kernel of this module rebound (a
+    tracer's wrapper), runs on the caller's thread alone, as neither is
+    known to be thread-safe. A plan of one strip in flight splits each
+    streamed conv's strips over tensor._WORKERS threads (see conv2d)."""
     lay, plan = run.lay, run.plan
     last = len(lay.steps) - 1
-    ws = np.empty(plan.ws_floats[len(plan.strips) > 1 and tensor._WORKERS > 1], np.float32)
+    own = all(map(is_, (conv2d, fused_attention, relu, add, mul, pixel_shuffle), _KERNELS))
+    two = plan.in_flight == 2 and tensor._WORKERS > 1 and counter is None and own
+    step = 1 + two
+    workers = tensor._WORKERS if plan.in_flight == 1 and len(plan.strips) > 1 else 1
+    out: list[np.ndarray] = []  # the output plane, allocated at its first rows
     carry = []
     if len(plan.strips) > 1:
         held = [(1, c, k, wb) for (_, c, _, wb), k in zip(plan.shapes, plan.carry)]
         area = np.empty(sum(map(prod, held)), np.float32)
         carry = [area[o : o + prod(s)].reshape(s) for o, s in zip(accumulate(map(prod, held), initial=0), held)]
     pads = [pad for *_, pad in lay.bands]
-    buf: list[np.ndarray | None] = [None] * len(lay.bands)
-    out = None
+    done = [-1] * len(lay.bands)  # the last strip done with each band's carry rows
+    errors: list[BaseException] = []
+    turn = threading.Condition()
 
-    def view(parts: tuple, r: int) -> Band | Tiles:
-        # the window of step r's value: a band, or its parts' bands as Tiles
-        bands = [Band(buf[b], r0, h, pads[b]) for b, r0, h in parts]
-        if len(bands) == 1:
-            return bands[0]
-        return Tiles(tuple(a.interior for a in bands), (1, lay.shape[r][0], bands[0].h, lay.shape[r][2]))
+    def strips(first: int) -> None:
+        # strips first, first + step, ... of the images' strips in turn,
+        # with this thread's buffers
+        ws = np.empty(plan.ws_floats[workers > 1], np.float32)
+        buf: list[np.ndarray | None] = [None] * len(lay.bands)
+        before = [-1] * len(lay.bands)  # the last strip before this one to use each band's carry rows
 
-    for image in range(x.n):
-        for program, rows_in, rows_out in plan.strips:
-            for act in plan.programs[program]:
-                for b in act.takes:
-                    buf[b] = np.empty(plan.shapes[b], np.float32)
-                    if pads[b]:  # its zero columns
-                        buf[b][..., : pads[b]] = buf[b][..., -pads[b] :] = 0.0
-                for b, h0 in act.copied_in:
-                    buf[b][:, :, :h0] = carry[b][:, :, :h0]
-                for b, r0, r1 in act.zeros:
-                    buf[b][:, :, r0:r1] = 0.0
-                xs = [view(parts, r) for parts, r in zip(act.args, lay.ins[act.step])]
-                if act.out is not None:
-                    b, r0, h0 = act.out
-                    dst = Band(buf[b], r0, h0, pads[b])
-                else:  # the output step, into its rows of the output plane
-                    if out is None:
-                        out = np.empty((x.n, *lay.shape[last]), np.float32)
-                    d, e = rows_out
-                    dst = Band(out[image : image + 1], d, e - d, 0)
-                n = lay.steps[act.step]  # each kernel through the module's globals, like OPS
-                if act.step == 0:
-                    dst.interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
-                elif n.op == "conv":
-                    conv2d(xs[0], act.spec, dst, ws)
-                elif act.step in lay.gates:
-                    fused_attention(*xs, act.spec, counter, dst, ws)
-                elif n.op == "concat":
-                    np.concatenate(Tiles.concat(xs).tiles, 1, out=dst.interior)
-                elif n.op == "pixel_shuffle":
-                    pixel_shuffle(xs[0], n.upscale, dst.interior)
-                else:
-                    globals()[n.op](*xs, dst)
-                del xs, dst
-                for b, r0, h0 in act.copied_out:
-                    carry[b][:, :, :h0] = buf[b][:, :, r0 : r0 + h0]
-                for b in act.gives:
-                    buf[b] = None
-    return Tensor(out)
+        def view(parts: tuple, r: int) -> Band | Tiles:
+            # the window of step r's value: a band, or its parts' bands as Tiles
+            bands = [Band(buf[b], r0, h, pads[b]) for b, r0, h in parts]
+            if len(bands) == 1:
+                return bands[0]
+            return Tiles(tuple(a.interior for a in bands), (1, lay.shape[r][0], bands[0].h, lay.shape[r][2]))
+
+        try:
+            for k, (image, (program, rows_in, rows_out)) in enumerate(product(range(x.n), plan.strips)):
+                if errors:
+                    return
+                for act in plan.programs[program] if k % step == first else ():
+                    if act.waits and two:
+                        with turn:
+                            turn.wait_for(lambda: errors or all(done[b] >= before[b] for b in act.waits))
+                            if errors:
+                                return
+                    for b in act.takes:
+                        buf[b] = np.empty(plan.shapes[b], np.float32)
+                        if pads[b]:  # its zero columns
+                            buf[b][..., : pads[b]] = buf[b][..., -pads[b] :] = 0.0
+                    for b, h0 in act.copied_in:
+                        buf[b][:, :, :h0] = carry[b][:, :, :h0]
+                    for b, r0, r1 in act.zeros:
+                        buf[b][:, :, r0:r1] = 0.0
+                    xs = [view(parts, r) for parts, r in zip(act.args, lay.ins[act.step])]
+                    if act.out is not None:
+                        b, r0, h0 = act.out
+                        dst = Band(buf[b], r0, h0, pads[b])
+                    else:  # the output step, into its rows of the output plane
+                        with turn:
+                            if not out:
+                                out.append(np.empty((x.n, *lay.shape[last]), np.float32))
+                        d, e = rows_out
+                        dst = Band(out[0][image : image + 1], d, e - d, 0)
+                    n = lay.steps[act.step]  # each kernel through the module's globals, like OPS
+                    if act.step == 0:
+                        dst.interior[...] = x.data[image : image + 1, :, rows_in[0] : rows_in[1]]
+                    elif n.op == "conv":
+                        conv2d(xs[0], act.spec, dst, ws, workers)
+                    elif act.step in lay.gates:
+                        fused_attention(*xs, act.spec, counter, dst, ws)
+                    elif n.op == "concat":
+                        np.concatenate(Tiles.concat(xs).tiles, 1, out=dst.interior)
+                    elif n.op == "pixel_shuffle":
+                        pixel_shuffle(xs[0], n.upscale, dst.interior)
+                    else:
+                        globals()[n.op](*xs, dst)
+                    del xs, dst
+                    for b, r0, h0 in act.copied_out:
+                        carry[b][:, :, :h0] = buf[b][:, :, r0 : r0 + h0]
+                    for b in act.gives:
+                        buf[b] = None
+                    if act.releases and two:
+                        with turn:
+                            for b in act.releases:
+                                done[b] = k
+                            turn.notify_all()
+                for act in plan.programs[program]:  # the bands whose carry rows strip k used
+                    for b in act.waits:
+                        before[b] = k
+        except BaseException as e:  # raised by the caller once both threads have stopped
+            with turn:
+                errors.append(e)
+                turn.notify_all()
+
+    if step == 1:
+        strips(0)
+    else:
+        odd = tensor._pool().submit(strips, 1)
+        strips(0)
+        wait([odd])
+    if errors:
+        raise errors[0]
+    return Tensor(out[0])
 
 
 class _Run(NamedTuple):
@@ -877,7 +1024,8 @@ def _compile(g: ModelGraph, h: int, w: int) -> _Run:
     and layout of g lowered to plain convs (_lowered), and the image
     planned as one strip. From that plan _strip_rows gives the rows whose
     bands, headers and workspace fit _GRAPH_BYTES; an image of no more
-    rows runs that plan, any other is planned in strips of them."""
+    rows runs that plan. Any other runs two strips in flight where their
+    plan fits the budget (_wave), else one, in _strip_rows' rows."""
     gates = _fusion_gates(g)
     g = _lowered(g, infer_shapes(g, h, w))
     reads = _reads(g, gates)
@@ -887,7 +1035,10 @@ def _compile(g: ModelGraph, h: int, w: int) -> _Run:
     lay = _layout(steps, reads, gates, infer_shapes(g, h, w))
     one = _plan(lay, h, h)
     rows = _strip_rows(lay, one, _GRAPH_BYTES)
-    return _Run(rows, lay, one if rows >= h else _plan(lay, h, rows))
+    if rows >= h:
+        return _Run(rows, lay, one)
+    rows, plan = _wave(lay, h, rows, _GRAPH_BYTES) or (rows, _plan(lay, h, rows))
+    return _Run(rows, lay, plan)
 
 
 def _compiled(g: ModelGraph, h: int, w: int) -> _Run:
@@ -913,6 +1064,14 @@ def _compiled(g: ModelGraph, h: int, w: int) -> _Run:
             del runs[next(iter(runs))]
         vars(g)["_runs"] = stamp, runs
     return run
+
+
+def strips_in_flight(g: ModelGraph, h: int, w: int) -> int:
+    """Strips a fused run of g on h x w images runs at once, read from its
+    compiled run: 2 when its plan has two in flight and tensor._WORKERS
+    gives them two threads, else 1."""
+    plan = _compiled(g, h, w).plan
+    return 2 if plan is not None and plan.in_flight == 2 and tensor._WORKERS > 1 else 1
 
 
 def run_graph(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor
-from .graph import OPS, ModelGraph, infer_shapes, run_graph
+from .graph import OPS, ModelGraph, infer_shapes, run_graph, strips_in_flight
 from .tensor import _STRIP_FLOATS, ShapeError, Tensor
 
 PSNR_CAP_DB = 100.0
@@ -122,7 +122,8 @@ class RuntimeStats:
     median_ms: float
     peak_mib: float  # largest run_graph allocation peak over the images
     mode: str
-    engine_threads: int  # threads a conv could split its strips on: 1 unfused, which never splits
+    engine_threads: int  # threads a fused run could use: 1 unfused, which runs on one
+    strips_in_flight: int  # the most strips a run had in flight, 1 or 2 (graph.strips_in_flight); 1 unfused
     threads: int | None  # threads OpenBLAS reported after the runs; None without OpenBLAS
     blas: str | None  # "name version" of the BLAS numpy was built with
     blas_core: str | None  # the kernel set OpenBLAS runs, such as "SkylakeX"; None without OpenBLAS
@@ -182,11 +183,13 @@ def bench_runtime(
     challenge averages; its min, median and interquartile range are reported
     beside it. One more, untimed run per image measures memory: peak_mib is
     the largest tracemalloc peak of those runs above the memory held before
-    each. `threads` caps the threads a conv runs its strips on (one by
-    default; None, no cap). OpenBLAS runs each GEMM on one thread whatever
-    `threads` is, as the engine set it when it loaded. The stats report the
-    engine threads the runs had, the BLAS in use, and the thread count and
-    kernel set OpenBLAS reports; timings are reported, never asserted.
+    each. `threads` caps the engine's threads, which run a fused run's two
+    strips in flight or a conv's strips (one by default; None, no cap).
+    OpenBLAS runs each GEMM on one thread whatever `threads` is, as the
+    engine set it when it loaded. The stats report the engine threads the
+    runs had, the strips they had in flight, the BLAS in use, and the
+    thread count and kernel set OpenBLAS reports; timings are reported,
+    never asserted.
     """
     if reps < 1:
         raise ValueError(f"bench_runtime: reps must be >= 1, got {reps}")
@@ -200,6 +203,7 @@ def bench_runtime(
     peak = 0.0
     with _thread_limit(threads):
         engine = tensor._WORKERS if mode == "fused" else 1
+        flight = max(strips_in_flight(g, img.h, img.w) for img in images) if mode == "fused" else 1
         for img in images:
             for _ in range(warmup):
                 run_graph(g, img, mode=mode)
@@ -222,6 +226,7 @@ def bench_runtime(
         peak_mib=peak,
         mode=mode,
         engine_threads=engine,
+        strips_in_flight=flight,
         threads=tensor.blas_threads(),
         blas=_blas_in_use(),
         blas_core=tensor.blas_core(),

@@ -149,17 +149,32 @@ def _block_nodes(
     return nodes, FusionGroup(conv=at, add=sm, mul=out), out
 
 
-def _check_sizes(c: int, s: int, blocks: int) -> None:
+def _check_sizes(model: str, c: int, s: int, blocks: int, params: int) -> None:
+    """Raise ShapeError on a size below 1, or, before any weight is drawn,
+    when the model's `params` weights and biases, drawn in float64 and kept
+    in float32 (12 bytes each, as random_conv counts them), exceed the
+    host's physical memory; not checked where os.sysconf is missing."""
     for name, value in (("c (width)", c), ("s (upscale)", s), ("blocks", blocks)):
         if value < 1:
             raise ShapeError(f"{name} must be >= 1, got {value}")
+    if hasattr(os, "sysconf"):
+        need, host = 12 * params, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > host:
+            raise ShapeError(
+                f"a {model} of width {c}, upscale {s} and {blocks} blocks has {params} weights, which need "
+                f"{need / 2**30:.1f} GiB to draw, more than the host's {host / 2**30:.1f} GiB of memory"
+            )
 
 
 def build_spanv2(
     c: int = 32, s: int = 4, blocks: int = 5, seed: int | None = 0
 ) -> ModelGraph:
     """Seeded SPANV2 graph; output is always (n, 3, s*h, s*w)."""
-    _check_sizes(c, s, blocks)
+    # near, block 1 (3 -> c), the other blocks, and the fusion head's
+    # depthwise and pointwise convs on near's q and the blocks' c channels
+    q = 3 * s * s
+    params = 10 * q + 19 * c * c + 31 * c + (blocks - 1) * (28 * c * c + 4 * c) + 10 * (q + c) + q * (q + c) + q
+    _check_sizes("spanv2", c, s, blocks, params)
     rng = np.random.default_rng(seed)
     near = near_pixel_init(random_conv(rng, 3, 3 * s * s, k=3, groups=3), s)
     nodes = [
@@ -213,7 +228,10 @@ def build_span_baseline(
     last block, concat of head/tail/first/fifth block outputs, 1x1 fuse conv,
     and the upsampling conv feeding depth-to-space.
     """
-    _check_sizes(c, s, blocks)
+    # head, blocks, tail, the 1x1 conv on the concat of four and up_conv
+    q = 3 * s * s
+    params = 28 * c + blocks * (27 * c * c + 3 * c) + 9 * c * c + c + 4 * c * c + c + 9 * q * c + q
+    _check_sizes("span", c, s, blocks, params)
     if blocks < 2:
         raise ShapeError("baseline needs at least two blocks for its skip wiring")
     rng = np.random.default_rng(seed)

@@ -242,10 +242,11 @@ class ConvSpec:
 _STRIP_FLOATS = 3 << 17
 
 
-# Threads a conv2d call may run its strips on: the caller and the workers
-# of _pool. Set from the cores this process may run on (all of them where
-# the platform cannot say which), never from an input; lowering it (to 1:
-# one thread) takes effect at the next call.
+# Threads the engine runs one request on: the caller and the workers of
+# _pool, which run a conv2d call's strips or a fused run's odd strips (see
+# graph._stream). Set from the cores this process may run on (all of them
+# where the platform cannot say which), never from an input; lowering it
+# (to 1: one thread) takes effect at the next call.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
@@ -301,7 +302,7 @@ _pools: list[ThreadPoolExecutor] = []
 
 def _pool() -> ThreadPoolExecutor:
     """The process's one pool of _WORKERS - 1 threads, started by the first
-    split conv2d call; it starts no process."""
+    split conv2d call or run of two strips in flight; it starts no process."""
     with _pool_lock:
         if not _pools:
             _pools.append(ThreadPoolExecutor(_WORKERS - 1, "srkit-conv"))
@@ -366,6 +367,7 @@ def conv2d(
     spec: ConvSpec,
     out: Band | None = None,
     ws: np.ndarray | None = None,
+    workers: int = 1,
 ) -> Tensor | Band:
     """Cross-correlate x with spec's kernel (zero padding, stride 1).
 
@@ -373,10 +375,10 @@ def conv2d(
     be a plane held as channel parts (Tiles) or a Band; the result is the
     conv of the plane.
     Given `out`, a Band of the output's shape, the rows are written into it
-    and it is returned; `ws` is a float32 workspace of at least conv_strips'
-    floats for this call's operands, else conv2d allocates its own. Given
-    one of conv_strips' floats on _WORKERS threads, it runs its strips on
-    that many threads (see _runs), to the same bits as on one.
+    and it is returned. It runs its strips on at most min(workers,
+    _WORKERS) threads (see _runs), to the same bits as on one; `ws` is a
+    float32 workspace of at least conv_strips' floats for this call's
+    operands on those threads, else conv2d allocates its own.
     """
     if x.c != spec.in_channels:
         raise ShapeError(
@@ -422,16 +424,15 @@ def conv2d(
     # lies before the next run's first GEMM row).
     cg, og, taps, wp = cin // g, cout // g, kh * kw, w + 2 * pw
     src_pad = x.pad if type(x) is Band else None
+    workers = min(workers, _WORKERS)
     rows, floats, in_place, direct, fold = conv_strips(
-        n, hout, w, spec, src_pad, None if out is None else out.pad
+        n, hout, w, spec, src_pad, None if out is None else out.pad, workers
     )
+    if ws is None or ws.size < floats:
+        ws = np.empty(floats, np.float32)
+    runs = _runs(spec, hout, rows, workers)
     shared = fold * cout * (cg * taps + 1)  # the folded weights
-    own = floats - shared  # one thread's buffers
-    runs = _runs(spec, hout, rows, _WORKERS)
-    if ws is None or ws.size < shared + len(runs) * own:  # no room to split
-        runs = [(0, hout)]
-        if ws is None or ws.size < floats:
-            ws = np.empty(floats, np.float32)
+    own = (floats - shared) // len(runs)  # one thread's buffers
     bias = None if fold else spec.bias
     # (g, og, cg * kh * kw) against (n, g, cg * kh * kw, span): K is ordered
     # (channel, dy, dx) on both sides

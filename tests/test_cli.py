@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -19,7 +20,7 @@ from srkit.archive import save_archive
 from srkit.cli import main
 from srkit.metrics import image_to_tensor, tensor_to_image
 from srkit.models import build_spanv2, nearest_upsample
-from srkit.tensor import Tensor
+from srkit.tensor import ShapeError, Tensor
 
 
 @pytest.fixture
@@ -173,6 +174,7 @@ class TestVerbs:
         assert main([*argv, f"--threads={threads}", str(lr_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["engine_threads"] == min(threads, 2, len(os.sched_getaffinity(0)))
+        assert doc["strips_in_flight"] == 1  # a patch runs as one strip
 
     def test_score_verb(self, tmp_path, capsys):
         from importlib import resources
@@ -282,9 +284,9 @@ class TestVerbs:
             ("params --model span --width 0", "c (width) must be >= 1"),
             ("params --model spanv2 --blocks 0", "blocks must be >= 1"),
             ("init --model span --blocks 0 --out w.srwt", "blocks must be >= 1"),
-            # SPANV2's first wide weight is a c x c gate, 106.6 PiB to draw here,
-            # more than any host's memory
-            ("params --model spanv2 --width 100000000", "conv weight needs 111758709.0 GiB to draw, more than the host's"),
+            # SPANV2's weights at c = 1e8 need 14 EiB to draw, more than any
+            # host's memory; nothing is drawn
+            ("params --model spanv2 --width 100000000", "has 1310000010500003312 weights, which need 14640390990.3 GiB to draw"),
         ],
         ids=["size_0", "size_neg3", "spanv2_width_0", "span_width_0", "blocks_0", "init_blocks_0", "width_1e8"],
     )
@@ -295,8 +297,9 @@ class TestVerbs:
         assert err.count("\n") == 1 and needle in err
 
     def test_a_weight_larger_than_memory_is_refused_before_it_is_drawn(self, monkeypatch, capsys):
-        # On a host of 8 GiB, SPAN's 3 -> c 3x3 head conv at c = 1e8 (a 2.7e9
-        # float64 draw and its float32 copy) does not fit, and nothing is drawn.
+        # On a host of 8 GiB, SPAN at c = 1e8 (1.75e18 weights, each a
+        # float64 draw and its float32 copy) does not fit, and nothing is
+        # drawn; its 3 -> c head conv alone needs 30.2 GiB.
         memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
         monkeypatch.setattr(models.os, "sysconf", memory.__getitem__)
         tracemalloc.start()
@@ -307,10 +310,27 @@ class TestVerbs:
             tracemalloc.stop()
         err = capsys.readouterr().err
         assert err == (
-            "srkit flops: a 100000000x3x3x3 conv weight needs 30.2 GiB to draw, "
-            "more than the host's 8.0 GiB of memory\n"
+            "srkit flops: a span of width 100000000, upscale 4 and 6 blocks has 1750000048000000048 weights, "
+            "which need 19557774603.4 GiB to draw, more than the host's 8.0 GiB of memory\n"
         )
         assert peak < 64 * 2**20
+        with pytest.raises(ShapeError, match="a 100000000x3x3x3 conv weight needs 30.2 GiB to draw"):
+            models.random_conv(np.random.default_rng(0), 3, 100_000_000)
+
+    @pytest.mark.parametrize("model", ["spanv2", "span"])
+    def test_a_model_of_more_blocks_than_memory_exits_before_any_draw(self, capsys, model):
+        # Each of 1e7 blocks' weights fits, and were drawn one after another
+        # until memory ran out; the whole model's count is checked first.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(["flops", "--model", model, "--blocks", "10000000"]) == 1
+            took, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"srkit flops: a {model} of width " in err and "more than the host's" in err
+        assert took < 1 and peak < 64 * 2**20
 
     @pytest.mark.parametrize(
         "argv, needle",

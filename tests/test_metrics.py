@@ -9,7 +9,7 @@ import pytest
 
 from srkit import metrics, ppm
 from srkit.metrics import bench_runtime, image_to_tensor, psnr, tensor_to_image
-from srkit.models import build_spanv2
+from srkit.models import build_span_baseline, build_spanv2
 from srkit.selftest import rand_tensor
 from srkit.tensor import ShapeError, Tensor
 
@@ -160,6 +160,21 @@ class TestBench:
         assert stats.engine_threads == stats.to_dict()["engine_threads"] == expected
         assert set(seen) == {expected} and metrics.tensor._WORKERS == workers
         assert bench_runtime(g, images, reps=1, threads=threads, mode="unfused").engine_threads == 1
+
+    def test_reports_the_strips_a_run_had_in_flight(self, rng):
+        # Read from the compiled run: SPANV2's 96x256 plan has two strips in
+        # flight, which run on two threads only where the engine has two;
+        # SPAN's has one, and unfused runs one strip, the whole image.
+        images = [rand_tensor(rng, 1, 3, 96, 256)]
+        two = min(2, len(os.sched_getaffinity(0)))
+        for g, threads, mode, flight in [
+            (build_spanv2(seed=0), 2, "fused", two),
+            (build_spanv2(seed=0), 1, "fused", 1),
+            (build_spanv2(seed=0), 2, "unfused", 1),
+            (build_span_baseline(seed=0), 2, "fused", 1),
+        ]:
+            stats = bench_runtime(g, images, warmup=0, reps=1, threads=threads, mode=mode)
+            assert stats.strips_in_flight == stats.to_dict()["strips_in_flight"] == flight, (g.name, threads, mode)
 
     def test_reports_the_blas_numpy_was_built_with(self, rng):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

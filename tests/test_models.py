@@ -159,3 +159,21 @@ class TestBuildBaseline:
         g = build_span_baseline()
         assert g.node("cat").inputs == ("head", "tail", "b1.out", "b5.out")
         assert g.node("cat_conv").spec.in_channels == 4 * 28
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [(build_spanv2, {}), (build_spanv2, dict(c=5, s=3, blocks=3)), (build_spanv2, dict(c=8, s=2, blocks=1)),
+     (build_span_baseline, {}), (build_span_baseline, dict(c=7, s=2, blocks=2))],
+    ids=["spanv2", "spanv2_c5_s3_b3", "spanv2_c8_s2_b1", "span", "span_c7_s2_b2"],
+)
+def test_the_size_check_counts_the_weights_the_builder_draws(monkeypatch, build, sizes):
+    # The whole model's weights are counted from c, s and blocks before any
+    # draw; the count is count_params' of the model built.
+    from srkit import models
+    from srkit.metrics import count_params
+
+    counted, check = [], models._check_sizes
+    monkeypatch.setattr(models, "_check_sizes", lambda *args: counted.append(args[-1]) or check(*args))
+    g = build(**sizes)
+    assert counted == [count_params(g)]
