@@ -50,7 +50,8 @@ whose plan fits two strips' bands, the carry area and two one-thread
 workspaces in _GRAPH_BYTES (_wave); where even 4 rows do not fit, it runs
 one strip at a time in _strip_rows' rows, each conv splitting its strips
 over two threads. Either way its memory grows with its width, not its
-height.
+height. Nor does its compile's planning: the strips that repeat a
+repeated program are appended unplanned (_plan).
 
 Each op's output shape, FLOPs, the input rows an output row reads, and
 execution are one entry of OPS; adding an op means adding one entry.
@@ -674,37 +675,29 @@ def _two_strip_floats(plan: _Plan) -> int:
 
 def _wave(lay: _Layout, h: int, rows: int, budget: int) -> tuple[int, _Plan] | None:
     """Input rows per strip with two strips in flight, and the plan of an
-    h-row image in them: the most rows, from 4 to `rows`, whose plan's two
-    strips fit the budget (_two_strip_floats), or None where 4 rows do not.
-    The search judges a height by the plan of the image's first strips
-    alone, those that make the first `lead` rows (see _plan) and two more,
-    whose programs repeat; the plan it returns is judged whole, as the
-    image's last strip can need more."""
-    lead = _lead(lay)
+    h-row image in them, or None where 4 rows' plan does not fit two strips
+    in the budget (_two_strip_floats). Else the search bisects whole plans
+    of 5 to `rows` rows and keeps the most rows it finds to fit."""
 
-    def fits(r: int, count: int | None) -> _Plan | None:
-        plan = _plan(lay, h, r, 2, count)
+    def fits(r: int) -> _Plan | None:
+        plan = _plan(lay, h, r, 2)
         return plan if 4 * _two_strip_floats(plan) <= budget else None
 
     # a budget below the two threads' scratch bytes fits no plan, so none is made
-    if rows < 4 or 2 * 4 * _SCRATCH_FLOATS > budget or not fits(4, -(-lead // 4) + 2):
+    if rows < 4 or 2 * 4 * _SCRATCH_FLOATS > budget or not (plan := fits(4)):
         return None
-    lo, hi = 4, rows  # the most rows known to fit, and the most that may
+    lo, hi = 4, rows  # the most rows known to fit, whose plan is `plan`, and the most that may
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if fits(mid, -(-lead // mid) + 2) else (lo, mid - 1)
-    for r in range(lo, 3, -1):
-        plan = fits(r, None)
-        if plan:
-            return r, plan
-    return None
+        found = fits(mid)
+        lo, hi, plan = (mid, hi, found) if found else (lo, mid - 1, plan)
+    return lo, plan
 
 
-def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1, count: int | None = None) -> _Plan:
+def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1) -> _Plan:
     """The kernel calls of a fused run of an h-row image in strips of `rows`
     input rows (all of it in one when rows >= h) with `in_flight` strips
-    run at once (see _stream), and the memory they use; only its first
-    `count` strips, when given.
+    run at once (see _stream), and the memory they use.
 
     Strip k ends at output row (k + 1) * rows times the output's scale, and
     each step's rows run as far as its readers read to reach it (_progress),
@@ -721,8 +714,9 @@ def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1, count: int | None
     first use in the next strip in at its top. A band is allocated afresh
     for each strip and starts uninitialised but for its zero columns, so
     the plan zeroes every row a kernel reads that no step writes: the rows
-    above and past the image. Every strip is planned in turn, and a strip
-    that does the same as the one before shares its actions, one program.
+    above and past the image. A strip that does the same as the one before
+    shares its actions, one program; once one repeats, the strips that end
+    before any step's last row repeat it too and are appended unplanned.
     The workspace is the most conv_strips gives any conv call, or any
     attention step's gate conv, of its rows and operands, on one thread
     and on two, the most a conv splits its strips on (the gate's run on
@@ -738,14 +732,24 @@ def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1, count: int | None
     tops = [max([rule[q][0] for q in lay.readers[m[-1]]] + [0]) for m in lay.chain]
     origin = [-t for t in tops]  # the value row at each band's row 0
     header = [0] * len(bands)  # the rows each band keeps from the strip before
-    caps = [0] * len(bands)
+    caps, carry = [0] * len(bands), [0] * len(bands)  # each band's buffer rows, and the most header rows it keeps
     done, p = [0] * len(steps), [0] * len(steps)
     programs: list[list[_Action]] = []
     strips: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     ws_floats = [0, 0]
     lead = _lead(lay) if in_flight == 2 else 0
-    while done[last] < height[last] and len(strips) != count:
+    step = [rows * s for s in lay.scale]  # the rows each step makes a strip
+    while done[last] < height[last]:
         _progress(lay, ((len(strips) + 1) * rows - lead) * lay.scale[last] if rows < h else 1 << 30, p)
+        # the next m strips end before every step's last row, where rows clip: they repeat a repeated program
+        m = min(-(-(hj - pj) // r) for hj, pj, r in zip(height, p, step)) if strips[1:] else 0
+        if m > 0 and strips[-1][0] == strips[-2][0]:
+            k, (i0, i1), (o0, o1) = strips[-1]
+            for i in range(1, m + 1):
+                strips.append((k, (i0 + i * step[0], i1 + i * step[0]), (o0 + i * step[-1], o1 + i * step[-1])))
+            done = [d + m * r for d, r in zip(done, step)]
+            origin = [o + m * step[j] for o, j in zip(origin, head)]
+            continue
         actions: list[list] = []
         touched: dict[int, int] = {}  # each band used in this strip: its last action
         first: dict[int, int] = {}  # its first action
@@ -806,6 +810,7 @@ def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1, count: int | None
             keep = [done[m] for m in members[1:] if done[m] < height[m]] + [made]
             keep += [done[q] // rule[q][2] - rule[q][0] for q in lay.readers[members[-1]] if done[q] < height[q]]
             header[b] = made - min(keep)
+            carry[b] = max(carry[b], header[b])  # its own rows of one carry area between strips
             if header[b]:  # copied out after its last writer, or where it is copied in
                 carried.append(wrote.get(b, first[b]))
                 actions[carried[-1]][6].append((b, min(keep) - origin[b], header[b]))
@@ -821,11 +826,6 @@ def _plan(lay: _Layout, h: int, rows: int, in_flight: int = 1, count: int | None
         if not programs or program != programs[strips[-1][0]]:
             programs.append(program)
         strips.append((len(programs) - 1, *io))
-    # Each band's header keeps its own rows of one carry area between strips.
-    carry = [0] * len(bands)
-    for act in chain.from_iterable(programs):
-        for b, _, h0 in act.copied_out:
-            carry[b] = max(carry[b], h0)
     shapes = [(1, c, cap, w + 2 * pad) for (c, w, pad), cap in zip(bands, caps)]
     return _Plan(programs, strips, shapes, carry, tuple(ws_floats), in_flight)
 

@@ -600,6 +600,10 @@ STRIPS = {  # id: ((n, h, w), strip rows)
     "shorter_than_a_strip": ((1, 3, 10), 4),
     "batch2": ((2, 13, 11), 4),
     "batch3": ((3, 9, 6), 6),
+    # tall and narrow: most strips repeat one program unplanned, and at
+    # batch 2 all of the first image's come before the second image's
+    "tall_4": ((1, 600, 40), 4),
+    "tall_batch2_5": ((2, 600, 40), 5),
 }
 
 
@@ -1044,23 +1048,33 @@ def test_reused_bands_do_not_leak_between_runs(rng):
             assert_close(fused, unfused, msg=f"{n}x{h}x{w}")
 
 
-@pytest.mark.parametrize(
-    "g",
-    [build_spanv2(seed=3), build_span_baseline(seed=3), decorate_for_reparam(build_spanv2(seed=3)),
-     build_spanv2(s=1, seed=3)],
-    ids=["spanv2", "span", "spanv2_train_form", "spanv2_x1"],
-)
-def test_fused_reads_no_row_before_it_is_written(monkeypatch, rng, g):
+_NAN_GRAPHS = {"spanv2": build_spanv2(seed=3), "span": build_span_baseline(seed=3),
+               "spanv2_train_form": decorate_for_reparam(build_spanv2(seed=3)), "spanv2_x1": build_spanv2(s=1, seed=3)}
+_NAN_CASES = {  # id: (graph, shapes, forced strip rows or None)
+    **{name: (g, [(1, 1, 9), (1, 9, 1), (2, 61, 63), (1, 96, 256), (1, 256, 256)], None)
+       for name, g in _NAN_GRAPHS.items()},
+    **{f"tall_batch2_5-{name}": (g, [(2, 600, 40)], 5) for name, g in _NAN_GRAPHS.items()},
+}
+
+
+@pytest.mark.parametrize("g, shapes, rows", _NAN_CASES.values(), ids=_NAN_CASES.keys())
+def test_fused_reads_no_row_before_it_is_written(monkeypatch, rng, g, shapes, rows):
     # Bands start uninitialised but for their zero columns; the plan zeroes
     # every row a kernel reads that no step writes (above and past the
     # image). With every fresh float32 buffer filled with NaN, one-strip and
     # streamed runs keep their bits, SPANV2's with two strips in flight on
-    # two threads, each with bands of its own.
+    # two threads, each with bands of its own. The tall image streams in
+    # forced 5-row strips, two in flight, most of them appended unplanned.
     monkeypatch.setattr(graph.tensor, "_WORKERS", 2)
-    shapes = [(1, 1, 9), (1, 9, 1), (2, 61, 63), (1, 96, 256), (1, 256, 256)]
+    if rows:
+        monkeypatch.setattr(graph, "_strip_rows", lambda lay, one, budget: rows)
+        monkeypatch.setattr(graph, "_RUNS_KEPT", 0)
     xs = [rand_tensor(rng, n, 3, h, w) for n, h, w in shapes]
     want = [run_graph(g, x, "fused").data for x in xs]
-    assert (graph._compiled(g, 256, 256).plan.in_flight == 2) == (g.fusion_groups != [])
+    if rows:
+        assert graph._compiled(g, 600, 40).plan.in_flight == 2
+    else:
+        assert (graph._compiled(g, 256, 256).plan.in_flight == 2) == (g.fusion_groups != [])
     empty = np.empty
 
     def nan_filled(shape, dtype=float, *args, **kwargs):
@@ -1113,7 +1127,8 @@ def test_a_second_fused_run_builds_no_conv_spec(monkeypatch, rng, g, h):
 
 # -- compiled runs -----------------------------------------------------------
 
-PLANNERS = ("_compile", "_fusion_gates", "_lowered", "_schedule", "infer_shapes", "_layout", "_strip_rows", "_plan")
+PLANNERS = ("_compile", "_fusion_gates", "_lowered", "_schedule", "infer_shapes", "_layout", "_strip_rows", "_plan",
+            "_progress")
 
 
 def _count_planner_calls(monkeypatch):
@@ -1156,13 +1171,21 @@ def test_a_compile_plans_the_image_as_one_strip_first(monkeypatch, rng, budget, 
 
 
 @pytest.mark.parametrize("g", [build_spanv2(seed=0), build_span_baseline(seed=0)], ids=["spanv2", "span"])
-def test_a_plans_size_is_flat_in_height(g):
-    # Every strip is planned, and a strip that does the same as the one
-    # before shares its program, so a taller image adds strips, not programs.
-    # Strip k ends (k + 1) * rows input rows' worth of output rows on, less
-    # the input step's lead with two strips in flight (see _plan).
-    short, tall = (graph._compile(g, h, 256) for h in (256, 2048))
+def test_a_plans_size_is_flat_in_height(monkeypatch, g):
+    # A strip that does the same as the one before shares its program, and
+    # the strips that repeat a repeated program are appended unplanned, so
+    # a taller image adds strips, not programs, and its compile plans no
+    # more strips (_progress calls). Strip k ends (k + 1) * rows input
+    # rows' worth of output rows on, less the input step's lead with two
+    # strips in flight (see _plan).
+    calls = _count_planner_calls(monkeypatch)
+    progress = []
+    for h in (256, 2048):
+        calls["_progress"] = 0
+        progress.append((graph._compile(g, h, 256), calls["_progress"]))
+    (short, planned_short), (tall, planned_tall) = progress
     assert short.rows < 256 and len(tall.plan.programs) <= len(short.plan.programs)
+    assert planned_tall == planned_short
     for run in (short, tall):
         rows_out, scale = run.lay.shape[-1][1], run.lay.scale[-1]
         lead = graph._lead(run.lay) if run.plan.in_flight == 2 else 0
