@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Band, ConvSpec, ShapeError, Tensor, add, conv2d, conv_strips, mul
+from .tensor import _STRIP_FLOATS, Band, ConvSpec, ShapeError, Tensor, add, conv2d, conv_strips, mul
 
 
 @dataclass
@@ -359,9 +359,26 @@ def lora_forward(x: Tensor, base: ConvSpec, lora: LoraFactors) -> Tensor:
 
 
 def max_errors(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> tuple[float, float]:
-    """Max absolute difference, and that max relative to b's peak magnitude."""
+    """Max absolute difference, and that max relative to b's peak magnitude.
+
+    The difference is taken in float64, in blocks of at most _STRIP_FLOATS
+    elements through one float64 buffer (a contiguous operand is read in
+    place), and the blocks' maxima are kept with np.maximum, so a NaN in
+    either operand comes through as NaN. Operands of different shapes raise
+    ShapeError; they are never broadcast.
+    """
     da = a.data if isinstance(a, Tensor) else np.asarray(a)
     db = b.data if isinstance(b, Tensor) else np.asarray(b)
-    diff = float(np.abs(da.astype(np.float64) - db.astype(np.float64)).max(initial=0.0))
-    scale = float(np.abs(db).max(initial=0.0))
+    if da.shape != db.shape:
+        raise ShapeError(f"max_errors: operand shapes differ: {da.shape} vs {db.shape}")
+    fa, fb = da.reshape(-1), db.reshape(-1)
+    buf = np.empty(min(_STRIP_FLOATS, fa.size), np.float64)
+    diff = scale = 0.0
+    for i in range(0, fa.size, _STRIP_FLOATS):
+        ba, bb = fa[i : i + _STRIP_FLOATS], fb[i : i + _STRIP_FLOATS]
+        block = buf[: ba.size]
+        np.subtract(ba, bb, out=block, dtype=np.float64)
+        diff = np.maximum(diff, np.abs(block, out=block).max())
+        scale = np.maximum(scale, np.abs(bb, out=block).max())
+    diff, scale = float(diff), float(scale)
     return diff, diff / max(scale, 1e-12)

@@ -131,7 +131,9 @@ def fuse_equivalence(
     """End-to-end before/after comparison on probe inputs, as a report dict.
 
     Also compares fused vs unfused execution of the rewritten graph when it
-    has attention fusion groups.
+    has attention fusion groups. One probe's outputs are held at a time:
+    `before` is dropped once compared, before the fused run, and `after`
+    before the next probe runs.
     """
     worst_abs = worst_rel = 0.0
     fused_abs = fused_rel = 0.0
@@ -139,11 +141,12 @@ def fuse_equivalence(
         before = run_graph(g_before, x, mode="unfused")
         after = run_graph(g_after, x, mode="unfused")
         abs_err, rel_err = max_errors(after, before)
+        del before
         worst_abs, worst_rel = max(worst_abs, abs_err), max(worst_rel, rel_err)
         if g_after.fusion_groups:
-            fused = run_graph(g_after, x, mode="fused")
-            abs_err, rel_err = max_errors(fused, after)
+            abs_err, rel_err = max_errors(run_graph(g_after, x, mode="fused"), after)
             fused_abs, fused_rel = max(fused_abs, abs_err), max(fused_rel, rel_err)
+        del after
     report = {
         "probes": len(probes),
         "end_to_end": {"max_abs_err": worst_abs, "max_rel_err": worst_rel},

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,48 @@ def check_traffic_counts():
     assert fused_counter.total == 24576 and ref_counter.total == 65536
 
 
+def whole_max_errors(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """max_errors on whole float64 copies of its operands."""
+    diff = float(np.abs(a.astype(np.float64) - b.astype(np.float64)).max(initial=0.0))
+    return diff, diff / max(float(np.abs(b).max(initial=0.0)), 1e-12)
+
+
+@contextmanager
+def _blocks_of(floats: int):
+    """Run max_errors and psnr in blocks of at most `floats` floats."""
+    kept = fusion._STRIP_FLOATS, metrics._STRIP_FLOATS
+    fusion._STRIP_FLOATS = metrics._STRIP_FLOATS = floats
+    try:
+        yield
+    finally:
+        fusion._STRIP_FLOATS, metrics._STRIP_FLOATS = kept
+
+
+def check_max_errors_whole_array_formula():
+    rng = np.random.default_rng(31)
+    pairs = []
+    for shape in ((1, 3, 5, 7), (2, 4, 9, 11), (1, 1, 1, 1), (3, 8, 8)):
+        a = rng.normal(0.0, 1.0, shape).astype(np.float32)
+        pairs.append((a, (a + rng.normal(0.0, 1e-3, shape)).astype(np.float32)))
+    a, b = pairs[1]
+    nan, inf = a.copy(), a.copy()
+    nan.flat[100] = np.nan  # in a later block than the first, before larger errors
+    nan.flat[700] += 5.0
+    inf.flat[50], inf.flat[600] = np.inf, -np.inf
+    pairs += [(nan, b), (b, nan), (inf, b)]
+
+    def same(x: float, y: float) -> bool:
+        return x == y or (math.isnan(x) and math.isnan(y))
+
+    for floats in (1, 7, fusion._STRIP_FLOATS):  # one-element, partial and whole blocks
+        with _blocks_of(floats):
+            for x, y in pairs:
+                got, want = fusion.max_errors(x, y), whole_max_errors(x, y)
+                assert all(map(same, got, want)), f"{x.shape} blocks of {floats}: {got} != {want}"
+            assert all(map(math.isnan, fusion.max_errors(nan, b))), "a NaN did not come through"
+            assert fusion.max_errors(inf, b) == (math.inf, math.inf)
+
+
 def check_compose_interior():
     rng = np.random.default_rng(10)
     first = models.random_conv(rng, 3, 4, k=3)
@@ -341,6 +384,32 @@ def check_psnr_border_discard():
     assert round(got, 3) == 48.131
 
 
+def whole_psnr(pred: np.ndarray, gt: np.ndarray, border: int) -> float:
+    """psnr on whole float64 copies of the crops."""
+    if border:
+        pred, gt = pred[border:-border, border:-border], gt[border:-border, border:-border]
+    diff = pred.astype(np.float64) - gt.astype(np.float64)
+    mse = float(np.mean(diff * diff))
+    return metrics.PSNR_CAP_DB if mse == 0.0 else float(10.0 * np.log10(255.0**2 / mse))
+
+
+def check_psnr_row_blocks():
+    rng = np.random.default_rng(32)
+    for h, w in ((9, 13), (16, 30), (41, 23)):
+        gt = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        noise = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        pred = np.where(rng.random((h, w, 3)) < 0.3, noise, gt)
+        for border in (0, 4):
+            row = 3 * (w - 2 * border)
+            # one-row blocks, two-row blocks (a partial last one on odd
+            # crop heights), three-row blocks and one whole-crop block
+            for floats in (1, 2 * row, 3 * row + 2, metrics._STRIP_FLOATS):
+                with _blocks_of(floats):
+                    for a, b in ((pred, gt), (noise, gt), (gt, gt)):
+                        got, want = metrics.psnr(a, b, border), whole_psnr(a, b, border)
+                        assert got == want, f"{h}x{w} border {border} blocks of {floats}: {got} != {want}"
+
+
 def check_param_counts():
     rng = np.random.default_rng(22)
     assert models.random_conv(rng, 3, 32, k=3).param_count == 896
@@ -461,6 +530,7 @@ CHECKS = [
     check_near_pixel_equivalence,
     check_fused_scalar_case,
     check_traffic_counts,
+    check_max_errors_whole_array_formula,
     check_compose_interior,
     check_compose_identity_units,
     check_compose_bias_constant_input,
@@ -469,6 +539,7 @@ CHECKS = [
     check_collapse_branches,
     check_compose_param_bookkeeping,
     check_psnr_border_discard,
+    check_psnr_row_blocks,
     check_param_counts,
     check_flop_counts,
     check_runtime_ave_semantics,

@@ -1,4 +1,5 @@
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,12 @@ from srkit.fusion import (
     compose_convs,
     fused_attention,
     lora_merge,
+    max_errors,
     reference_attention,
 )
-from srkit.models import random_conv
-from srkit.selftest import assert_close, rand_tensor
+from srkit.models import build_spanv2, random_conv
+from srkit.rewrites import apply_rewrites, decorate_for_reparam, fuse_equivalence
+from srkit.selftest import assert_close, rand_tensor, whole_max_errors
 from srkit.tensor import ConvSpec, ShapeError, Tensor
 
 tensor_module = importlib.import_module("srkit.tensor")  # srkit.tensor is also a function
@@ -201,3 +204,47 @@ class TestCollapseBranches:
         b1, b2 = random_conv(rng, c, c, k=3), random_conv(rng, c, c, k=1)
         merged = collapse_branches([b1, b2])
         assert_close(merged.bias, b1.bias + b2.bias)
+
+
+def _peak_bytes(fn, *args):
+    """fn(*args) and its tracemalloc peak above the memory held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMaxErrors:
+    def test_holds_one_block_buffer(self, rng):
+        # With whole float64 copies of both operands, two 12 MiB float32
+        # planes peaked at 48 MiB.
+        a = rand_tensor(rng, 1, 3, 1024, 1024)
+        b = Tensor(a.data + np.float32(1e-3))
+        errors, peak = _peak_bytes(max_errors, a, b)
+        assert peak <= 8 * tensor_module._STRIP_FLOATS + 2**20, peak / 2**20
+        assert errors == whole_max_errors(a.data, b.data)
+
+    @pytest.mark.parametrize("other", [(3, 8, 8), (1, 1, 8, 8), (2, 3, 8, 8)])
+    def test_rejects_shapes_it_would_broadcast(self, other):
+        a = np.zeros((1, 3, 8, 8), np.float32)
+        for x, y in ((a, np.zeros(other, np.float32)), (np.zeros(other, np.float32), a)):
+            with pytest.raises(ShapeError, match=rf"{re.escape(str(x.shape))} vs {re.escape(str(y.shape))}"):
+                max_errors(x, y)
+
+
+def test_fuse_equivalence_holds_one_probe_at_a_time(rng):
+    # With each probe's outputs still bound while the next probe's
+    # training-form run went, two 64x64 probes peaked at 5.79 MiB and one
+    # at 5.25.
+    train = decorate_for_reparam(build_spanv2(seed=0), seed=0)
+    merged, _ = apply_rewrites(train, seed=1)
+    probes = [rand_tensor(rng, 1, 3, 64, 64) for _ in range(2)]
+    fuse_equivalence(train, merged, probes[:1])  # compiles the fused run kept on merged
+    one, one_peak = _peak_bytes(fuse_equivalence, train, merged, probes[:1])
+    two, two_peak = _peak_bytes(fuse_equivalence, train, merged, probes)
+    assert two_peak <= one_peak + 0.01 * 2**20, (one_peak / 2**20, two_peak / 2**20)
+    assert two["end_to_end"]["max_abs_err"] >= one["end_to_end"]["max_abs_err"]

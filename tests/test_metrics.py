@@ -10,7 +10,7 @@ import pytest
 from srkit import metrics, ppm
 from srkit.metrics import bench_runtime, image_to_tensor, psnr, tensor_to_image
 from srkit.models import build_span_baseline, build_spanv2
-from srkit.selftest import rand_tensor
+from srkit.selftest import rand_tensor, whole_psnr
 from srkit.tensor import ShapeError, Tensor
 
 
@@ -37,9 +37,53 @@ class TestPsnr:
         with pytest.raises(ValueError, match="border"):
             psnr(img, img, border=4)
 
+    def test_holds_one_block_buffer(self, rng):
+        # With whole float64 copies of the crops and their squares, a
+        # 1356x2040 pair peaked at 125 MiB.
+        a = rng.integers(0, 256, (1356, 2040, 3), dtype=np.uint8)
+        b = rng.integers(0, 256, (1356, 2040, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = psnr(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * metrics._STRIP_FLOATS + 2**20, peak / 2**20
+        assert got == whole_psnr(a, b, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16, np.int64])
+    def test_takes_uint8_images_only(self, dtype):
+        # A float image in [0, 1] used to score against the 255 peak.
+        img = np.zeros((16, 16, 3), np.uint8)
+        for a, b in ((img.astype(dtype), img), (img, img.astype(dtype))):
+            with pytest.raises(ValueError, match=f"uint8 images, got {np.dtype(dtype)}"):
+                psnr(a, b)
+
     def test_image_tensor_roundtrip(self, rng):
         img = rng.integers(0, 256, (7, 9, 3), dtype=np.uint8)
         assert np.array_equal(tensor_to_image(image_to_tensor(img)), img)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (7, 9), (31, 2), (61, 63)])
+    def test_image_to_tensor_is_the_whole_plane_division(self, rng, h, w):
+        img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        want = (np.asarray(img, dtype=np.float32) / 255.0).transpose(2, 0, 1)[None]
+        assert image_to_tensor(img).data.tobytes() == want.tobytes()
+
+    def test_image_to_tensor_builds_one_float_plane(self, rng):
+        # Dividing a float32 copy and copying its transpose peaked at 2.0x
+        # the plane.
+        img = rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            x = image_to_tensor(img)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.data.nbytes, peak / x.data.nbytes
 
     def test_tensor_to_image_takes_one_rgb_image(self, rng):
         # a batch would encode its first image and drop the rest
